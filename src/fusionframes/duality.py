@@ -46,6 +46,7 @@ from .linalg import (
     orth_complement_within,
     orthonormalize,
     span_union,
+    spectral_norm,
 )
 
 #: Default certification tolerance for duality residuals.
@@ -111,24 +112,26 @@ def classify_q(q: BlockOp, tol: float = DEFAULT_TOL) -> QKind:
 
     Block-diagonal: every off-diagonal block vanishes (so Q commutes with
     the block masks).  Component-preserving: additionally every diagonal
-    block maps onto its whole target block, i.e. has full row rank; the
-    rank test uses singular values above ``tol``.
+    block maps onto its whole target block, i.e. has full row rank.  Both
+    tests compare against ``tol`` times the largest singular value of Q,
+    so a global scale of Q does not change the class.
     """
     if len(q.row_dims) != len(q.col_dims):
         return QKind.GENERAL
-    for j, row in enumerate(q.blocks):
-        for i, blk in enumerate(row):
-            if i != j and blk.size and frobenius_norm(blk) > tol:
-                return QKind.GENERAL
-    for j in range(len(q.row_dims)):
-        need = q.row_dims[j]
-        if need == 0:
-            continue
-        blk = q.block(j, j)
-        if blk.shape[1] < need:
-            return QKind.BLOCK_DIAGONAL
-        s = np.linalg.svd(blk, compute_uv=False)
-        if s.size < need or s[need - 1] <= tol:
+    m = len(q.row_dims)
+    off_diagonal = [q.block(j, i) for j in range(m) for i in range(m) if i != j]
+    diagonal = [q.block(j, j) for j in range(m)]
+    svals = [np.linalg.svd(blk, compute_uv=False) for blk in diagonal]
+    # Without off-diagonal entries the largest singular value of Q is the
+    # largest one of a diagonal block, and no dense SVD of Q is needed.
+    if any(blk.any() for blk in off_diagonal):
+        cutoff = tol * spectral_norm(q.as_matrix())
+        if any(frobenius_norm(blk) > cutoff for blk in off_diagonal):
+            return QKind.GENERAL
+    else:
+        cutoff = tol * max((s[0] for s in svals if s.size), default=0.0)
+    for need, blk, s in zip(q.row_dims, diagonal, svals):
+        if need and (blk.shape[1] < need or s.size < need or s[need - 1] <= cutoff):
             return QKind.BLOCK_DIAGONAL
     return QKind.COMPONENT_PRESERVING
 
@@ -164,21 +167,23 @@ class AffineFamily:
         return self.pinv_member + z @ self.kernel_projector
 
 
-def left_inverses_parametrization(w: FusionFrame) -> AffineFamily:
-    """Affine parametrization of the left inverses of the analysis matrix.
+def _left_inverse_family(synth) -> AffineFamily:
+    """All left inverses of ``adjoint(synth)`` from one pseudoinverse.
 
-    Computed from one SVD of the synthesis matrix: its pseudoinverse
-    transposed is the minimal-norm left inverse, and the kernel projector
-    is the identity minus the row-space projector.  This keeps the
-    conditioning linear in that of the synthesis matrix.
+    The pseudoinverse of the synthesis matrix, transposed, is the
+    minimal-norm left inverse, and the kernel projector is the identity
+    minus the row-space projector.  This keeps the conditioning linear in
+    that of the synthesis matrix.
     """
+    synth_pinv = np.linalg.pinv(synth, rcond=RANK_TOL)
+    return AffineFamily(adjoint(synth_pinv), np.eye(synth.shape[1]) - synth_pinv @ synth)
+
+
+def left_inverses_parametrization(w: FusionFrame) -> AffineFamily:
+    """Affine parametrization of the left inverses of the analysis matrix."""
     if not w.is_fusion_frame():
         raise NotAFusionFrame("subspaces do not span the ambient space")
-    synth = w.synthesis_matrix()
-    synth_pinv = np.linalg.pinv(synth, rcond=RANK_TOL)
-    a0 = adjoint(synth_pinv)
-    proj = np.eye(synth.shape[1]) - synth_pinv @ synth
-    return AffineFamily(a0, proj)
+    return _left_inverse_family(w.synthesis_matrix())
 
 
 def _subspace_from_block(block, tol: float = RANK_TOL) -> Subspace:

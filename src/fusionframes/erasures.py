@@ -4,34 +4,36 @@ During blind reconstruction the receiver applies a fixed dual pair to
 whatever analysis coefficients arrive.  If the blocks (or individual
 local coefficients) in a pattern are lost, the residual reconstruction
 operator is the certified identity with the surviving mask removed, and
-its Frobenius norm is the error charged to that pattern.  This module
-enumerates those errors exactly, builds the closed-form mean-square
-optimal dual, and solves the worst-case problem over all
-component-preserving duals with the minimax solver.
+its Frobenius norm is the error charged to that pattern.  Subspace and
+local-vector erasures are one problem: losing column groups of a left
+inverse of one synthesis matrix.  One engine reads every pattern error
+from the Gram matrix of the groups' reconstruction maps; this module
+also builds the closed-form mean-square optimal dual and solves the
+worst-case problem over all component-preserving duals with the minimax
+solver.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Optional
 
 import numpy as np
 
 from .duality import (
     DEFAULT_TOL,
+    AffineFamily,
     QDualPair,
-    canonical_dual,
+    _left_inverse_family,
     dual_from_left_inverse,
-    is_q_dual,
     left_inverses_parametrization,
 )
-from .blockop import BlockOp
 from .errors import BadR, NotAFusionFrame, NotUnitNorm, NullVector
-from .frames import Frame, frame_operator, synthesis
+from .frames import synthesis
 from .fusion import FusionFrame
-from .linalg import Subspace, adjoint, frobenius_norm, orthonormalize
+from .linalg import adjoint, frobenius_norm
 from .minimax import MinimaxResult, SolverConfig, minimize_max_group_norms
 from .systems import (
     FusionFrameSystem,
@@ -41,6 +43,10 @@ from .systems import (
 
 #: Hard cap on exact pattern enumeration.
 MAX_PATTERNS = 1_000_000
+
+#: Patterns gathered from the Gram matrix at once; bounds the memory of
+#: an enumeration.
+_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -85,19 +91,92 @@ class ErasureReport:
     solver: Optional[MinimaxResult] = None
 
 
-def _aggregate(errors, p: float) -> float:
-    vals = np.array([e for _, e in errors])
-    if p == math.inf:
-        return float(np.max(vals))
-    return float(np.sum(vals ** p) ** (1.0 / p))
+class _GroupErasures:
+    """Erasure errors of the column groups of one reconstruction.
+
+    The reconstruction is ``left @ adjoint(synth)``; losing group j drops
+    its map M_j = left[:, g_j] @ adjoint(synth)[g_j, :].  With the Gram
+    matrix G_jk = Re <M_j, M_k>_F, a lost pattern S has error
+    sqrt(1' G_SS 1), so every table and level aggregate is read from G.
+    ``labels`` name the groups in the patterns of ``kind``.
+    """
+
+    def __init__(self, left, synth, groups, kind: str, labels):
+        right = adjoint(synth)
+        maps = np.array([(left[:, g] @ right[g, :]).ravel() for g in groups])
+        self.gram = np.real(maps.conj() @ maps.T)
+        self.synth, self.groups, self.kind, self.labels = synth, groups, kind, labels
+
+    @property
+    def size(self) -> int:
+        return len(self.groups)
+
+    def _errors(self, r: int):
+        """Pattern indices and errors in lexicographic order, in chunks."""
+        patterns = combinations(range(self.size), r)
+        while True:
+            lost = np.array(list(islice(patterns, _CHUNK)), dtype=np.intp).reshape(-1, r)
+            if not lost.size:
+                return
+            sums = self.gram[lost[:, :, None], lost[:, None, :]].sum(axis=(1, 2))
+            yield lost, np.sqrt(np.maximum(sums, 0.0))
+
+    def table(self, r: int):
+        """(ErasurePattern, error) for every pattern of ``r`` lost groups."""
+        m = self.size
+        if not 1 <= r <= m:
+            raise BadR(f"r must lie in 1..{m}")
+        count = math.comb(m, r)
+        if count > MAX_PATTERNS:
+            raise BadR(
+                f"{count} patterns of size {r} exceed the exact enumeration cap "
+                f"({MAX_PATTERNS}); lower r or the number of blocks")
+        out = []
+        for lost, errs in self._errors(r):
+            out.extend((ErasurePattern(self.kind, tuple(self.labels[k] for k in row)), e)
+                       for row, e in zip(lost.tolist(), errs.tolist()))
+        return out
+
+    def level(self, r: int, p: float) -> float:
+        """p-norm of the errors of all patterns of ``r`` lost groups.
+
+        At p = 2 each group lies in C(m-1, r-1) patterns and each pair of
+        groups in C(m-2, r-2), which gives a closed form in G.
+        """
+        if p == 2:
+            m, tr = self.size, float(np.trace(self.gram))
+            pairs = math.comb(m - 2, r - 2) if r >= 2 else 0
+            total = math.comb(m - 1, r - 1) * tr + pairs * (float(np.sum(self.gram)) - tr)
+            return math.sqrt(max(total, 0.0))
+        errs = (e for _, e in self._errors(r))
+        if p == math.inf:
+            return max(float(np.max(e)) for e in errs)
+        return sum(float(np.sum(e ** p)) for e in errs) ** (1.0 / p)
+
+    def levels(self, p: float) -> dict:
+        """Level aggregates from r = 1 up to the first level whose pattern
+        count exceeds MAX_PATTERNS."""
+        table = {}
+        for r in range(1, self.size + 1):
+            if math.comb(self.size, r) > MAX_PATTERNS:
+                break
+            table[r] = self.level(r, p)
+        return table
 
 
-def _guard_count(total: int, r: int) -> None:
-    count = math.comb(total, r)
-    if count > MAX_PATTERNS:
-        raise BadR(
-            f"{count} patterns of size {r} exceed the exact enumeration cap "
-            f"({MAX_PATTERNS}); lower r or the number of blocks")
+def _pair_erasures(pair: QDualPair) -> _GroupErasures:
+    w = pair.primal
+    return _GroupErasures(pair.dual.synthesis_matrix() @ pair.q.as_matrix(),
+                          w.synthesis_matrix(),
+                          [np.arange(sl.start, sl.stop) for sl in w.block_slices()],
+                          "subspace", range(w.size))
+
+
+def _system_erasures(ws: FusionFrameSystem, vs: FusionFrameSystem) -> _GroupErasures:
+    flat = [(i, l) for i, size in enumerate(ws.local_sizes) for l in range(size)]
+    return _GroupErasures(vs.ff.synthesis_matrix() @ vs.coupling().as_matrix(),
+                          synthesis(ws.global_frame(weighted=True)),
+                          [[k] for k in range(ws.total_local)], "local", flat)
 
 
 def error_vector(pair: QDualPair, r: int):
@@ -107,54 +186,24 @@ def error_vector(pair: QDualPair, r: int):
     only the lost blocks kept, which equals the deviation caused by
     running blind reconstruction without them.
     """
-    m = pair.primal.size
-    if not 1 <= r <= m:
-        raise BadR(f"r must lie in 1..{m}")
-    _guard_count(m, r)
-    recon_left = pair.dual.synthesis_matrix() @ pair.q.as_matrix()
-    analysis = pair.primal.analysis_matrix()
-    slices = pair.primal.block_slices()
-    out = []
-    for lost in combinations(range(m), r):
-        cols = np.concatenate([np.arange(slices[j].start, slices[j].stop)
-                               for j in lost]) if lost else np.zeros(0, dtype=int)
-        err = frobenius_norm(recon_left[:, cols] @ analysis[cols, :])
-        out.append((ErasurePattern("subspace", tuple(lost)), err))
-    return out
+    return _pair_erasures(pair).table(r)
 
 
-def _levels_table(pair: QDualPair, p: float, max_r: int | None = None) -> dict:
-    m = pair.primal.size
-    max_r = m if max_r is None else max_r
-    table = {}
-    for r in range(1, max_r + 1):
-        if math.comb(m, r) > MAX_PATTERNS:
-            break
-        table[r] = _aggregate(error_vector(pair, r), p)
-    return table
+def _report(engine: _GroupErasures, p: float, pair: QDualPair, lines, solver=None,
+            system=None, primal=None) -> ErasureReport:
+    """Level-1 table and every level aggregate of an optimizer's dual."""
+    return ErasureReport(
+        r=1, p=p, per_pattern_errors=tuple(engine.table(1)),
+        aggregate=engine.level(1, p), optimal_dual=pair,
+        certificate="\n".join(lines), aggregate_by_r=engine.levels(p),
+        optimal_system=system, primal_system=primal, solver=solver)
 
 
-def _projector_sum_inverse_dual(w: FusionFrame, v) -> QDualPair:
-    """Dual whose subspaces are the originals mapped through the inverse of
-    the plain (unweighted) projector sum, certified component preserving."""
-    d = w.ambient_dim
-    proj_sum = np.zeros((d, d), dtype=w.dtype)
-    for sub in w.subspaces:
-        if sub.dim:
-            proj_sum = proj_sum + sub.projector()
-    dual_subs, q_blocks = [], []
-    for i, sub in enumerate(w.subspaces):
-        if sub.dim == 0:
-            dual_subs.append(Subspace.zero(d, dtype=w.dtype))
-            q_blocks.append(np.zeros((0, 0)))
-            continue
-        image = np.linalg.solve(proj_sum, sub.basis)
-        dual_sub = orthonormalize(image)
-        dual_subs.append(dual_sub)
-        q_blocks.append((adjoint(dual_sub.basis) @ image)
-                        / (w.weights[i] * v[i]))
-    dual = FusionFrame(tuple(dual_subs), np.asarray(v, dtype=float))
-    return is_q_dual(w, dual, BlockOp.block_diagonal(q_blocks), DEFAULT_TOL)
+def _mse_left_inverse(synth, coeffs):
+    """The left inverse of ``adjoint(synth)`` minimizing the sum over
+    columns of c_k^2 ||A[:, k]||^2: (T D^-1 T*)^-1 T D^-1, D = diag(c_k^2)."""
+    scaled = synth / np.asarray(coeffs, dtype=float) ** 2
+    return np.linalg.solve(scaled @ adjoint(synth), scaled)
 
 
 def mse_optimal_dual(w: FusionFrame, v=None, tol: float = DEFAULT_TOL) -> ErasureReport:
@@ -162,29 +211,23 @@ def mse_optimal_dual(w: FusionFrame, v=None, tol: float = DEFAULT_TOL) -> Erasur
 
     Works for every erasure level at once: the same dual minimizes the
     2-norm of the error vector for each r, so the report carries one
-    aggregate per level.  The certificate records the trace-orthogonality
-    identity that drives the optimality proof, evaluated against the
-    canonical dual as a competitor.
+    aggregate per level.  Its dual subspaces are the originals mapped
+    through the inverse of the plain (unweighted) projector sum.  The
+    certificate records the trace-orthogonality identity that drives the
+    optimality proof, evaluated against the canonical dual as a
+    competitor.
     """
     if not w.is_fusion_frame():
         raise NotAFusionFrame("subspaces do not span the ambient space")
     if v is None:
         v = w.weights.copy()
     v = np.asarray(v, dtype=float).ravel()
-    pair = _projector_sum_inverse_dual(w, v)
-
-    optimal_map = pair.dual.synthesis_matrix() @ pair.q.as_matrix()
-    competitor = canonical_dual(w, v)
-    competitor_map = competitor.dual.synthesis_matrix() @ competitor.q.as_matrix()
-    slices = w.block_slices()
-    trace_term = 0.0 + 0.0j
-    for i, sl in enumerate(slices):
-        diff = competitor_map[:, sl] - optimal_map[:, sl]
-        trace_term += (w.weights[i] ** 2) * np.trace(adjoint(optimal_map[:, sl]) @ diff)
-    trace_abs = abs(trace_term)
-
-    errors = error_vector(pair, 1)
-    table = _levels_table(pair, 2.0)
+    coeffs = np.repeat(w.weights, w.dims)
+    optimal = _mse_left_inverse(w.synthesis_matrix(), coeffs)
+    pair = dual_from_left_inverse(w, optimal, v, tol)
+    canonical = left_inverses_parametrization(w).pinv_member
+    trace_abs = abs(np.sum(coeffs ** 2
+                           * np.sum(optimal.conj() * (canonical - optimal), axis=0)))
     uniform = bool(np.all(np.abs(w.weights - w.weights[0])
                           <= 1e-12 * abs(w.weights[0])))
     lines = [
@@ -195,10 +238,46 @@ def mse_optimal_dual(w: FusionFrame, v=None, tol: float = DEFAULT_TOL) -> Erasur
     ]
     if uniform:
         lines.append("uniform weights: optimal dual coincides with the canonical dual")
-    return ErasureReport(
-        r=1, p=2.0, per_pattern_errors=tuple(errors),
-        aggregate=_aggregate(errors, 2.0), optimal_dual=pair,
-        certificate="\n".join(lines), aggregate_by_r=table)
+    return _report(_pair_erasures(pair), 2.0, pair, lines)
+
+
+#: Certificate wording per erasure kind: the start point of the worst-case
+#: solver, and the uniformity condition that makes it the unique minimizer.
+_START_WORDING = {
+    "subspace": ("canonical dual",
+                 "uniform erasure-norm condition holds: canonical dual is"),
+    "local": ("pseudoinverse left-inverse",
+              "uniform local erasure-norm condition holds: the inverse-"
+              "frame-operator system is"),
+}
+
+
+def _worst_case(family: AffineFamily, groups, coeffs, solver, kind: str):
+    """Minimize max_i coeffs[i] ||A[:, groups[i]]||_F over the family.
+
+    Returns the solver result and the certificate lines.  When the
+    weighted group norms are all equal at the start point (the
+    pseudoinverse member), that member is the theorem-backed unique
+    minimizer, and the certificate says so.
+    """
+    a0 = family.pinv_member
+    result = minimize_max_group_norms(a0, family.kernel_projector, groups, coeffs, solver)
+    start_norms = np.array([c * frobenius_norm(a0[:, g]) for g, c in zip(groups, coeffs)])
+    start_name, uniform_text = _START_WORDING[kind]
+    lines = [
+        f"worst-case objective: {result.phi:.12e} after {result.iterations} "
+        f"subgradient iterations (polished: {result.polished})",
+        f"{start_name} objective: {result.phi_start:.12e} "
+        f"(gap {result.gap_from_start:.3e})",
+    ]
+    if np.ptp(start_norms) <= 1e-9 * np.max(start_norms):
+        dev = frobenius_norm(result.a - a0)
+        lines.append(f"{uniform_text} the theorem-backed unique minimizer "
+                     f"(deviation {dev:.3e})")
+    else:
+        lines.append("no uniformity condition: numerical minimizer, "
+                     "no uniqueness claim")
+    return result, lines
 
 
 def worst_case_optimal_dual(w: FusionFrame, v=None,
@@ -219,81 +298,19 @@ def worst_case_optimal_dual(w: FusionFrame, v=None,
     if v is None:
         v = w.weights.copy()
     v = np.asarray(v, dtype=float).ravel()
-    slices = w.block_slices()
-    groups = [np.arange(sl.start, sl.stop) for sl in slices]
-    coeffs = list(w.weights)
-    result = minimize_max_group_norms(family.pinv_member, family.kernel_projector,
-                                      groups, coeffs, solver)
+    groups = [np.arange(sl.start, sl.stop) for sl in w.block_slices()]
+    result, lines = _worst_case(family, groups, w.weights, solver, "subspace")
     pair = dual_from_left_inverse(w, result.a, v, tol)
-    errors = error_vector(pair, 1)
-    table = _levels_table(pair, math.inf)
-
-    s_op = w.fusion_operator()
-    canon_norms = np.array([
-        (w.weights[i] ** 2) * frobenius_norm(np.linalg.solve(s_op, sub.projector()))
-        for i, sub in enumerate(w.subspaces)])
-    uniform_condition = bool(np.ptp(canon_norms) <= 1e-9 * np.max(canon_norms))
-    lines = [
-        f"worst-case objective: {result.phi:.12e} after {result.iterations} "
-        f"subgradient iterations (polished: {result.polished})",
-        f"canonical dual objective: {result.phi_start:.12e} "
-        f"(gap {result.gap_from_start:.3e})",
-    ]
-    if uniform_condition:
-        dev = frobenius_norm(result.a - family.pinv_member)
-        lines.append("uniform erasure-norm condition holds: canonical dual is the "
-                     f"theorem-backed unique minimizer (deviation {dev:.3e})")
-    else:
-        lines.append("no uniformity condition: numerical minimizer, "
-                     "no uniqueness claim")
-    return ErasureReport(
-        r=1, p=math.inf, per_pattern_errors=tuple(errors),
-        aggregate=_aggregate(errors, math.inf), optimal_dual=pair,
-        certificate="\n".join(lines), aggregate_by_r=table, solver=result)
+    return _report(_pair_erasures(pair), math.inf, pair, lines, result)
 
 
 # -- local-vector erasures ----------------------------------------------------
 
-def _local_pattern_indices(ws: FusionFrameSystem):
-    flat = []
-    for i, size in enumerate(ws.local_sizes):
-        flat.extend((i, l) for l in range(size))
-    return flat
-
-
-def _local_error_matrices(ws: FusionFrameSystem, vs: FusionFrameSystem):
-    left = vs.ff.synthesis_matrix() @ vs.coupling().as_matrix()
-    right = ws.coupling().adjoint().as_matrix() @ ws.ff.analysis_matrix()
-    return left, right
-
-
 def local_error_vector(ws: FusionFrameSystem, vs: FusionFrameSystem, r: int):
     """Errors of all patterns of ``r`` lost local frame vectors."""
-    total = ws.total_local
     if vs.local_sizes != ws.local_sizes:
         raise BadR("systems are not index-aligned")
-    if not 1 <= r <= total:
-        raise BadR(f"r must lie in 1..{total}")
-    _guard_count(total, r)
-    left, right = _local_error_matrices(ws, vs)
-    flat = _local_pattern_indices(ws)
-    out = []
-    for lost in combinations(range(total), r):
-        cols = np.array(lost, dtype=int)
-        err = frobenius_norm(left[:, cols] @ right[cols, :])
-        out.append((ErasurePattern("local", tuple(flat[k] for k in lost)), err))
-    return out
-
-
-def _local_levels_table(ws, vs, p, max_r=None) -> dict:
-    total = ws.total_local
-    max_r = total if max_r is None else max_r
-    table = {}
-    for r in range(1, max_r + 1):
-        if math.comb(total, r) > MAX_PATTERNS:
-            break
-        table[r] = _aggregate(local_error_vector(ws, vs, r), p)
-    return table
+    return _system_erasures(ws, vs).table(r)
 
 
 def local_mse_optimal_system(ws: FusionFrameSystem, v=None,
@@ -317,25 +334,16 @@ def local_mse_optimal_system(ws: FusionFrameSystem, v=None,
             raise NotUnitNorm(
                 f"local frame {i} has non-unit vectors (max deviation "
                 f"{np.max(np.abs(norms - 1.0)):.3e})")
-    s_f = frame_operator(ws.global_frame(weighted=False))
-    subs, locals_ = [], []
-    for i, (sub, frame) in enumerate(zip(ws.ff.subspaces, ws.local_frames)):
-        subs.append(orthonormalize(np.linalg.solve(s_f, sub.basis)))
-        scaled = np.linalg.solve(s_f, frame.vectors.T) / (ws.ff.weights[i] * v[i])
-        locals_.append(Frame(scaled.T))
-    vs = FusionFrameSystem(FusionFrame(tuple(subs), v), tuple(locals_))
+    optimal = _mse_left_inverse(synthesis(ws.global_frame(weighted=True)),
+                                np.repeat(ws.ff.weights, ws.local_sizes))
+    vs = dual_system_from_left_inverse_of_frame(ws, optimal, v, tol)
     pair = is_dual_system(ws, vs, tol)
-    errors = local_error_vector(ws, vs, 1)
-    table = _local_levels_table(ws, vs, 2.0)
     certificate = (
         "mean-square optimal dual system for unit-norm local frames "
         "(theorem-backed; unique among component-preserving dual systems, "
         "and every optimal dual system shares its reconstruction map)")
-    return ErasureReport(
-        r=1, p=2.0, per_pattern_errors=tuple(errors),
-        aggregate=_aggregate(errors, 2.0), optimal_dual=pair,
-        certificate=certificate, aggregate_by_r=table,
-        optimal_system=vs, primal_system=ws)
+    return _report(_system_erasures(ws, vs), 2.0, pair, [certificate],
+                   system=vs, primal=ws)
 
 
 def local_worst_case_optimal_system(ws: FusionFrameSystem,
@@ -343,6 +351,9 @@ def local_worst_case_optimal_system(ws: FusionFrameSystem,
                                     tol: float = DEFAULT_TOL) -> ErasureReport:
     """Minimize the largest single-local-vector erasure error over dual
     systems built from left inverses of the global frame analysis.
+
+    Losing local vector f_k of block i is charged w_i ||f_k|| times the
+    norm of column k of the left inverse.
 
     Raises:
         NullVector: if some local frame vector is zero.
@@ -354,70 +365,23 @@ def local_worst_case_optimal_system(ws: FusionFrameSystem,
         if np.any(norms <= 0.0):
             raise NullVector(f"local frame {i} contains a zero vector")
         coeffs.extend(weights[i] * norms)
-    wf = ws.global_frame(weighted=True)
-    synth = synthesis(wf)
-    s_op = synth @ adjoint(synth)
-    a0 = np.linalg.solve(s_op, synth)
-    proj = np.eye(synth.shape[1]) - adjoint(synth) @ np.linalg.solve(s_op, synth)
+    family = _left_inverse_family(synthesis(ws.global_frame(weighted=True)))
     groups = [[k] for k in range(ws.total_local)]
-    result = minimize_max_group_norms(a0, proj, groups, coeffs, solver)
+    result, lines = _worst_case(family, groups, coeffs, solver, "local")
     vs = dual_system_from_left_inverse_of_frame(ws, result.a, weights.copy(), tol)
     pair = is_dual_system(ws, vs, tol)
-    errors = local_error_vector(ws, vs, 1)
-    table = _local_levels_table(ws, vs, math.inf)
-
-    canon_norms = []
-    for i, frame in enumerate(ws.local_frames):
-        for vec in frame.vectors:
-            line = orthonormalize(vec.reshape(-1, 1))
-            canon_norms.append(weights[i] * np.linalg.norm(vec)
-                               * frobenius_norm(np.linalg.solve(s_op, line.projector())))
-    canon_norms = np.array(canon_norms)
-    uniform_condition = bool(np.ptp(canon_norms) <= 1e-9 * np.max(canon_norms))
-    lines = [
-        f"worst-case objective: {result.phi:.12e} after {result.iterations} "
-        f"subgradient iterations (polished: {result.polished})",
-        f"pseudoinverse left-inverse objective: {result.phi_start:.12e} "
-        f"(gap {result.gap_from_start:.3e})",
-    ]
-    if uniform_condition:
-        dev = frobenius_norm(result.a - a0)
-        lines.append("uniform local erasure-norm condition holds: the inverse-"
-                     "frame-operator system is the theorem-backed unique "
-                     f"minimizer (deviation {dev:.3e})")
-    else:
-        lines.append("no uniformity condition: numerical minimizer, "
-                     "no uniqueness claim")
-    return ErasureReport(
-        r=1, p=math.inf, per_pattern_errors=tuple(errors),
-        aggregate=_aggregate(errors, math.inf), optimal_dual=pair,
-        certificate="\n".join(lines), aggregate_by_r=table,
-        optimal_system=vs, primal_system=ws, solver=result)
+    return _report(_system_erasures(ws, vs), math.inf, pair, lines, result, vs, ws)
 
 
 # -- hierarchical verification --------------------------------------------------
 
-def _random_competitor_pair(w: FusionFrame, v, rng) -> QDualPair:
-    family = left_inverses_parametrization(w)
+def _random_competitor(family: AffineFamily, rng):
+    """A random member of the family, scaled like its pseudoinverse member."""
     scale = frobenius_norm(family.pinv_member)
     z = rng.normal(size=family.shape) * scale
     if np.iscomplexobj(family.pinv_member):
         z = z + 1j * rng.normal(size=family.shape) * scale
-    return dual_from_left_inverse(w, family.member(z), v)
-
-
-def _random_competitor_system(ws: FusionFrameSystem, rng) -> FusionFrameSystem:
-    wf = ws.global_frame(weighted=True)
-    synth = synthesis(wf)
-    s_op = synth @ adjoint(synth)
-    a0 = np.linalg.solve(s_op, synth)
-    proj = np.eye(synth.shape[1]) - adjoint(synth) @ np.linalg.solve(s_op, synth)
-    scale = frobenius_norm(a0)
-    z = rng.normal(size=a0.shape) * scale
-    if np.iscomplexobj(a0):
-        z = z + 1j * rng.normal(size=a0.shape) * scale
-    return dual_system_from_left_inverse_of_frame(ws, a0 + z @ proj,
-                                                  ws.ff.weights.copy())
+    return family.member(z)
 
 
 def hierarchical_optimal(base: ErasureReport, max_r: int, samples: int = 10,
@@ -433,37 +397,25 @@ def hierarchical_optimal(base: ErasureReport, max_r: int, samples: int = 10,
     theorem-backed.
     """
     rng = np.random.default_rng(seed)
-    local = base.optimal_system is not None
-    if local:
-        if base.primal_system is None:
-            raise BadR("local hierarchy verification needs the primal system "
-                       "recorded in the report")
-        total = base.primal_system.total_local
+    if base.optimal_system is None:
+        engine = _pair_erasures(base.optimal_dual)
+    elif base.primal_system is None:
+        raise BadR("local hierarchy verification needs the primal system "
+                   "recorded in the report")
     else:
-        total = base.optimal_dual.primal.size
+        engine = _system_erasures(base.primal_system, base.optimal_system)
+    total = engine.size
     if not 1 <= max_r <= total:
         raise BadR(f"max_r must lie in 1..{total}")
 
-    if local:
-        primal_system = base.primal_system
-        own = {r: _aggregate(local_error_vector(primal_system, base.optimal_system, r),
-                             base.p)
-               for r in range(1, max_r + 1) if math.comb(total, r) <= MAX_PATTERNS}
-        competitors = [_random_competitor_system(primal_system, rng)
-                       for _ in range(samples)]
-        comp_tables = [
-            {r: _aggregate(local_error_vector(primal_system, comp, r), base.p)
-             for r in own}
-            for comp in competitors]
-    else:
-        w = base.optimal_dual.primal
-        v = base.optimal_dual.dual.weights
-        own = {r: _aggregate(error_vector(base.optimal_dual, r), base.p)
-               for r in range(1, max_r + 1) if math.comb(total, r) <= MAX_PATTERNS}
-        competitors = [_random_competitor_pair(w, v, rng) for _ in range(samples)]
-        comp_tables = [
-            {r: _aggregate(error_vector(comp, r), base.p) for r in own}
-            for comp in competitors]
+    levels = [r for r in range(1, max_r + 1) if math.comb(total, r) <= MAX_PATTERNS]
+    own = {r: engine.level(r, base.p) for r in levels}
+    family = _left_inverse_family(engine.synth)
+    comp_tables = []
+    for _ in range(samples):
+        comp = _GroupErasures(_random_competitor(family, rng), engine.synth,
+                              engine.groups, engine.kind, engine.labels)
+        comp_tables.append({r: comp.level(r, base.p) for r in levels})
 
     lines = [f"hierarchy check up to r={max_r} with {samples} sampled competitors"]
     for r in sorted(own):

@@ -37,23 +37,43 @@ from .linalg import RANK_TOL
 from .systems import FusionFrameSystem
 
 
+#: JSON numbers decode to exactly these types; ``type(x) in`` this set
+#: also refuses booleans, which are a subclass of int.
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def _parse_number(entry, complex_field: bool, where: str):
     if complex_field:
-        if isinstance(entry, (int, float)):
-            return complex(float(entry), 0.0)
         if (isinstance(entry, list) and len(entry) == 2
-                and all(isinstance(x, (int, float)) for x in entry)):
-            return complex(float(entry[0]), float(entry[1]))
+                and type(entry[0]) in _NUMBER_TYPES and type(entry[1]) in _NUMBER_TYPES):
+            return complex(entry[0], entry[1])
+        if type(entry) in _NUMBER_TYPES:
+            return complex(entry)
         raise ParseError(f"{where}: complex entries must be numbers or [re, im] pairs")
-    if isinstance(entry, (int, float)):
+    if type(entry) in _NUMBER_TYPES:
         return float(entry)
     raise ParseError(f"{where}: real entries must be plain numbers")
+
+
+def _parse_weights(raw, where: str) -> list:
+    if not isinstance(raw, list) or any(type(w) not in _NUMBER_TYPES for w in raw):
+        raise ParseError(f"{where} must be numbers")
+    try:
+        weights = [float(w) for w in raw]
+    except OverflowError as exc:
+        raise InvalidSpec(f"{where} must be positive and finite") from exc
+    if any(not math.isfinite(w) or w <= 0 for w in weights):
+        raise InvalidSpec(f"{where} must be positive and finite")
+    return weights
 
 
 def _parse_vector(entry, dim: int, complex_field: bool, where: str):
     if not isinstance(entry, list) or len(entry) != dim:
         raise ParseError(f"{where}: expected a vector of length {dim}")
-    return [_parse_number(x, complex_field, where) for x in entry]
+    try:
+        return [_parse_number(x, complex_field, where) for x in entry]
+    except OverflowError as exc:
+        raise InvalidSpec(f"{where}: entries must be finite") from exc
 
 
 def _parse_matrix_rows(entry, dim: int, complex_field: bool, where: str):
@@ -61,8 +81,10 @@ def _parse_matrix_rows(entry, dim: int, complex_field: bool, where: str):
         raise ParseError(f"{where}: expected a non-empty list of vectors")
     rows = [_parse_vector(v, dim, complex_field, f"{where}[{i}]")
             for i, v in enumerate(entry)]
-    dtype = complex if complex_field else float
-    return np.array(rows, dtype=dtype)
+    mat = np.array(rows, dtype=complex if complex_field else float)
+    if not np.all(np.isfinite(mat)):
+        raise InvalidSpec(f"{where}: entries must be finite")
+    return mat
 
 
 def _emit_number(x, complex_field: bool):
@@ -169,7 +191,7 @@ def parse_spec(data) -> InputSpec:
         raise ParseError("field must be 'real' or 'complex'")
     cf = field_name == "complex"
     dim = data.get("dimension")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise ParseError("dimension must be a positive integer")
     raw_subs = data.get("subspaces")
     if not isinstance(raw_subs, list) or not raw_subs:
@@ -183,12 +205,7 @@ def parse_spec(data) -> InputSpec:
     weights = data.get("weights")
     if not isinstance(weights, list) or len(weights) != len(subs):
         raise ParseError("weights must list one positive number per subspace")
-    try:
-        weights = [float(w) for w in weights]
-    except (TypeError, ValueError) as exc:
-        raise ParseError("weights must be numbers") from exc
-    if any(not math.isfinite(w) or w <= 0 for w in weights):
-        raise InvalidSpec("weights must be positive and finite")
+    weights = _parse_weights(weights, "weights")
 
     local_frames = None
     if "local_frames" in data:
@@ -213,12 +230,7 @@ def parse_spec(data) -> InputSpec:
                 d_subs.append(_parse_matrix_rows(entry["spanning_vectors"], dim, cf,
                                                  f"dual.subspaces[{i}]"))
         if "weights" in raw_dual:
-            try:
-                d_weights = [float(w) for w in raw_dual["weights"]]
-            except (TypeError, ValueError) as exc:
-                raise ParseError("dual.weights must be numbers") from exc
-            if any(not math.isfinite(w) or w <= 0 for w in d_weights):
-                raise InvalidSpec("dual.weights must be positive and finite")
+            d_weights = _parse_weights(raw_dual["weights"], "dual.weights")
         if "q_blocks" in raw_dual:
             grid = raw_dual["q_blocks"]
             if not isinstance(grid, list) or not all(isinstance(r, list) for r in grid):
@@ -227,7 +239,7 @@ def parse_spec(data) -> InputSpec:
             for j, row in enumerate(grid):
                 parsed_row = []
                 for i, blk in enumerate(row):
-                    if not isinstance(blk, list):
+                    if not isinstance(blk, list) or not all(isinstance(r, list) for r in blk):
                         raise ParseError(f"dual.q_blocks[{j}][{i}] must be a matrix")
                     if blk:
                         parsed_row.append(_parse_matrix_rows(

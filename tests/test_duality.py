@@ -28,6 +28,8 @@ from fusionframes.errors import (
     TrivialSubspace,
 )
 from fusionframes.fusion import FusionFrame
+from fusionframes.reproduce import fixture_path
+from fusionframes.specio import load_spec
 from fusionframes.linalg import (
     Subspace,
     frobenius_norm,
@@ -87,6 +89,18 @@ class TestClassifyQ:
     def test_rank_deficient_diagonal_is_only_block_diagonal(self):
         q = BlockOp.block_diagonal([np.eye(2), np.array([[1.0, 0.0], [0.0, 0.0]])])
         assert classify_q(q) is QKind.BLOCK_DIAGONAL
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_class_does_not_depend_on_weight_scale(self, scale):
+        spec = load_spec(str(fixture_path("example_6_3.json")))
+        ff = spec.fusion_frame()
+        scaled = FusionFrame(ff.subspaces, scale * ff.weights)
+        assert canonical_dual(scaled).classify() is QKind.COMPONENT_PRESERVING
+        q = BlockOp.block_diagonal([scale * np.eye(2),
+                                    scale * np.array([[1.0, 0.0], [0.0, 0.0]])])
+        assert classify_q(q) is QKind.BLOCK_DIAGONAL
+        coupled = BlockOp.from_matrix(scale * np.ones((4, 4)), (2, 2), (2, 2))
+        assert classify_q(coupled) is QKind.GENERAL
 
     def test_published_system_coupling_is_bd_not_cp(self):
         # spot-checked end to end in the reproduction suite; here only the

@@ -6,10 +6,12 @@ the BlockOp machinery under test.
 """
 
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from fusionframes.duality import canonical_dual, dual_from_left_inverse, left_inverses_parametrization
 from fusionframes.errors import BadR, NotUnitNorm, NullVector
@@ -26,7 +28,12 @@ from fusionframes.frames import Frame, frame_operator
 from fusionframes.fusion import FusionFrame
 from fusionframes.linalg import frobenius_norm
 from fusionframes.minimax import SolverConfig
-from fusionframes.systems import FusionFrameSystem, is_dual_system
+from fusionframes import frames as fr
+from fusionframes.systems import (
+    FusionFrameSystem,
+    dual_system_from_left_inverse_of_frame,
+    is_dual_system,
+)
 
 from conftest import (
     random_fusion_frame,
@@ -53,6 +60,30 @@ def brute_force_error(pair, lost):
             right = primal.weights[i] * primal.subspaces[i].basis.conj().T
             op += left @ block @ right
     return float(np.linalg.norm(op, "fro"))
+
+
+def brute_force_local_error(ws, vs, lost):
+    """Independent recomputation of one local pattern error: losing vector
+    l of block i drops w_i v_i g_il f_il^*, assembled from the systems'
+    weights and local vectors with dense outer products."""
+    d = ws.ff.ambient_dim
+    op = np.zeros((d, d), dtype=complex)
+    for i, l in lost:
+        f = ws.local_frames[i].vectors[l]
+        g = vs.local_frames[i].vectors[l]
+        op += ws.ff.weights[i] * vs.ff.weights[i] * np.outer(g, f.conj())
+    return float(np.linalg.norm(op, "fro"))
+
+
+def random_dual_system(rng, ws):
+    """A dual system from a random left inverse of the global analysis."""
+    synth = fr.synthesis(ws.global_frame(True))
+    pinv = np.linalg.pinv(synth)
+    z = rng.normal(size=synth.shape)
+    if np.iscomplexobj(synth):
+        z = z + 1j * rng.normal(size=synth.shape)
+    a = pinv.conj().T + z @ (np.eye(ws.total_local) - pinv @ synth)
+    return dual_system_from_left_inverse_of_frame(ws, a, ws.ff.weights.copy())
 
 
 class TestErrorVector:
@@ -104,6 +135,45 @@ class TestErrorVector:
             for r in (1, 2):
                 for pattern, err in error_vector(pair, r):
                     assert abs(err - brute_force_error(pair, pattern.indices)) <= 1e-12
+
+    def test_tables_longer_than_one_chunk(self, rng):
+        # 792 patterns of 5 lost blocks out of 12: the enumeration crosses a
+        # chunk boundary and must keep the lexicographic order
+        ff = random_fusion_frame(rng, 3, 12, max_dim=1)
+        pair = canonical_dual(ff)
+        table = error_vector(pair, 5)
+        assert [p.indices for p, _ in table] == list(combinations(range(12), 5))
+        for pattern, err in table[::7]:
+            assert abs(err - brute_force_error(pair, pattern.indices)) <= 1e-12
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_block_permutation_permutes_tables(self, rng, complex_field):
+        ff = random_overcomplete_fusion_frame(rng, 4, 5, complex_field)
+        perm = rng.permutation(ff.size)
+        permuted = FusionFrame(tuple(ff.subspaces[k] for k in perm), ff.weights[perm])
+        pair, pair_perm = canonical_dual(ff), canonical_dual(permuted)
+        for r in range(1, ff.size + 1):
+            original = {p.indices: e for p, e in error_vector(pair, r)}
+            for pattern, err in error_vector(pair_perm, r):
+                lost = tuple(sorted(int(perm[k]) for k in pattern.indices))
+                assert abs(err - original[lost]) <= 1e-12 * max(1.0, err)
+        for p in (2.0, math.inf):
+            levels, levels_perm = (
+                hierarchical_optimal(replace(mse_optimal_dual(w), p=p), w.size,
+                                     samples=0).aggregate_by_r
+                for w in (ff, permuted))
+            assert set(levels) == set(levels_perm) == set(range(1, ff.size + 1))
+            for r, value in levels.items():
+                assert abs(levels_perm[r] - value) <= 1e-12 * value
+
+    def test_mse_levels_match_enumerated_tables(self, rng):
+        for complex_field in (False, True):
+            ff = random_overcomplete_fusion_frame(rng, 4, 5, complex_field)
+            report = mse_optimal_dual(ff, rng.uniform(0.5, 2.0, size=5))
+            for r, value in report.aggregate_by_r.items():
+                errors = [e for _, e in error_vector(report.optimal_dual, r)]
+                enumerated = math.sqrt(math.fsum(e * e for e in errors))
+                assert abs(value - enumerated) <= 1e-12 * value
 
 
 class TestScalingIdentity:
@@ -237,6 +307,17 @@ class TestLocalErrorVector:
         expected = [1.0 / 3.0, s13, s13, 1.0 / 3.0, s13, s13]
         np.testing.assert_allclose(errors, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_brute_force_oracle_random(self, rng, complex_field):
+        for _ in range(3):
+            ws = random_system(rng, 4, 3, complex_field, unit_norm=True)
+            for vs in (local_mse_optimal_system(ws).optimal_system,
+                       random_dual_system(rng, ws)):
+                for r in (1, 2, 3):
+                    for pattern, err in local_error_vector(ws, vs, r):
+                        oracle = brute_force_local_error(ws, vs, pattern.indices)
+                        assert abs(err - oracle) <= 1e-12 * max(1.0, oracle)
+
 
 class TestLocalMseOptimal:
     def test_requires_unit_norm(self, rng):
@@ -304,6 +385,27 @@ class TestLocalWorstCase:
             assert sub.distance_to(ff.subspaces[i]) <= 1e-6
         assert abs(report.aggregate - 1.0) <= 1e-8
         assert "theorem-backed" in report.certificate
+
+    def test_equal_start_norms_with_unequal_coefficients_claim_nothing(self):
+        # Unit vectors at 0, 70 and 140 degrees with weights (1, r, 1): r is
+        # chosen so that the columns ||S^-1 w_k f_k|| of the start point are
+        # equal, but the erasure charges c_k = w_k ||f_k|| are not, so the
+        # start point is not optimal and no uniqueness may be claimed.
+        vecs = [np.array([math.cos(t), math.sin(t)])
+                for t in np.radians([0.0, 70.0, 140.0])]
+
+        def start_columns(r):
+            w = np.array([1.0, r, 1.0])
+            s_op = sum(wk ** 2 * np.outer(f, f) for wk, f in zip(w, vecs))
+            return [np.linalg.norm(np.linalg.solve(s_op, wk * f))
+                    for wk, f in zip(w, vecs)]
+
+        r = brentq(lambda r: start_columns(r)[1] - start_columns(r)[0], 1.0, 3.0)
+        ff = FusionFrame.from_spanning_sets([f.reshape(2, 1) for f in vecs], [1.0, r, 1.0])
+        ws = FusionFrameSystem(ff, tuple(Frame(f.reshape(1, 2)) for f in vecs))
+        report = local_worst_case_optimal_system(ws)
+        assert "theorem-backed" not in report.certificate
+        assert report.solver.phi < report.solver.phi_start - 0.1
 
     def test_single_block_system(self, rng):
         ff = FusionFrame.from_spanning_sets([np.eye(3)], [1.0])

@@ -1,12 +1,15 @@
 """Input parsing, report serialization, and the command-line front end."""
 
 import json
+import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import fusionframes
 from fusionframes.cli import main
 from fusionframes.errors import InvalidSpec, ParseError
 from fusionframes.reproduce import fixture_path
@@ -57,6 +60,12 @@ class TestParsing:
             parse_spec({"field": "real", "dimension": 2,
                         "subspaces": [{"spanning_vectors": [[1.0, 0.0]]}],
                         "weights": [-1.0]})
+
+    def test_rejects_boolean_dimension(self):
+        with pytest.raises(ParseError):
+            parse_spec({"field": "real", "dimension": True,
+                        "subspaces": [{"spanning_vectors": [[1.0]]}],
+                        "weights": [1.0]})
 
     def test_rejects_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -110,6 +119,27 @@ class TestCli:
         bad.write_text("{}")
         assert main(["analyze", str(bad)]) == 2
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda d: d["subspaces"][0]["spanning_vectors"][0].__setitem__(0, math.nan),
+        lambda d: d["subspaces"][1]["spanning_vectors"][0].__setitem__(2, math.inf),
+        lambda d: d["local_frames"][0][1].__setitem__(1, math.nan),
+        lambda d: d["local_frames"][1][0].__setitem__(2, 10 ** 400),
+        lambda d: d.__setitem__("dual", {"subspaces": d["subspaces"],
+                                         "q_blocks": [[[[1.0, math.nan]]]]}),
+        lambda d: d.__setitem__("dual", {"subspaces": d["subspaces"],
+                                         "q_blocks": [[[1.0]]]}),
+        lambda d: d["weights"].__setitem__(0, True),
+        lambda d: d["weights"].__setitem__(1, 10 ** 400),
+    ], ids=["nan-vector", "inf-vector", "nan-local-frame", "huge-integer-entry",
+            "nan-q-block", "vector-q-block", "boolean-weight", "huge-integer-weight"])
+    def test_bad_numbers_exit_2(self, capsys, tmp_path, corrupt):
+        with open(fixture("example_6_3.json"), "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        corrupt(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["analyze", str(path)]) == 2
+
     def test_optimal_mse(self, capsys, tmp_path):
         out_path = tmp_path / "r.json"
         code = main(["optimal", fixture("example_6_3.json"), "--p", "2",
@@ -157,10 +187,13 @@ class TestCli:
         assert first.read_bytes() == second.read_bytes()
 
     def test_console_entry_point(self):
+        # The child imports the same package as this process, installed or not.
+        src = os.path.dirname(os.path.dirname(fusionframes.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "fusionframes.cli", "analyze",
              fixture("orthonormal_basis.json")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0
         assert "result: ok" in proc.stdout
 
