@@ -1,4 +1,4 @@
-"""Operators between direct sums, stored as a grid of coordinate blocks."""
+"""Operators between direct sums, stored as one dense matrix with block offsets."""
 
 from __future__ import annotations
 
@@ -8,138 +8,137 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ShapeMismatch
-from .fusion import BlockVector
+from .fusion import BlockVector, block_slices
 from .linalg import adjoint, frobenius_norm
 
 
-def _offsets(dims: Sequence[int]) -> list[int]:
-    out, start = [0], 0
-    for n in dims:
-        start += n
-        out.append(start)
+def _row_sums(a, dims: Sequence[int]):
+    """Sums of the rows of ``a`` over consecutive segments of lengths ``dims``.
+
+    ``np.add.reduceat`` returns the row at the start of an empty segment
+    instead of 0, so only the non-empty segments are reduced.
+    """
+    out = np.zeros((len(dims),) + a.shape[1:], dtype=a.dtype)
+    kept = [k for k, n in enumerate(dims) if n]
+    if kept:
+        starts = [sl.start for sl in block_slices(dims)]
+        out[kept] = np.add.reduceat(a, [starts[k] for k in kept], axis=0)
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class BlockOp:
     """Linear map between direct sums, block (j, i) mapping source block i
     into target block j.
 
-    Blocks are dense arrays of shape (row_dims[j], col_dims[i]); zero
-    blocks are materialized.  Row/column dimensions may be zero.
+    The operator is one read-only dense matrix; block (j, i) is the view
+    of its rows of target block j and its columns of source block i, so
+    zero blocks take no storage of their own.  Row/column dimensions may
+    be zero.
     """
 
     row_dims: tuple[int, ...]
     col_dims: tuple[int, ...]
-    blocks: tuple = field(repr=False)
+    _matrix: np.ndarray = field(repr=False)
+    _row_slices: list = field(repr=False)
+    _col_slices: list = field(repr=False)
 
-    def __post_init__(self):
-        rows = tuple(int(n) for n in self.row_dims)
-        cols = tuple(int(n) for n in self.col_dims)
-        grid = []
-        if len(self.blocks) != len(rows):
+    def __init__(self, row_dims: Sequence[int], col_dims: Sequence[int], blocks):
+        rows, cols = tuple(map(int, row_dims)), tuple(map(int, col_dims))
+        if len(blocks) != len(rows):
             raise ShapeMismatch("block grid has wrong number of rows")
-        for j, row in enumerate(self.blocks):
-            if len(row) != len(cols):
-                raise ShapeMismatch("block grid has wrong number of columns")
-            fixed = []
-            for i, blk in enumerate(row):
-                blk = np.asarray(blk, dtype=np.result_type(blk, 1.0))
+        if any(len(row) != len(cols) for row in blocks):
+            raise ShapeMismatch("block grid has wrong number of columns")
+        grid = [[np.asarray(blk) for blk in row] for row in blocks]
+        mat = np.zeros((sum(rows), sum(cols)),
+                       dtype=np.result_type(*(blk.dtype for row in grid for blk in row), 1.0))
+        for j, (row, rs) in enumerate(zip(grid, block_slices(rows))):
+            for i, (blk, cs) in enumerate(zip(row, block_slices(cols))):
                 if blk.shape != (rows[j], cols[i]):
-                    raise ShapeMismatch(
-                        f"block ({j},{i}) has shape {blk.shape}, "
-                        f"expected {(rows[j], cols[i])}")
-                fixed.append(blk)
-            grid.append(tuple(fixed))
-        object.__setattr__(self, "row_dims", rows)
-        object.__setattr__(self, "col_dims", cols)
-        object.__setattr__(self, "blocks", tuple(grid))
+                    raise ShapeMismatch(f"block ({j},{i}) has shape {blk.shape}, "
+                                        f"expected {(rows[j], cols[i])}")
+                mat[rs, cs] = blk
+        self._own(mat, rows, cols)
+
+    def _own(self, mat, rows: Sequence[int], cols: Sequence[int]) -> None:
+        """Store ``mat``, a private copy, read-only."""
+        mat = np.ascontiguousarray(mat, dtype=np.result_type(mat.dtype, 1.0))
+        mat.flags.writeable = False
+        rows, cols = tuple(map(int, rows)), tuple(map(int, cols))
+        for name, value in (("row_dims", rows), ("col_dims", cols), ("_matrix", mat),
+                            ("_row_slices", block_slices(rows)),
+                            ("_col_slices", block_slices(cols))):
+            object.__setattr__(self, name, value)
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def zeros(cls, row_dims: Sequence[int], col_dims: Sequence[int], dtype=float) -> "BlockOp":
-        grid = [[np.zeros((r, c), dtype=dtype) for c in col_dims] for r in row_dims]
-        return cls(tuple(row_dims), tuple(col_dims), tuple(map(tuple, grid)))
+        return cls.from_matrix(np.zeros((sum(row_dims), sum(col_dims)), dtype), row_dims, col_dims)
 
     @classmethod
     def identity(cls, dims: Sequence[int], dtype=float) -> "BlockOp":
-        out = cls.zeros(dims, dims, dtype)
-        grid = [list(row) for row in out.blocks]
-        for i, n in enumerate(dims):
-            grid[i][i] = np.eye(n, dtype=dtype)
-        return cls(tuple(dims), tuple(dims), tuple(map(tuple, grid)))
+        return cls.from_matrix(np.eye(sum(dims), dtype=dtype), dims, dims)
 
     @classmethod
     def block_diagonal(cls, mats: Iterable[np.ndarray]) -> "BlockOp":
         mats = [np.asarray(m) for m in mats]
-        rows = tuple(m.shape[0] for m in mats)
-        cols = tuple(m.shape[1] for m in mats)
-        dtype = np.result_type(*(m.dtype for m in mats), 1.0)
-        out = cls.zeros(rows, cols, dtype)
-        grid = [list(row) for row in out.blocks]
-        for i, m in enumerate(mats):
-            grid[i][i] = m.astype(dtype)
-        return cls(rows, cols, tuple(map(tuple, grid)))
+        rows, cols = [m.shape[0] for m in mats], [m.shape[1] for m in mats]
+        out = np.zeros((sum(rows), sum(cols)),
+                       dtype=np.result_type(*(m.dtype for m in mats), 1.0))
+        for m, rs, cs in zip(mats, block_slices(rows), block_slices(cols)):
+            out[rs, cs] = m
+        return cls.from_matrix(out, rows, cols)
 
     @classmethod
     def from_matrix(cls, mat, row_dims: Sequence[int], col_dims: Sequence[int]) -> "BlockOp":
-        mat = np.asarray(mat)
+        mat = np.array(mat)
         if mat.shape != (sum(row_dims), sum(col_dims)):
             raise ShapeMismatch("matrix shape does not match block dimensions")
-        roff, coff = _offsets(row_dims), _offsets(col_dims)
-        grid = tuple(
-            tuple(mat[roff[j]:roff[j + 1], coff[i]:coff[i + 1]].copy()
-                  for i in range(len(col_dims)))
-            for j in range(len(row_dims)))
-        return cls(tuple(row_dims), tuple(col_dims), grid)
+        op = cls.__new__(cls)
+        op._own(mat, row_dims, col_dims)
+        return op
 
     @classmethod
     def mask(cls, dims: Sequence[int], kept: Iterable[int], dtype=float) -> "BlockOp":
         """Diagonal 0/1 operator keeping the listed blocks and zeroing the rest."""
         kept = set(kept)
-        out = cls.zeros(dims, dims, dtype)
-        grid = [list(row) for row in out.blocks]
-        for i, n in enumerate(dims):
-            if i in kept:
-                grid[i][i] = np.eye(n, dtype=dtype)
-        return cls(tuple(dims), tuple(dims), tuple(map(tuple, grid)))
+        return cls.weight_diagonal(dims, [float(i in kept) for i in range(len(dims))], dtype)
 
     @classmethod
     def weight_diagonal(cls, dims: Sequence[int], factors: Sequence[float], dtype=float) -> "BlockOp":
         """Diagonal operator scaling block i by factors[i]."""
-        out = cls.zeros(dims, dims, dtype)
-        grid = [list(row) for row in out.blocks]
-        for i, n in enumerate(dims):
-            grid[i][i] = factors[i] * np.eye(n, dtype=dtype)
-        return cls(tuple(dims), tuple(dims), tuple(map(tuple, grid)))
+        diag = np.repeat(np.array(factors, dtype=np.result_type(dtype, *factors)), dims)
+        return cls.from_matrix(np.diag(diag), dims, dims)
 
     # -- access / algebra -----------------------------------------------------
 
     def block(self, j: int, i: int):
-        return self.blocks[j][i]
+        return self._matrix[self._row_slices[j], self._col_slices[i]]
+
+    @property
+    def blocks(self) -> tuple:
+        """The grid of block views, row by row."""
+        return tuple(tuple(self._matrix[rs, cs] for cs in self._col_slices)
+                     for rs in self._row_slices)
 
     def as_matrix(self):
-        dtype = np.result_type(*(b.dtype for row in self.blocks for b in row), 1.0)
-        out = np.zeros((sum(self.row_dims), sum(self.col_dims)), dtype=dtype)
-        roff, coff = _offsets(self.row_dims), _offsets(self.col_dims)
-        for j, row in enumerate(self.blocks):
-            for i, blk in enumerate(row):
-                out[roff[j]:roff[j + 1], coff[i]:coff[i + 1]] = blk
-        return out
+        """The stored matrix itself (read-only)."""
+        return self._matrix
+
+    def block_norms(self):
+        """Frobenius norm of every block, as a len(row_dims) x len(col_dims) array."""
+        squares = _row_sums(np.abs(self._matrix) ** 2, self.row_dims)
+        return np.sqrt(_row_sums(squares.T, self.col_dims).T)
 
     def adjoint(self) -> "BlockOp":
-        grid = tuple(
-            tuple(adjoint(self.blocks[j][i]) for j in range(len(self.row_dims)))
-            for i in range(len(self.col_dims)))
-        return BlockOp(self.col_dims, self.row_dims, grid)
+        return BlockOp.from_matrix(adjoint(self._matrix), self.col_dims, self.row_dims)
 
     def compose(self, other: "BlockOp") -> "BlockOp":
         """self after other (matrix product self @ other)."""
         if self.col_dims != other.row_dims:
             raise ShapeMismatch("inner block dimensions do not match")
-        return BlockOp.from_matrix(self.as_matrix() @ other.as_matrix(),
-                                   self.row_dims, other.col_dims)
+        return BlockOp.from_matrix(self._matrix @ other._matrix, self.row_dims, other.col_dims)
 
     def __matmul__(self, other):
         if isinstance(other, BlockOp):
@@ -149,16 +148,12 @@ class BlockOp:
     def apply(self, bv: BlockVector) -> BlockVector:
         if bv.dims != self.col_dims:
             raise ShapeMismatch("block vector does not match source dimensions")
-        return BlockVector.from_concat(self.as_matrix() @ bv.concat(), self.row_dims)
+        return BlockVector.from_concat(self._matrix @ bv.concat(), self.row_dims)
 
     def frobenius_norm(self) -> float:
-        return frobenius_norm(self.as_matrix())
+        return frobenius_norm(self._matrix)
 
     def off_diagonal_norm(self) -> float:
         """Frobenius norm of everything outside the diagonal blocks."""
-        total = 0.0
-        for j, row in enumerate(self.blocks):
-            for i, blk in enumerate(row):
-                if i != j:
-                    total += float(np.sum(np.abs(blk) ** 2))
-        return total ** 0.5
+        norms = self.block_norms()
+        return float(np.sqrt(np.sum(norms[~np.eye(*norms.shape, dtype=bool)] ** 2)))

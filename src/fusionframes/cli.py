@@ -98,6 +98,8 @@ def cmd_canonical_dual(args) -> int:
     spec = load_spec(args.file)
     ff = spec.fusion_frame()
     v = np.asarray(args.weights, dtype=float) if args.weights else None
+    if v is not None and (v.size != ff.size or not np.all((v > 0) & np.isfinite(v))):
+        raise InvalidSpec(f"--weights must be {ff.size} positive finite numbers, one each")
     pair = canonical_dual(ff, v, tol)
     report = Report("canonical-dual", file_digest(args.file))
     report.payload["residual"] = {"value": pair.residual, "tol": tol}

@@ -43,6 +43,7 @@ from .linalg import (
     adjoint,
     frobenius_norm,
     intersect,
+    matrix_rank,
     orth_complement_within,
     orthonormalize,
     span_union,
@@ -119,19 +120,18 @@ def classify_q(q: BlockOp, tol: float = DEFAULT_TOL) -> QKind:
     if len(q.row_dims) != len(q.col_dims):
         return QKind.GENERAL
     m = len(q.row_dims)
-    off_diagonal = [q.block(j, i) for j in range(m) for i in range(m) if i != j]
-    diagonal = [q.block(j, j) for j in range(m)]
-    svals = [np.linalg.svd(blk, compute_uv=False) for blk in diagonal]
+    off_diagonal = q.block_norms()[~np.eye(m, dtype=bool)]
+    svals = [np.linalg.svd(q.block(j, j), compute_uv=False) for j in range(m)]
     # Without off-diagonal entries the largest singular value of Q is the
     # largest one of a diagonal block, and no dense SVD of Q is needed.
-    if any(blk.any() for blk in off_diagonal):
+    if off_diagonal.any():
         cutoff = tol * spectral_norm(q.as_matrix())
-        if any(frobenius_norm(blk) > cutoff for blk in off_diagonal):
+        if (off_diagonal > cutoff).any():
             return QKind.GENERAL
     else:
         cutoff = tol * max((s[0] for s in svals if s.size), default=0.0)
-    for need, blk, s in zip(q.row_dims, diagonal, svals):
-        if need and (blk.shape[1] < need or s.size < need or s[need - 1] <= cutoff):
+    for need, s in zip(q.row_dims, svals):
+        if need and (s.size < need or s[need - 1] <= cutoff):
             return QKind.BLOCK_DIAGONAL
     return QKind.COMPONENT_PRESERVING
 
@@ -156,7 +156,7 @@ class AffineFamily:
     @property
     def is_unique(self) -> bool:
         """True when the kernel is trivial (Riesz case): one left inverse."""
-        return bool(frobenius_norm(self.kernel_projector) <= 1e-12)
+        return not self.kernel_projector.any()
 
     def member(self, z=None):
         if z is None:
@@ -173,10 +173,15 @@ def _left_inverse_family(synth) -> AffineFamily:
     The pseudoinverse of the synthesis matrix, transposed, is the
     minimal-norm left inverse, and the kernel projector is the identity
     minus the row-space projector.  This keeps the conditioning linear in
-    that of the synthesis matrix.
+    that of the synthesis matrix.  When the synthesis matrix has full
+    column rank the kernel is trivial and its projector is exactly zero,
+    not the rounding residue of that difference.
     """
     synth_pinv = np.linalg.pinv(synth, rcond=RANK_TOL)
-    return AffineFamily(adjoint(synth_pinv), np.eye(synth.shape[1]) - synth_pinv @ synth)
+    n = synth.shape[1]
+    riesz = n <= synth.shape[0] and matrix_rank(synth) == n
+    kernel = np.zeros((n, n), synth_pinv.dtype) if riesz else np.eye(n) - synth_pinv @ synth
+    return AffineFamily(adjoint(synth_pinv), kernel)
 
 
 def left_inverses_parametrization(w: FusionFrame) -> AffineFamily:

@@ -21,6 +21,15 @@ from .linalg import RANK_TOL, Subspace, adjoint, frobenius_norm, matrix_rank, or
 CLASSIFY_TOL = 1e-9
 
 
+def block_slices(dims: Sequence[int]) -> list[slice]:
+    """Where each block sits in the concatenation of blocks of sizes ``dims``."""
+    out, start = [], 0
+    for n in dims:
+        out.append(slice(start, start + n))
+        start += n
+    return out
+
+
 @dataclass(frozen=True)
 class BlockVector:
     """Element of a direct sum, stored block by block in coordinates."""
@@ -30,11 +39,7 @@ class BlockVector:
     @classmethod
     def from_concat(cls, vec, dims: Sequence[int]) -> "BlockVector":
         vec = np.asarray(vec)
-        out, start = [], 0
-        for n in dims:
-            out.append(vec[start:start + n])
-            start += n
-        return cls(tuple(out))
+        return cls(tuple(vec[sl] for sl in block_slices(dims)))
 
     def concat(self):
         parts = [np.asarray(b).ravel() for b in self.blocks]
@@ -134,11 +139,7 @@ class FusionFrame:
         return np.result_type(*(s.basis.dtype for s in self.subspaces))
 
     def block_slices(self) -> list[slice]:
-        out, start = [], 0
-        for n in self.dims:
-            out.append(slice(start, start + n))
-            start += n
-        return out
+        return block_slices(self.dims)
 
     # -- operators ------------------------------------------------------------
 

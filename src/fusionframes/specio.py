@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .blockop import BlockOp
-from .errors import InvalidSpec, ParseError
+from .errors import InvalidSpec, ParseError, ShapeMismatch
 from .frames import Frame
 from .fusion import FusionFrame
 from .linalg import RANK_TOL
@@ -146,11 +146,10 @@ class InputSpec:
     def dual_q(self, primal: FusionFrame, dual: FusionFrame) -> BlockOp:
         if self.dual is None or self.dual.q_blocks is None:
             raise InvalidSpec("input has no dual q_blocks")
-        grid = self.dual.q_blocks
-        if len(grid) != dual.size or any(len(row) != primal.size for row in grid):
-            raise InvalidSpec("q_blocks grid shape does not match the frames")
-        return BlockOp(dual.dims, primal.dims,
-                       tuple(tuple(np.asarray(b) for b in row) for row in grid))
+        try:
+            return BlockOp(dual.dims, primal.dims, self.dual.q_blocks)
+        except ShapeMismatch as exc:
+            raise InvalidSpec(f"dual.q_blocks do not match the frames: {exc}") from exc
 
     # -- serialization ----------------------------------------------------------
 
@@ -353,15 +352,18 @@ def _jsonable(value):
     if isinstance(value, (np.floating, float)):
         v = float(value)
         return v if math.isfinite(v) else repr(v)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
     if isinstance(value, (np.complexfloating, complex)):
         return [float(np.real(value)), float(np.imag(value))]
+    # bool before int: bool is a subclass of int.
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (np.integer, int)):
+        return int(value)
     if isinstance(value, np.ndarray):
         if np.iscomplexobj(value):
             return _jsonable([[complex(x) for x in row] for row in np.atleast_2d(value)])
         return _jsonable(value.tolist())
-    if isinstance(value, (bool, str)) or value is None:
+    if isinstance(value, str) or value is None:
         return value
     return str(value)
 

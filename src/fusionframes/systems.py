@@ -16,7 +16,8 @@ import numpy as np
 
 from . import frames as fr
 from .blockop import BlockOp
-from .duality import DEFAULT_TOL, QDualPair, dual_from_left_inverse, is_q_dual
+from .duality import (DEFAULT_TOL, QDualPair, _subspace_from_block, dual_from_left_inverse,
+                      is_q_dual)
 from .errors import (
     InvalidSystem,
     LengthMismatch,
@@ -27,7 +28,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .frames import Frame
-from .fusion import FusionFrame
+from .fusion import FusionFrame, block_slices
 from .linalg import (
     RANK_TOL,
     Subspace,
@@ -80,11 +81,7 @@ class FusionFrameSystem:
         return sum(self.local_sizes)
 
     def local_slices(self) -> list[slice]:
-        out, start = [], 0
-        for n in self.local_sizes:
-            out.append(slice(start, start + n))
-            start += n
-        return out
+        return block_slices(self.local_sizes)
 
     def global_frame(self, weighted: bool = True) -> Frame:
         """All local vectors stacked block by block, optionally weighted."""
@@ -213,11 +210,7 @@ def dual_system_from_left_inverse_of_frame(
     subs, new_locals = [], []
     for i, sl in enumerate(ws.local_slices()):
         block = a[:, sl]
-        s = np.linalg.svd(block, compute_uv=False) if block.size else np.zeros(0)
-        if s.size == 0 or s[0] <= 0.0:
-            subs.append(Subspace.zero(ws.ff.ambient_dim, dtype=block.dtype))
-        else:
-            subs.append(orthonormalize(block))
+        subs.append(_subspace_from_block(block))
         new_locals.append(Frame(block.T / v[i]))
     system = FusionFrameSystem(FusionFrame(tuple(subs), v), tuple(new_locals))
     is_dual_system(ws, system, tol)

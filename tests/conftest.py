@@ -6,9 +6,14 @@ reproducible; subspace comparisons in tests are always projector-based.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fusionframes import Frame, FusionFrame, FusionFrameSystem, Subspace
 from fusionframes.linalg import orthonormalize
+
+# Property tests draw the same examples on every run and machine.
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

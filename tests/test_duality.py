@@ -153,6 +153,18 @@ class TestLeftInverses:
         assert family.is_unique
         assert frobenius_norm(family.kernel_projector) <= 1e-10
 
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_riesz_kernel_projector_is_exactly_zero(self, rng, scale):
+        ff = random_riesz_basis(rng, 5, 3, complex_field=True)
+        ff = FusionFrame(ff.subspaces, scale * ff.weights)
+        family = left_inverses_parametrization(ff)
+        assert not family.kernel_projector.any()
+        assert family.is_unique
+
+    def test_overcomplete_family_is_not_unique(self, rng):
+        family = left_inverses_parametrization(random_overcomplete_fusion_frame(rng, 5, 3))
+        assert not family.is_unique
+
     def test_every_member_is_left_inverse(self, rng):
         ff = random_overcomplete_fusion_frame(rng, 5, 3)
         family = left_inverses_parametrization(ff)

@@ -39,6 +39,7 @@ from conftest import (
     random_fusion_frame,
     random_overcomplete_fusion_frame,
     random_parseval_uniform_equidim,
+    random_riesz_basis,
     random_system,
 )
 from test_fusion import two_plane_frame
@@ -260,6 +261,15 @@ class TestWorstCaseOptimal:
         w = ff.weights[0]
         assert abs(report.aggregate - w ** 2 * math.sqrt(2.0)) <= 1e-6
         assert "theorem-backed" in report.certificate
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_riesz_basis_stops_at_its_only_dual(self, rng, scale):
+        # One left inverse: no direction to move in, at any weight scale.
+        ff = random_riesz_basis(rng, 5, 3)
+        ff = FusionFrame(ff.subspaces, scale * ff.weights)
+        report = worst_case_optimal_dual(ff)
+        assert report.solver.iterations == 1
+        assert report.solver.phi == report.solver.phi_start
 
     def test_aggregate_matches_solver_phi(self, rng):
         ff = random_overcomplete_fusion_frame(rng, 4, 3)

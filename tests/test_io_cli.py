@@ -110,6 +110,46 @@ class TestCli:
         assert code == 0
         assert "block_diagonal" in out
 
+    def test_verify_dual_q_block_shapes(self, capsys, tmp_path):
+        # Both subspaces of example 6.3 are planes, so every block is 2 x 2.
+        with open(fixture("example_6_3.json"), "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        path = tmp_path / "dual.json"
+        zero = [[0.0, 0.0], [0.0, 0.0]]
+        data["dual"] = {"subspaces": data["subspaces"],
+                        "q_blocks": [[[[1.0]], zero], [zero, zero]]}
+        path.write_text(json.dumps(data))
+        assert main(["verify-dual", str(path)]) == 2
+        assert "block (0,0) has shape (1, 1), expected (2, 2)" in capsys.readouterr().err
+        # The same grid with the right shapes is read, and fails certification.
+        data["dual"]["q_blocks"][0][0] = zero
+        path.write_text(json.dumps(data))
+        assert main(["verify-dual", str(path)]) == 3
+
+    @pytest.mark.parametrize("weights", [["1"], ["1", "-1"], ["1", "nan"], ["1", "inf"]])
+    def test_canonical_dual_bad_weights_exit_2(self, capsys, weights):
+        code = main(["canonical-dual", fixture("example_6_3.json"), "--weights", *weights])
+        assert code == 2
+        assert "--weights must be 2 positive finite numbers, one each" in capsys.readouterr().err
+
+    def test_canonical_dual_custom_weights(self, capsys, tmp_path):
+        out_path = tmp_path / "report.json"
+        code = main(["canonical-dual", fixture("example_6_3.json"), "--weights", "1", "2",
+                     "--json", str(out_path)])
+        assert code == 0
+        assert json.loads(out_path.read_text())["payload"]["dual_weights"] == [1.0, 2.0]
+
+    def test_json_booleans(self, capsys, tmp_path):
+        out_path = tmp_path / "analyze.json"
+        assert main(["analyze", fixture("orthonormal_basis.json"), "--json", str(out_path)]) == 0
+        flags = json.loads(out_path.read_text())["payload"]["classification"]
+        assert flags["is_orthonormal_basis"] is True
+        assert flags["is_overcomplete"] is False
+        out_path = tmp_path / "optimal.json"
+        assert main(["optimal", fixture("example_6_2.json"), "--p", "inf",
+                     "--json", str(out_path)]) == 0
+        assert json.loads(out_path.read_text())["payload"]["solver"]["polished"] is True
+
     def test_verify_dual_missing_section(self, capsys):
         code = main(["verify-dual", fixture("example_6_3.json")])
         assert code == 2

@@ -12,7 +12,11 @@ from fusionframes.minimax import (
     minimize_max_group_norms,
 )
 
-from conftest import random_fusion_frame, random_parseval_uniform_equidim
+from conftest import (
+    random_fusion_frame,
+    random_overcomplete_fusion_frame,
+    random_parseval_uniform_equidim,
+)
 
 
 def _family_problem(ff):
@@ -83,7 +87,9 @@ class TestSolver:
         assert result.phi <= result.phi_subgradient <= result.phi_start + 1e-12
 
     def test_nonconvergence_raised_when_budget_too_small(self, rng):
-        ff = random_fusion_frame(rng, 4, 2, weight_span=(0.3, 3.0))
+        # Overcomplete: a Riesz basis has a single left inverse, and the
+        # solver rightly stops at its first iteration.
+        ff = random_overcomplete_fusion_frame(rng, 4, 2)
         a0, proj, groups, coeffs = _family_problem(ff)
         if abs(coeffs[0] - coeffs[1]) < 0.3:
             coeffs = [1.0, 3.0]
