@@ -77,7 +77,6 @@ def _pattern_table(report: ErasureReport) -> list:
 
 
 def cmd_analyze(args) -> int:
-    tol = args.tol
     spec = load_spec(args.file)
     ff = spec.fusion_frame()
     report = Report("analyze", file_digest(args.file))

@@ -34,7 +34,8 @@ from .errors import BadR, NotAFusionFrame, NotUnitNorm, NullVector
 from .frames import synthesis
 from .fusion import FusionFrame
 from .linalg import adjoint, frobenius_norm
-from .minimax import MinimaxResult, SolverConfig, minimize_max_group_norms
+from .minimax import (MinimaxResult, SolverConfig, _group_norms, _membership,
+                      minimize_max_group_norms)
 from .systems import (
     FusionFrameSystem,
     dual_system_from_left_inverse_of_frame,
@@ -262,7 +263,7 @@ def _worst_case(family: AffineFamily, groups, coeffs, solver, kind: str):
     """
     a0 = family.pinv_member
     result = minimize_max_group_norms(a0, family.kernel_projector, groups, coeffs, solver)
-    start_norms = np.array([c * frobenius_norm(a0[:, g]) for g, c in zip(groups, coeffs)])
+    start_norms = _group_norms(a0, _membership(groups, a0.shape[1]), np.asarray(coeffs))
     start_name, uniform_text = _START_WORDING[kind]
     lines = [
         f"worst-case objective: {result.phi:.12e} after {result.iterations} "

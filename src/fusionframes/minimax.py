@@ -9,12 +9,16 @@ best iterate with an SLSQP pass on the equivalent smooth program
 ``min t  s.t.  c_i^2 ||A S_i||_F^2 <= t``, whose constraints are convex
 quadratics; the polish turns the slow O(1/sqrt(k)) subgradient tail into
 machine-precision agreement with the unique minimizer where one exists.
+An iteration forms A once, reads every group norm from one reduction
+(column sums of |A|^2 times a group-membership matrix) and multiplies
+only the active group's columns by the kernel projector.
 Everything is deterministic: ties between active groups break toward the
 lowest index and no randomness is used.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -52,32 +56,38 @@ class MinimaxResult:
         return self.phi_start - self.phi
 
 
-def _group_norms(a, groups, coeffs):
-    return np.array([c * np.linalg.norm(a[:, g], "fro")
-                     for g, c in zip(groups, coeffs)])
+def _membership(groups, n: int) -> np.ndarray:
+    """The n x m 0/1 matrix whose column i marks the columns of group i."""
+    member = np.zeros((n, len(groups)))
+    for i, g in enumerate(groups):
+        member[g, i] = 1.0
+    return member
+
+
+def _group_norms(a, member, coeffs):
+    """``coeffs[i] * ||A[:, groups[i]]||_F`` for every group at once: the
+    column sums of |A|^2, summed per group by the membership matrix."""
+    sq = (a.conj() * a).real if a.dtype.kind == "c" else a * a
+    return coeffs * np.sqrt(sq.sum(axis=0) @ member)
 
 
 def _phi(a, groups, coeffs) -> float:
-    return float(np.max(_group_norms(a, groups, coeffs)))
+    a = np.asarray(a)
+    member = _membership([np.asarray(g, dtype=int) for g in groups], a.shape[1])
+    return float(np.max(_group_norms(a, member, np.asarray(coeffs, dtype=float))))
 
 
-def _subgradient(a, proj, groups, coeffs):
-    # np.argmax returns the first maximizer, which is the tie-break rule.
-    vals = _group_norms(a, groups, coeffs)
-    i = int(np.argmax(vals))
-    g, c = groups[i], coeffs[i]
-    norm = np.linalg.norm(a[:, g], "fro")
-    grad = np.zeros_like(a)
-    if norm > 0:
-        grad[:, g] = c * a[:, g] / norm
-    return grad @ proj
-
-
-def _polish(a0, proj, groups, coeffs, z_start):
-    """SLSQP pass on min t s.t. c_i^2 ||(A0 + Z P) S_i||_F^2 <= t."""
+def _polish(a0, proj, member, coeffs, z_start):
+    """SLSQP pass on min t s.t. c_i^2 ||(A0 + Z P) S_i||_F^2 <= t, with the
+    m constraints as one vector-valued constraint."""
     d, n = a0.shape
     cplx = np.iscomplexobj(a0) or np.iscomplexobj(z_start)
     size = d * n
+    m = member.shape[1]
+    # Row i of the constraint Jacobian in Z is 2 c_i^2 (A masked to the
+    # columns of group i) P; all m masked copies go through one product.
+    mask = member.T[:, None, :]
+    grad_scale = 2.0 * (coeffs * coeffs)[:, None]
 
     def unpack(x):
         if cplx:
@@ -91,39 +101,28 @@ def _polish(a0, proj, groups, coeffs, z_start):
         parts.append([t])
         return np.concatenate(parts)
 
-    def quad_and_grad(z, g, c):
-        a = a0 + z @ proj
-        masked = np.zeros_like(a)
-        masked[:, g] = a[:, g]
-        value = (c * c) * float(np.sum(np.abs(masked) ** 2))
-        grad_mat = 2.0 * (c * c) * (masked @ proj)
+    def fun(x):
+        a = a0 + unpack(x) @ proj
+        return x[-1] - _group_norms(a, member, coeffs) ** 2
+
+    def jac(x):
+        a = a0 + unpack(x) @ proj
+        masked = (a * mask).reshape(m * d, n)
+        grads = grad_scale * (masked @ proj).reshape(m, size)
+        out = np.empty((m, x.size))
+        out[:, :size] = -grads.real
         if cplx:
-            grad = np.concatenate([grad_mat.real.ravel(), grad_mat.imag.ravel()])
-        else:
-            grad = grad_mat.real.ravel()
-        return value, grad
+            out[:, size:2 * size] = -grads.imag
+        out[:, -1] = 1.0
+        return out
 
-    constraints = []
-    for g, c in zip(groups, coeffs):
-        def fun(x, g=g, c=c):
-            z = unpack(x)
-            value, _ = quad_and_grad(z, g, c)
-            return x[-1] - value
-
-        def jac(x, g=g, c=c):
-            z = unpack(x)
-            _, grad = quad_and_grad(z, g, c)
-            return np.concatenate([-grad, [1.0]])
-
-        constraints.append({"type": "ineq", "fun": fun, "jac": jac})
-
-    t0 = _phi(a0 + z_start @ proj, groups, coeffs) ** 2
+    t0 = _group_norms(a0 + z_start @ proj, member, coeffs).max() ** 2
     x0 = pack(z_start, t0)
     objective_grad = np.zeros(x0.size)
     objective_grad[-1] = 1.0
     res = _scipy_minimize(
         lambda x: x[-1], x0, jac=lambda x: objective_grad,
-        constraints=constraints, method="SLSQP",
+        constraints=[{"type": "ineq", "fun": fun, "jac": jac}], method="SLSQP",
         options={"maxiter": 300, "ftol": 1e-14})
     # Every Z is feasible (the affine family absorbs the constraint), so the
     # returned point is usable whenever it actually lowers the exact
@@ -148,13 +147,24 @@ def minimize_max_group_norms(a0, kernel_projector,
     a0 = np.asarray(a0, dtype=np.result_type(a0, 1.0))
     proj = np.asarray(kernel_projector, dtype=np.result_type(kernel_projector, 1.0))
     groups = [np.asarray(g, dtype=int) for g in groups]
-    coeffs = [float(c) for c in coeffs]
-    if len(groups) != len(coeffs):
+    coeffs = np.asarray(coeffs, dtype=float).ravel()
+    if len(groups) != coeffs.size:
         raise ValueError("one coefficient per column group is required")
+    member = _membership(groups, a0.shape[1])
 
-    phi_start = _phi(a0, groups, coeffs)
+    # Each iteration forms A once; its group norms give both the value of
+    # the previous step and the active group of the next one.
+    norms = _group_norms(a0, member, coeffs)
+    # np.argmax returns the first maximizer, which is the tie-break rule.
+    i = int(norms.argmax())
+    phi_start = float(norms[i])
+    # The subgradient c_i A S_i / ||A S_i||_F, projected onto the kernel,
+    # touches only the rows of P in group i.
+    proj_rows = [proj[g] for g in groups]
+    coeffs_sq = coeffs * coeffs
     z = np.zeros_like(a0)
-    best_z = z.copy()
+    a = a0
+    best_z = z
     best_phi = phi_start
     step_base = config.step_scale * np.linalg.norm(a0, "fro")
     history = [best_phi]
@@ -162,17 +172,21 @@ def minimize_max_group_norms(a0, kernel_projector,
     iterations = 0
     for k in range(1, config.max_iters + 1):
         iterations = k
-        a = a0 + z @ proj
-        grad = _subgradient(a, proj, groups, coeffs)
-        gnorm = np.linalg.norm(grad, "fro")
-        if gnorm == 0.0:
+        if norms[i] == 0.0:
             plateaued = True
             break
-        z = z - (step_base / np.sqrt(k)) * grad
-        value = _phi(a0 + z @ proj, groups, coeffs)
+        grad = (coeffs_sq[i] / norms[i]) * (a[:, groups[i]] @ proj_rows[i])
+        if np.vdot(grad, grad) == 0.0:
+            plateaued = True
+            break
+        z = z - (step_base / math.sqrt(k)) * grad
+        a = a0 + z @ proj
+        norms = _group_norms(a, member, coeffs)
+        i = int(norms.argmax())
+        value = float(norms[i])
         if value < best_phi:
             best_phi = value
-            best_z = z.copy()
+            best_z = z
         history.append(best_phi)
         if k >= config.patience:
             old = history[k - config.patience]
@@ -183,8 +197,8 @@ def minimize_max_group_norms(a0, kernel_projector,
     phi_subgradient = best_phi
     polished = False
     if config.polish:
-        z_polished = _polish(a0, proj, groups, coeffs, best_z)
-        value = _phi(a0 + z_polished @ proj, groups, coeffs)
+        z_polished = _polish(a0, proj, member, coeffs, best_z)
+        value = float(_group_norms(a0 + z_polished @ proj, member, coeffs).max())
         if value <= best_phi:
             best_phi = value
             best_z = z_polished

@@ -30,10 +30,10 @@ from typing import Optional
 import numpy as np
 
 from .blockop import BlockOp
-from .errors import InvalidSpec, ParseError, ShapeMismatch
+from .errors import InvalidSpec, ParseError, ShapeMismatch, ZeroSubspace
 from .frames import Frame
 from .fusion import FusionFrame
-from .linalg import RANK_TOL
+from .linalg import RANK_TOL, orthonormalize
 from .systems import FusionFrameSystem
 
 
@@ -97,6 +97,22 @@ def _emit_matrix_rows(mat, complex_field: bool):
     return [[_emit_number(x, complex_field) for x in row] for row in np.asarray(mat)]
 
 
+def _fusion_frame(subspaces, weights, tol: float, where: str) -> FusionFrame:
+    """The fusion frame spanned by the row matrices ``subspaces``.
+
+    Raises:
+        InvalidSpec: a spanning set is numerically zero; the message names
+            it by its place in the input file.
+    """
+    subs = []
+    for i, rows in enumerate(subspaces):
+        try:
+            subs.append(orthonormalize(np.asarray(rows).T, tol))
+        except ZeroSubspace as exc:
+            raise InvalidSpec(f"{where}[{i}]: {exc}") from exc
+    return FusionFrame(tuple(subs), np.asarray(weights, dtype=float))
+
+
 @dataclass(frozen=True)
 class DualSection:
     subspaces: Optional[list] = None           # list of row matrices
@@ -119,8 +135,7 @@ class InputSpec:
     # -- construction of domain objects ----------------------------------------
 
     def fusion_frame(self, tol: float = RANK_TOL) -> FusionFrame:
-        spans = [np.asarray(rows).T for rows in self.subspaces]
-        return FusionFrame.from_spanning_sets(spans, self.weights, tol)
+        return _fusion_frame(self.subspaces, self.weights, tol, "subspaces")
 
     def system(self, tol: float = RANK_TOL) -> FusionFrameSystem:
         if self.local_frames is None:
@@ -134,8 +149,7 @@ class InputSpec:
         weights = self.dual.weights
         if weights is None:
             weights = list(self.weights)
-        spans = [np.asarray(rows).T for rows in self.dual.subspaces]
-        return FusionFrame.from_spanning_sets(spans, weights, tol)
+        return _fusion_frame(self.dual.subspaces, weights, tol, "dual.subspaces")
 
     def dual_system(self, tol: float = RANK_TOL) -> FusionFrameSystem:
         if self.dual is None or self.dual.local_frames is None:

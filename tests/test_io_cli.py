@@ -180,6 +180,21 @@ class TestCli:
         path.write_text(json.dumps(data))
         assert main(["analyze", str(path)]) == 2
 
+    @pytest.mark.parametrize("command, where", [("analyze", "subspaces[1]"),
+                                                ("verify-dual", "dual.subspaces[0]")])
+    def test_zero_spanning_set_exit_2(self, capsys, tmp_path, command, where):
+        with open(fixture("example_6_3.json"), "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        zero = {"spanning_vectors": [[0.0, 0.0, 0.0]]}
+        if command == "analyze":
+            data["subspaces"][1] = zero
+        else:
+            data["dual"] = {"subspaces": [zero, data["subspaces"][1]]}
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(data))
+        assert main([command, str(path)]) == 2
+        assert f"error: {where}: spanning set is numerically zero" in capsys.readouterr().err
+
     def test_optimal_mse(self, capsys, tmp_path):
         out_path = tmp_path / "r.json"
         code = main(["optimal", fixture("example_6_3.json"), "--p", "2",
@@ -206,6 +221,17 @@ class TestCli:
         code = main(["local-optimal", fixture("example_6_4.json"), "--p", "inf",
                      "--r", "1", "--max-iters", "2000"])
         assert code == 0
+
+    def test_local_optimal_worst_case_trajectory(self, capsys, tmp_path):
+        # Pins the solver's path: a change that moves the subgradient
+        # iterates on Example 6.4 changes the iteration count.
+        out_path = tmp_path / "r.json"
+        assert main(["local-optimal", fixture("example_6_4.json"), "--p", "inf",
+                     "--r", "1", "--json", str(out_path)]) == 0
+        solver = json.loads(out_path.read_text())["payload"]["solver"]
+        assert solver["iterations"] == 2583
+        expected = 1.6756255452685564
+        assert abs(solver["objective"] - expected) <= 1e-12 * expected
 
     def test_reproduce_all_ids(self, capsys):
         for example_id in ["6.2a", "6.2b", "6.3a", "6.3c", "6.3d", "6.4"]:

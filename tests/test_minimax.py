@@ -3,11 +3,14 @@ stationarity at the start point, and the non-convergence contract."""
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fusionframes.duality import left_inverses_parametrization
 from fusionframes.errors import NonConvergence
 from fusionframes.minimax import (
     SolverConfig,
+    _group_norms,
+    _membership,
     _phi,
     minimize_max_group_norms,
 )
@@ -25,6 +28,23 @@ def _family_problem(ff):
     return family.pinv_member, family.kernel_projector, groups, list(ff.weights)
 
 
+def _check_two_group_closed_form(unitary):
+    w1, w2 = 1.0, 2.0
+    b1 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    b2 = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+    synth = np.hstack([w1 * b1, w2 * b2])
+    s = synth @ synth.T
+    a0 = np.linalg.solve(s, synth)
+    proj = np.eye(4) - synth.T @ np.linalg.solve(s, synth)
+    result = minimize_max_group_norms(
+        unitary @ a0, proj, [[0, 1], [2, 3]], [w1, w2], SolverConfig(max_iters=5000))
+    expected = np.array([[0, 0, 1 / w2, 0],
+                         [1 / w1, 0, 0, 0],
+                         [0, 1 / (2 * w1), 0, 1 / (2 * w2)]])
+    assert np.max(np.abs(result.a - unitary @ expected)) <= 1e-8
+    assert abs(result.phi - np.sqrt(5.0) / 2.0) <= 1e-10
+
+
 class TestObjective:
     def test_convexity_at_midpoints(self, rng):
         ff = random_fusion_frame(rng, 4, 3)
@@ -36,6 +56,27 @@ class TestObjective:
             phi2 = _phi(a0 + z2 @ proj, groups, coeffs)
             mid = _phi(a0 + 0.5 * (z1 + z2) @ proj, groups, coeffs)
             assert mid <= 0.5 * (phi1 + phi2) + 1e-12
+
+
+class TestGroupNorms:
+    # Column lists in any order, overlapping, non-contiguous or of one column.
+    @given(d=st.integers(1, 4), n=st.integers(1, 6), complex_field=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_matches_per_group_frobenius_norms(self, d, n, complex_field, seed, data):
+        groups = data.draw(st.lists(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True),
+            min_size=1, max_size=5))
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(d, n)) * 10.0 ** rng.integers(-6, 7)
+        if complex_field:
+            a = a + 1j * rng.normal(size=(d, n))
+        coeffs = rng.uniform(0.1, 10.0, size=len(groups))
+        oracle = np.array([c * np.linalg.norm(a[:, g], "fro")
+                           for g, c in zip(groups, coeffs)])
+        got = _group_norms(a, _membership([np.asarray(g) for g in groups], n), coeffs)
+        # Sums of at most 24 squares in another order: a few ulps apart.
+        np.testing.assert_allclose(got, oracle, rtol=1e-13, atol=0.0)
+        assert _phi(a, groups, coeffs) == np.max(got)
 
 
 class TestSolver:
@@ -55,20 +96,14 @@ class TestSolver:
     def test_two_group_closed_form(self):
         # minimize max(||first column group||, 2*||second||) subject to a
         # one-dimensional kernel family: solved by equalizing the groups
-        w1, w2 = 1.0, 2.0
-        b1 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        b2 = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
-        synth = np.hstack([w1 * b1, w2 * b2])
-        s = synth @ synth.T
-        a0 = np.linalg.solve(s, synth)
-        proj = np.eye(4) - synth.T @ np.linalg.solve(s, synth)
-        result = minimize_max_group_norms(
-            a0, proj, [[0, 1], [2, 3]], [w1, w2], SolverConfig(max_iters=5000))
-        expected = np.array([[0, 0, 1 / w2, 0],
-                             [1 / w1, 0, 0, 0],
-                             [0, 1 / (2 * w1), 0, 1 / (2 * w2)]])
-        assert np.max(np.abs(result.a - expected)) <= 1e-8
-        assert abs(result.phi - np.sqrt(5.0) / 2.0) <= 1e-10
+        _check_two_group_closed_form(np.eye(3))
+
+    def test_two_group_closed_form_in_complex_coordinates(self):
+        # A unitary change of ambient coordinates maps A to U A and keeps
+        # every group norm; a complex U exercises the complex polish.
+        rng = np.random.default_rng(7)
+        unitary, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        _check_two_group_closed_form(unitary)
 
     def test_complex_problem_keeps_left_inverse(self, rng):
         ff = random_fusion_frame(rng, 4, 3, complex_field=True)
