@@ -35,6 +35,7 @@ from .errors import (
     NotRiesz,
     ShapeMismatch,
     TrivialSubspace,
+    ZeroSubspace,
 )
 from .fusion import FusionFrame
 from .linalg import (
@@ -102,7 +103,7 @@ def is_q_dual(w: FusionFrame, v: FusionFrame, q: BlockOp,
               tol: float = DEFAULT_TOL) -> QDualPair:
     """Certify (v, q) as a dual of w; return the pair or raise NotADual."""
     residual = q_dual_residual(w, v, q)
-    if residual > tol:
+    if not residual <= tol:
         raise NotADual(f"reconstruction residual {residual:.3e} exceeds tol {tol:.1e}",
                        residual=residual)
     return QDualPair(w, v, q, residual)
@@ -192,14 +193,17 @@ def left_inverses_parametrization(w: FusionFrame) -> AffineFamily:
 
 
 def _subspace_from_block(block, tol: float = RANK_TOL) -> Subspace:
-    """Column space of an operator block, allowing the zero subspace."""
+    """Column space of an operator block, allowing the zero subspace.
+
+    Callers certify the block's residual first, so its entries are finite.
+    """
     block = np.asarray(block)
-    if block.size == 0:
-        return Subspace.zero(block.shape[0], dtype=np.result_type(block, 1.0))
-    s = np.linalg.svd(block, compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0 or not np.isfinite(s[0]):
-        return Subspace.zero(block.shape[0], dtype=np.result_type(block, 1.0))
-    return orthonormalize(block, tol)
+    if block.size:              # orthonormalize refuses a d x 0 block
+        try:
+            return orthonormalize(block, tol)
+        except ZeroSubspace:
+            pass
+    return Subspace.zero(block.shape[0], dtype=np.result_type(block, 1.0))
 
 
 def dual_from_left_inverse(w: FusionFrame, a, v=None,
@@ -222,7 +226,7 @@ def dual_from_left_inverse(w: FusionFrame, a, v=None,
     if v.size != w.size or np.any(v <= 0):
         raise ValueError("dual weights must be positive, one per subspace")
     resid = frobenius_norm(a @ w.analysis_matrix() - np.eye(w.ambient_dim))
-    if resid > tol:
+    if not resid <= tol:
         raise NotLeftInverse(
             f"candidate is not a left inverse of the analysis operator "
             f"(residual {resid:.3e} > tol {tol:.1e})")
@@ -346,7 +350,7 @@ def alternate_dual_to_q_dual(w: FusionFrame, v: FusionFrame,
         recon = recon + wi * vi * (sub_v.projector()
                                    @ np.linalg.solve(s_op, sub_w.projector()))
     resid = frobenius_norm(recon - np.eye(d))
-    if resid > tol:
+    if not resid <= tol:
         raise NotAlternateDual(
             f"weighted projection reconstruction fails (residual {resid:.3e})",
             residual=resid)

@@ -9,11 +9,15 @@ Input schema (all vectors are rows; complex entries are [re, im] pairs):
       "weights": [w_1, ..., w_m],
       "local_frames": [[[...], ...], ...],          // optional, one per subspace
       "dual": {                                      // optional
-        "subspaces": [...], "weights": [...],
+        "subspaces": [...], "weights": [...],        // optional
         "q_blocks": [[block, ...], ...],             // row-major grid, optional
         "local_frames": [...]                        // optional
       }
     }
+
+A dual (V, v) of (W, w) has the index set of W, so the dual section is
+read by the top-level rules: each list it gives has one entry per primal
+subspace, and its weights default to the primal weights.
 
 Reports serialize deterministically (sorted keys, repr floats), so
 identical inputs and flags produce byte-identical JSON.
@@ -25,6 +29,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -37,26 +42,52 @@ from .linalg import RANK_TOL, orthonormalize
 from .systems import FusionFrameSystem
 
 
-#: JSON numbers decode to exactly these types; ``type(x) in`` this set
-#: also refuses booleans, which are a subclass of int.
+#: JSON numbers decode to exactly these types; a set of entry types that
+#: is a subset of this one also refuses booleans, a subclass of int.
 _NUMBER_TYPES = frozenset((int, float))
 
 
-def _parse_number(entry, complex_field: bool, where: str):
+def _read_matrix(raw, width: int, complex_field: bool, where: str) -> np.ndarray:
+    """A non-empty list of rows of ``width`` entries, as one array.
+
+    Entries are plain numbers, or in a complex field also [re, im] pairs.
+
+    Raises:
+        ParseError: a row or an entry has the wrong shape or type.
+        InvalidSpec: an entry is not finite.
+    """
+    if not isinstance(raw, list) or not raw:
+        raise ParseError(f"{where}: expected a non-empty list of vectors")
+    rows = []
+    for i, row in enumerate(raw):
+        if not isinstance(row, list) or len(row) != width:
+            raise ParseError(f"{where}[{i}]: expected a vector of length {width}")
+        if complex_field:
+            row = [x if type(x) is list and len(x) == 2 else (x, 0) for x in row]
+            types = set(map(type, chain.from_iterable(row)))
+        else:
+            types = set(map(type, row))
+        if not types <= _NUMBER_TYPES:
+            kind = ("complex entries must be numbers or [re, im] pairs" if complex_field
+                    else "real entries must be plain numbers")
+            raise ParseError(f"{where}[{i}]: {kind}")
+        if int in types:
+            try:
+                np.array(row, dtype=float)
+            except OverflowError as exc:
+                raise InvalidSpec(f"{where}[{i}]: entries must be finite") from exc
+        rows.append(row)
+    mat = np.array(rows, dtype=float)
     if complex_field:
-        if (isinstance(entry, list) and len(entry) == 2
-                and type(entry[0]) in _NUMBER_TYPES and type(entry[1]) in _NUMBER_TYPES):
-            return complex(entry[0], entry[1])
-        if type(entry) in _NUMBER_TYPES:
-            return complex(entry)
-        raise ParseError(f"{where}: complex entries must be numbers or [re, im] pairs")
-    if type(entry) in _NUMBER_TYPES:
-        return float(entry)
-    raise ParseError(f"{where}: real entries must be plain numbers")
+        # Each (re, im) pair of float64 is one complex128, signed zeros included.
+        mat = mat.reshape(len(rows), width, 2).view(complex)[..., 0]
+    if not np.isfinite(mat).all():
+        raise InvalidSpec(f"{where}: entries must be finite")
+    return mat
 
 
 def _parse_weights(raw, where: str) -> list:
-    if not isinstance(raw, list) or any(type(w) not in _NUMBER_TYPES for w in raw):
+    if any(type(w) not in _NUMBER_TYPES for w in raw):
         raise ParseError(f"{where} must be numbers")
     try:
         weights = [float(w) for w in raw]
@@ -67,34 +98,62 @@ def _parse_weights(raw, where: str) -> list:
     return weights
 
 
-def _parse_vector(entry, dim: int, complex_field: bool, where: str):
-    if not isinstance(entry, list) or len(entry) != dim:
-        raise ParseError(f"{where}: expected a vector of length {dim}")
-    try:
-        return [_parse_number(x, complex_field, where) for x in entry]
-    except OverflowError as exc:
-        raise InvalidSpec(f"{where}: entries must be finite") from exc
+def _entries(raw: dict, key: str, count: Optional[int], noun: str, where: str) -> list:
+    """``raw[key]`` as a non-empty list, of ``count`` entries unless None."""
+    items = raw.get(key)
+    if not isinstance(items, list) or not items or count not in (None, len(items)):
+        if count is None:
+            raise ParseError(f"{where}{key} must be a non-empty list")
+        raise ParseError(f"{where}{key} must list one {noun} per subspace")
+    return items
 
 
-def _parse_matrix_rows(entry, dim: int, complex_field: bool, where: str):
-    if not isinstance(entry, list) or not entry:
-        raise ParseError(f"{where}: expected a non-empty list of vectors")
-    rows = [_parse_vector(v, dim, complex_field, f"{where}[{i}]")
-            for i, v in enumerate(entry)]
-    mat = np.array(rows, dtype=complex if complex_field else float)
-    if not np.all(np.isfinite(mat)):
-        raise InvalidSpec(f"{where}: entries must be finite")
-    return mat
+def _read_section(raw: dict, dim: int, complex_field: bool, where: str = "",
+                  count: Optional[int] = None) -> tuple:
+    """The subspaces, weights and local frames of one section of a file.
+
+    The top level (``count`` None) must give subspaces and weights.  The
+    ``dual`` section (``where="dual."``) is indexed by the ``count`` primal
+    subspaces, so each list it gives has ``count`` entries; it may omit
+    any of them.  Returns (subspaces, weights, local_frames), with None for
+    an omitted list.
+    """
+    primal = count is None
+    subs = weights = local_frames = None
+    if primal or "subspaces" in raw:
+        subs = []
+        for i, entry in enumerate(_entries(raw, "subspaces", count, "spanning set", where)):
+            if not isinstance(entry, dict) or "spanning_vectors" not in entry:
+                raise ParseError(
+                    f"{where}subspaces[{i}] must be an object with spanning_vectors")
+            subs.append(_read_matrix(entry["spanning_vectors"], dim, complex_field,
+                                     f"{where}subspaces[{i}]"))
+        count = len(subs)
+    if primal or "weights" in raw:
+        weights = _parse_weights(_entries(raw, "weights", count, "positive number", where),
+                                 f"{where}weights")
+    if "local_frames" in raw:
+        local_frames = [
+            _read_matrix(entry, dim, complex_field, f"{where}local_frames[{i}]")
+            for i, entry in enumerate(_entries(raw, "local_frames", count, "frame", where))]
+    return subs, weights, local_frames
 
 
-def _emit_number(x, complex_field: bool):
-    if complex_field:
-        return [float(np.real(x)), float(np.imag(x))]
-    return float(np.real(x))
-
-
-def _emit_matrix_rows(mat, complex_field: bool):
-    return [[_emit_number(x, complex_field) for x in row] for row in np.asarray(mat)]
+def _read_q_blocks(grid, complex_field: bool) -> list:
+    """The ``dual.q_blocks`` grid; an empty block reads as a 0 x 0 matrix."""
+    if not isinstance(grid, list) or not all(isinstance(r, list) for r in grid):
+        raise ParseError("dual.q_blocks must be a grid of matrices")
+    out = []
+    for j, row in enumerate(grid):
+        blocks = []
+        for i, blk in enumerate(row):
+            where = f"dual.q_blocks[{j}][{i}]"
+            if not isinstance(blk, list) or not all(isinstance(r, list) for r in blk):
+                raise ParseError(f"{where} must be a matrix")
+            blocks.append(_read_matrix(blk, len(blk[0]), complex_field, where) if blk
+                          else np.zeros((0, 0), dtype=complex if complex_field else float))
+        out.append(blocks)
+    return out
 
 
 def _fusion_frame(subspaces, weights, tol: float, where: str) -> FusionFrame:
@@ -114,84 +173,71 @@ def _fusion_frame(subspaces, weights, tol: float, where: str) -> FusionFrame:
 
 
 @dataclass(frozen=True)
-class DualSection:
-    subspaces: Optional[list] = None           # list of row matrices
-    weights: Optional[list] = None
-    q_blocks: Optional[list] = None            # grid of matrices
-    local_frames: Optional[list] = None        # list of row matrices
-
-
-@dataclass(frozen=True)
 class InputSpec:
-    """Parsed problem description; arrays already in numpy form."""
+    """Parsed problem description; arrays already in numpy form.
+
+    ``dual`` is the dual section, read by the same rules as the top level
+    into a spec of its own with the same field and dimension.  In it,
+    ``subspaces`` and ``weights`` are None where the file omits them (the
+    weights then default to the primal's), and only it may set
+    ``q_blocks``, a row-major grid of matrices.
+    """
 
     field_name: str
     dimension: int
-    subspaces: list = field(repr=False)        # row matrices (spanning vectors)
-    weights: list = field(default_factory=list)
-    local_frames: Optional[list] = None
-    dual: Optional[DualSection] = None
+    subspaces: Optional[list] = field(repr=False)   # row matrices (spanning vectors)
+    weights: Optional[list] = None
+    local_frames: Optional[list] = None             # row matrices, one per subspace
+    dual: Optional["InputSpec"] = None
+    q_blocks: Optional[list] = None
 
     # -- construction of domain objects ----------------------------------------
+
+    def _required(self, path: str):
+        """The part of the file at ``path`` (such as ``"dual.q_blocks"``);
+        InvalidSpec if the file omits it."""
+        value = self
+        for name in path.split("."):
+            value = getattr(value, name)
+            if value is None:
+                raise InvalidSpec(f"input has no {path} section")
+        return value
 
     def fusion_frame(self, tol: float = RANK_TOL) -> FusionFrame:
         return _fusion_frame(self.subspaces, self.weights, tol, "subspaces")
 
     def system(self, tol: float = RANK_TOL) -> FusionFrameSystem:
-        if self.local_frames is None:
-            raise InvalidSpec("input has no local_frames section")
-        ff = self.fusion_frame(tol)
-        return FusionFrameSystem(ff, tuple(Frame(rows) for rows in self.local_frames))
+        frames = tuple(Frame(rows) for rows in self._required("local_frames"))
+        return FusionFrameSystem(self.fusion_frame(tol), frames)
 
     def dual_fusion_frame(self, tol: float = RANK_TOL) -> FusionFrame:
-        if self.dual is None or self.dual.subspaces is None:
-            raise InvalidSpec("input has no dual subspaces")
-        weights = self.dual.weights
-        if weights is None:
-            weights = list(self.weights)
-        return _fusion_frame(self.dual.subspaces, weights, tol, "dual.subspaces")
+        subspaces = self._required("dual.subspaces")
+        weights = self.weights if self.dual.weights is None else self.dual.weights
+        return _fusion_frame(subspaces, weights, tol, "dual.subspaces")
 
     def dual_system(self, tol: float = RANK_TOL) -> FusionFrameSystem:
-        if self.dual is None or self.dual.local_frames is None:
-            raise InvalidSpec("input has no dual local_frames")
-        ff = self.dual_fusion_frame(tol)
-        return FusionFrameSystem(ff, tuple(Frame(rows) for rows in self.dual.local_frames))
+        frames = tuple(Frame(rows) for rows in self._required("dual.local_frames"))
+        return FusionFrameSystem(self.dual_fusion_frame(tol), frames)
 
     def dual_q(self, primal: FusionFrame, dual: FusionFrame) -> BlockOp:
-        if self.dual is None or self.dual.q_blocks is None:
-            raise InvalidSpec("input has no dual q_blocks")
         try:
-            return BlockOp(dual.dims, primal.dims, self.dual.q_blocks)
+            return BlockOp(dual.dims, primal.dims, self._required("dual.q_blocks"))
         except ShapeMismatch as exc:
             raise InvalidSpec(f"dual.q_blocks do not match the frames: {exc}") from exc
 
     # -- serialization ----------------------------------------------------------
 
+    def _section_json(self) -> dict:
+        lists = {"subspaces": None if self.subspaces is None
+                 else [{"spanning_vectors": rows} for rows in self.subspaces],
+                 "weights": self.weights, "local_frames": self.local_frames,
+                 "q_blocks": self.q_blocks}
+        return {key: _jsonable(value) for key, value in lists.items() if value is not None}
+
     def to_json_dict(self) -> dict:
-        cf = self.field_name == "complex"
-        out: dict = {
-            "field": self.field_name,
-            "dimension": self.dimension,
-            "subspaces": [{"spanning_vectors": _emit_matrix_rows(m, cf)}
-                          for m in self.subspaces],
-            "weights": [float(w) for w in self.weights],
-        }
-        if self.local_frames is not None:
-            out["local_frames"] = [_emit_matrix_rows(m, cf) for m in self.local_frames]
+        out = {"field": self.field_name, "dimension": self.dimension, **self._section_json()}
         if self.dual is not None:
-            dual: dict = {}
-            if self.dual.subspaces is not None:
-                dual["subspaces"] = [{"spanning_vectors": _emit_matrix_rows(m, cf)}
-                                     for m in self.dual.subspaces]
-            if self.dual.weights is not None:
-                dual["weights"] = [float(w) for w in self.dual.weights]
-            if self.dual.q_blocks is not None:
-                dual["q_blocks"] = [[_emit_matrix_rows(b, cf) for b in row]
-                                    for row in self.dual.q_blocks]
-            if self.dual.local_frames is not None:
-                dual["local_frames"] = [_emit_matrix_rows(m, cf)
-                                        for m in self.dual.local_frames]
-            out["dual"] = dual
+            out["dual"] = self.dual._section_json()
         return out
 
 
@@ -206,69 +252,16 @@ def parse_spec(data) -> InputSpec:
     dim = data.get("dimension")
     if type(dim) is not int or dim < 1:
         raise ParseError("dimension must be a positive integer")
-    raw_subs = data.get("subspaces")
-    if not isinstance(raw_subs, list) or not raw_subs:
-        raise ParseError("subspaces must be a non-empty list")
-    subs = []
-    for i, entry in enumerate(raw_subs):
-        if not isinstance(entry, dict) or "spanning_vectors" not in entry:
-            raise ParseError(f"subspaces[{i}] must be an object with spanning_vectors")
-        subs.append(_parse_matrix_rows(entry["spanning_vectors"], dim, cf,
-                                       f"subspaces[{i}]"))
-    weights = data.get("weights")
-    if not isinstance(weights, list) or len(weights) != len(subs):
-        raise ParseError("weights must list one positive number per subspace")
-    weights = _parse_weights(weights, "weights")
-
-    local_frames = None
-    if "local_frames" in data:
-        raw_locals = data["local_frames"]
-        if not isinstance(raw_locals, list) or len(raw_locals) != len(subs):
-            raise ParseError("local_frames must list one frame per subspace")
-        local_frames = [_parse_matrix_rows(entry, dim, cf, f"local_frames[{i}]")
-                        for i, entry in enumerate(raw_locals)]
-
+    subs, weights, local_frames = _read_section(data, dim, cf)
     dual = None
     if "dual" in data:
         raw_dual = data["dual"]
         if not isinstance(raw_dual, dict):
             raise ParseError("dual must be an object")
-        d_subs = d_weights = d_q = d_locals = None
-        if "subspaces" in raw_dual:
-            d_subs = []
-            for i, entry in enumerate(raw_dual["subspaces"]):
-                if not isinstance(entry, dict) or "spanning_vectors" not in entry:
-                    raise ParseError(
-                        f"dual.subspaces[{i}] must be an object with spanning_vectors")
-                d_subs.append(_parse_matrix_rows(entry["spanning_vectors"], dim, cf,
-                                                 f"dual.subspaces[{i}]"))
-        if "weights" in raw_dual:
-            d_weights = _parse_weights(raw_dual["weights"], "dual.weights")
-        if "q_blocks" in raw_dual:
-            grid = raw_dual["q_blocks"]
-            if not isinstance(grid, list) or not all(isinstance(r, list) for r in grid):
-                raise ParseError("dual.q_blocks must be a grid of matrices")
-            d_q = []
-            for j, row in enumerate(grid):
-                parsed_row = []
-                for i, blk in enumerate(row):
-                    if not isinstance(blk, list) or not all(isinstance(r, list) for r in blk):
-                        raise ParseError(f"dual.q_blocks[{j}][{i}] must be a matrix")
-                    if blk:
-                        parsed_row.append(_parse_matrix_rows(
-                            blk, len(blk[0]), cf, f"dual.q_blocks[{j}][{i}]"))
-                    else:
-                        parsed_row.append(np.zeros((0, 0),
-                                                   dtype=complex if cf else float))
-                d_q.append(parsed_row)
-        if "local_frames" in raw_dual:
-            raw_locals = raw_dual["local_frames"]
-            if not isinstance(raw_locals, list) or len(raw_locals) != len(subs):
-                raise ParseError("dual.local_frames must list one frame per subspace")
-            d_locals = [_parse_matrix_rows(entry, dim, cf, f"dual.local_frames[{i}]")
-                        for i, entry in enumerate(raw_locals)]
-        dual = DualSection(d_subs, d_weights, d_q, d_locals)
-
+        section = _read_section(raw_dual, dim, cf, "dual.", len(subs))
+        q_blocks = (_read_q_blocks(raw_dual["q_blocks"], cf)
+                    if "q_blocks" in raw_dual else None)
+        dual = InputSpec(field_name, dim, *section, q_blocks=q_blocks)
     return InputSpec(field_name, dim, subs, weights, local_frames, dual)
 
 
@@ -375,7 +368,7 @@ def _jsonable(value):
         return int(value)
     if isinstance(value, np.ndarray):
         if np.iscomplexobj(value):
-            return _jsonable([[complex(x) for x in row] for row in np.atleast_2d(value)])
+            value = np.stack((value.real, value.imag), -1)
         return _jsonable(value.tolist())
     if isinstance(value, str) or value is None:
         return value
@@ -383,7 +376,9 @@ def _jsonable(value):
 
 
 def _human_value(value) -> str:
-    if isinstance(value, float):
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (float, complex)):
         return f"{value:.6g}"
     if isinstance(value, dict):
         return ", ".join(f"{k}={_human_value(v)}" for k, v in value.items())

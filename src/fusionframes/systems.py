@@ -110,13 +110,7 @@ def coupling_q(ws: FusionFrameSystem, vs: FusionFrameSystem) -> BlockOp:
         raise LengthMismatch("systems have different numbers of subspaces")
     if ws.local_sizes != vs.local_sizes:
         raise LengthMismatch("local frames must be index-aligned with equal sizes")
-    mats = []
-    for sub_w, f_i, sub_v, g_i in zip(ws.ff.subspaces, ws.local_frames,
-                                      vs.ff.subspaces, vs.local_frames):
-        synth_g = adjoint(sub_v.basis) @ fr.synthesis(g_i)
-        synth_f = adjoint(sub_w.basis) @ fr.synthesis(f_i)
-        mats.append(synth_g @ adjoint(synth_f))
-    return BlockOp.block_diagonal(mats)
+    return vs.coupling() @ ws.coupling().adjoint()
 
 
 def is_dual_system(ws: FusionFrameSystem, vs: FusionFrameSystem,
@@ -150,10 +144,10 @@ def _check_local_dual(sub: Subspace, primal: Frame, dual: Frame,
         raise NotLocalDual("local dual has different length than its primal")
     vecs = dual.vectors
     proj_err = frobenius_norm(vecs.T - sub.basis @ (adjoint(sub.basis) @ vecs.T))
-    if proj_err > tol * max(1.0, frobenius_norm(vecs)):
+    if not proj_err <= tol * max(1.0, frobenius_norm(vecs)):
         raise NotLocalDual("local dual vectors leave the subspace")
     resid = fr.synthesis(dual) @ fr.analysis(primal) - sub.projector()
-    if frobenius_norm(resid) > tol:
+    if not frobenius_norm(resid) <= tol:
         raise NotLocalDual("local families do not reconstruct inside the subspace")
 
 
@@ -203,7 +197,7 @@ def dual_system_from_left_inverse_of_frame(
     if a.shape != (ws.ff.ambient_dim, ws.total_local):
         raise ShapeMismatch("left inverse has the wrong shape")
     resid = frobenius_norm(a @ fr.analysis(wf) - np.eye(ws.ff.ambient_dim))
-    if resid > tol:
+    if not resid <= tol:
         raise NotLeftInverse(
             f"candidate is not a left inverse of the global frame analysis "
             f"(residual {resid:.3e} > tol {tol:.1e})")

@@ -58,6 +58,14 @@ class TestCertification:
         with pytest.raises(NotADual):
             is_q_dual(ff, ff, zero, tol=1e-9)
 
+    def test_nan_q_fails(self, rng):
+        ff = random_fusion_frame(rng, 4, 2)
+        pair = canonical_dual(ff)
+        q = pair.q.as_matrix().copy()
+        q[0, 0] = np.nan
+        with pytest.raises(NotADual):
+            is_q_dual(ff, pair.dual, BlockOp.from_matrix(q, pair.dual.dims, ff.dims))
+
     def test_shape_mismatch(self, rng):
         ff = random_fusion_frame(rng, 4, 2)
         other = random_fusion_frame(rng, 4, 3)
@@ -207,6 +215,13 @@ class TestDualFromLeftInverse:
         bad = rng.normal(size=(4, ff.total_dim))
         with pytest.raises(NotLeftInverse):
             dual_from_left_inverse(ff, bad)
+
+    def test_rejects_nan_left_inverse(self, rng):
+        ff = random_overcomplete_fusion_frame(rng, 5, 3)
+        a = left_inverses_parametrization(ff).member()
+        a[0, 0] = np.nan
+        with pytest.raises(NotLeftInverse):
+            dual_from_left_inverse(ff, a)
 
 
 class TestNoncanonicalDual:

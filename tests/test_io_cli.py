@@ -44,6 +44,23 @@ class TestParsing:
         assert dumps_spec(again) == dumps_spec(spec)
         assert spec.fusion_frame().dtype == np.complex128
 
+    def test_complex_entries_mix_numbers_and_pairs(self):
+        spec = parse_spec({"field": "complex", "dimension": 2,
+                           "subspaces": [{"spanning_vectors": [[[-0.0, 1], 2]]}],
+                           "weights": [1]})
+        rows = spec.subspaces[0]
+        np.testing.assert_array_equal(rows, [[1j, 2]])
+        assert np.signbit(rows[0, 0].real)
+
+    @pytest.mark.parametrize("entry, error", [
+        ([1, 10 ** 400], InvalidSpec), ([0.0, math.nan], InvalidSpec),
+        ([True, 0.0], ParseError), ([1.0, 2.0, 3.0], ParseError), ("1", ParseError)])
+    def test_rejects_bad_complex_entry(self, entry, error):
+        with pytest.raises(error):
+            parse_spec({"field": "complex", "dimension": 2,
+                        "subspaces": [{"spanning_vectors": [[entry, 0.0]]}],
+                        "weights": [1.0]})
+
     def test_rejects_bad_field(self):
         with pytest.raises(ParseError):
             parse_spec({"field": "quaternion", "dimension": 2,
@@ -132,6 +149,14 @@ class TestCli:
         assert code == 2
         assert "--weights must be 2 positive finite numbers, one each" in capsys.readouterr().err
 
+    def test_human_report_ignores_numpy_print_options(self, capsys):
+        assert main(["canonical-dual", fixture("example_6_2.json")]) == 0
+        plain = capsys.readouterr().out
+        with np.printoptions(precision=2):
+            assert main(["canonical-dual", fixture("example_6_2.json")]) == 0
+        assert capsys.readouterr().out == plain
+        assert "0.707107+0j" in plain
+
     def test_canonical_dual_custom_weights(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
         code = main(["canonical-dual", fixture("example_6_3.json"), "--weights", "1", "2",
@@ -179,6 +204,24 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         assert main(["analyze", str(path)]) == 2
+
+    @pytest.mark.parametrize("corrupt, where", [
+        (lambda dual: dual.__setitem__("subspaces", 5), "dual.subspaces"),
+        (lambda dual: dual.__setitem__("subspaces", []), "dual.subspaces"),
+        (lambda dual: dual["subspaces"].pop(), "dual.subspaces"),
+        (lambda dual: dual["weights"].pop(), "dual.weights"),
+        (lambda dual: dual["local_frames"].append(dual["local_frames"][0]),
+         "dual.local_frames"),
+    ], ids=["subspaces-number", "subspaces-empty", "subspaces-short", "weights-short",
+            "local-frames-long"])
+    def test_malformed_dual_section_exit_2(self, capsys, tmp_path, corrupt, where):
+        with open(fixture("example_6_2.json"), "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        corrupt(data["dual"])
+        path = tmp_path / "dual.json"
+        path.write_text(json.dumps(data))
+        assert main(["verify-dual", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {where} must list one ")
 
     @pytest.mark.parametrize("command, where", [("analyze", "subspaces[1]"),
                                                 ("verify-dual", "dual.subspaces[0]")])

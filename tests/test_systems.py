@@ -209,6 +209,17 @@ class TestFromLeftInverseOfFusion:
                 ws, family.member(), ws.ff.weights.copy(), ws.local_frames)
         # (the primal local frames are almost surely not their own duals)
 
+    def test_rejects_nan_local_dual(self, rng):
+        ws = random_system(rng, 4, 2)
+        family = left_inverses_parametrization(ws.ff)
+        local_duals = list(_local_canonical_duals(ws))
+        vectors = local_duals[0].vectors.copy()
+        vectors[0, 0] = np.nan
+        local_duals[0] = Frame(vectors)
+        with pytest.raises(NotLocalDual):
+            dual_system_from_left_inverse_of_fusion(
+                ws, family.member(), ws.ff.weights.copy(), local_duals)
+
     def test_frame_bounds_inside_predicted_interval(self, rng):
         # Upper bound: the Bessel bound of the local dual scaled by the
         # squared operator norm of the left inverse.  Lower bound: the
@@ -294,6 +305,13 @@ class TestFromLeftInverseOfFrame:
         bad = random_matrix(rng, 4, ws.total_local)
         with pytest.raises(NotLeftInverse):
             dual_system_from_left_inverse_of_frame(ws, bad)
+
+    def test_rejects_nan_left_inverse(self, rng):
+        ws = random_system(rng, 4, 2)
+        a = _frame_pinv(ws)
+        a[0, 0] = np.nan
+        with pytest.raises(NotLeftInverse):
+            dual_system_from_left_inverse_of_frame(ws, a)
 
 
 class TestProjectiveBridge:
