@@ -8,8 +8,10 @@ Commands:
     ff local-optimal <file> --p {2,inf} --r N [solver flags]
     ff reproduce <id>                    rerun a bundled worked example
 
-Exit codes: 0 pass, 2 parse error, 3 certification failure, 4 solver
-non-convergence.  FF_TOL overrides the default tolerance 1e-9.  Reports
+Exit codes: 0 pass, 2 parse error or invalid input, 3 certification
+failure, 4 solver non-convergence.  FF_TOL overrides the default
+tolerance 1e-9; a ``--tol``, ``--solver-tol`` or FF_TOL that is not a
+finite number >= 0 exits 2.  Reports
 go to stdout; ``--json PATH`` additionally writes the machine-readable
 report, byte-identical for identical inputs and flags.
 """
@@ -50,8 +52,16 @@ EXIT_CERTIFICATION = 3
 EXIT_NONCONVERGENCE = 4
 
 
-def _default_tol() -> float:
-    return float(os.environ.get("FF_TOL", "1e-9"))
+def _tolerance(text: str, source: str) -> float:
+    """A tolerance read from ``source`` (a flag or FF_TOL): a finite
+    number >= 0.  Zero is accepted and demands an exact result."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise InvalidSpec(f"{source} must be a finite number >= 0, got {text!r}")
+    return value
 
 
 def _solver_from_args(args) -> SolverConfig:
@@ -201,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, needs_file=True):
         if needs_file:
             p.add_argument("file", help="JSON problem description")
-        p.add_argument("--tol", type=float, default=_default_tol(),
+        p.add_argument("--tol", default=None,
                        help="certification tolerance (default FF_TOL or 1e-9)")
         p.add_argument("--json", metavar="PATH", default=None,
                        help="also write a machine-readable report")
@@ -209,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     def solver_flags(p):
         p.add_argument("--max-iters", type=int, default=50000)
         p.add_argument("--step-scale", type=float, default=0.1)
-        p.add_argument("--solver-tol", type=float, default=1e-10)
+        p.add_argument("--solver-tol", default="1e-10")
         p.add_argument("--patience", type=int, default=500)
         p.add_argument("--no-polish", action="store_true",
                        help="skip the smooth polish after subgradient descent")
@@ -257,6 +267,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.tol is None:
+            args.tol = _tolerance(os.environ.get("FF_TOL", "1e-9"), "FF_TOL")
+        else:
+            args.tol = _tolerance(args.tol, "--tol")
+        if "solver_tol" in args:
+            args.solver_tol = _tolerance(args.solver_tol, "--solver-tol")
         return args.func(args)
     except (ParseError, InvalidSpec) as exc:
         print(f"error: {exc}", file=sys.stderr)

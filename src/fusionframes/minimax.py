@@ -9,6 +9,10 @@ best iterate with an SLSQP pass on the equivalent smooth program
 ``min t  s.t.  c_i^2 ||A S_i||_F^2 <= t``, whose constraints are convex
 quadratics; the polish turns the slow O(1/sqrt(k)) subgradient tail into
 machine-precision agreement with the unique minimizer where one exists.
+The polish is the package's only use of scipy: ``scipy.optimize`` is
+imported when the first polish runs, not when this module is imported,
+so ``import fusionframes`` loads numpy only and a run that never polishes
+never loads scipy.
 An iteration forms A once, reads every group norm from one reduction
 (column sums of |A|^2 times a group-membership matrix) and multiplies
 only the active group's columns by the kernel projector.
@@ -23,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from .errors import NonConvergence
 
@@ -75,6 +78,14 @@ def _phi(a, groups, coeffs) -> float:
     a = np.asarray(a)
     member = _membership([np.asarray(g, dtype=int) for g in groups], a.shape[1])
     return float(np.max(_group_norms(a, member, np.asarray(coeffs, dtype=float))))
+
+
+def _scipy_minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call so that
+    importing the package loads numpy only."""
+    from scipy.optimize import minimize
+
+    return minimize(*args, **kwargs)
 
 
 def _polish(a0, proj, member, coeffs, z_start):

@@ -306,6 +306,92 @@ class TestCli:
         assert proc.returncode == 0
         assert "result: ok" in proc.stdout
 
+    def test_no_scipy_until_a_polish(self):
+        # Importing the package and every run that never polishes load
+        # numpy only; scipy is imported by the worst-case polish alone.
+        src = os.path.dirname(os.path.dirname(fusionframes.__file__))
+        script = f"""
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.startswith("scipy"))
+
+import fusionframes
+import fusionframes.cli
+from fusionframes.reproduce import fixture_path
+runs = [[command, name] + flags
+        for name in {FIXTURES!r}
+        for command, flags in [("analyze", []), ("canonical-dual", []),
+                               ("optimal", ["--p", "2", "--r", "1"]),
+                               ("optimal", ["--p", "inf", "--r", "1", "--no-polish"])]]
+runs.append(["verify-dual", "example_6_2.json"])
+rows = [["import", 0, scipy_modules()]]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = fusionframes.cli.main([argv[0], str(fixture_path(argv[1]))] + argv[2:])
+    rows.append([" ".join(argv), code, scipy_modules()])
+print(json.dumps(rows))
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        rows = json.loads(proc.stdout)
+        assert len(rows) == 2 + 4 * len(FIXTURES)
+        # Rows are [run, exit code, scipy modules]; the exit code only helps
+        # to read a failure (--no-polish on example_6_3 exits 4).
+        assert [row for row in rows if row[2]] == []
+
+    @pytest.fixture
+    def bad_dual(self, tmp_path) -> str:
+        # Example 6.3 with Q = [[I, 0], [0, 0]]: it parses, and its
+        # reconstruction residual is 1, so only a tolerance >= 1 passes it.
+        with open(fixture("example_6_3.json"), "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        eye, zero = [[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]
+        data["dual"] = {"subspaces": data["subspaces"], "q_blocks": [[eye, zero], [zero, zero]]}
+        path = tmp_path / "bad_dual.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-1", "1e400"])
+    @pytest.mark.parametrize("source", ["--tol", "FF_TOL"])
+    def test_bad_tolerance_exit_2(self, capsys, monkeypatch, bad_dual, source, value):
+        argv = ["verify-dual", bad_dual]
+        if source == "FF_TOL":
+            monkeypatch.setenv("FF_TOL", value)
+        else:
+            argv += ["--tol", value]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {source} must be a finite number >= 0, got {value!r}\n"
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-1"])
+    def test_bad_solver_tolerance_exit_2(self, capsys, value):
+        code = main(["optimal", fixture("example_6_3.json"), "--p", "inf",
+                     "--solver-tol", value])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --solver-tol must be a finite number >= 0, got {value!r}\n")
+
+    @pytest.mark.parametrize("argv", [["reproduce", "6.2a"],
+                                      ["analyze", fixture("example_6_3.json")]])
+    def test_bad_ff_tol_exits_2_for_every_command(self, monkeypatch, capsys, argv):
+        monkeypatch.setenv("FF_TOL", "abc")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: FF_TOL must be a finite number >= 0, got 'abc'\n"
+
+    def test_tol_flag_overrides_a_bad_ff_tol(self, monkeypatch, capsys):
+        # FF_TOL is only the default of --tol, so an explicit flag wins.
+        monkeypatch.setenv("FF_TOL", "abc")
+        assert main(["verify-dual", fixture("example_6_2.json"), "--tol", "1e-9"]) == 0
+
+    @pytest.mark.parametrize("value", ["1e-9", "0"])
+    def test_valid_tolerance_still_fails_a_bad_dual(self, capsys, bad_dual, value):
+        # 0 is a valid tolerance: it passes only an exactly zero residual.
+        assert main(["verify-dual", bad_dual, "--tol", value]) == 3
+        assert "error: certification failed" in capsys.readouterr().err
+
     def test_ff_tol_env_override(self, monkeypatch, capsys):
         monkeypatch.setenv("FF_TOL", "1e-3")
         code = main(["verify-dual", fixture("example_6_2.json")])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fusionframes import minimax
 from fusionframes.duality import left_inverses_parametrization
 from fusionframes.errors import NonConvergence
 from fusionframes.minimax import (
@@ -132,3 +133,27 @@ class TestSolver:
                               tol=1e-300)
         with pytest.raises(NonConvergence):
             minimize_max_group_norms(a0, proj, groups, coeffs, config)
+
+    def test_polish_calls_the_module_level_minimize(self, rng, monkeypatch):
+        # The polish reaches SLSQP only through minimax._scipy_minimize, the
+        # name that loads scipy and that profilers wrap; a call that bypassed
+        # it would leave the wrapper silently counting nothing.
+        ff = random_fusion_frame(rng, 5, 3)
+        problem = _family_problem(ff)
+        reference = minimize_max_group_norms(*problem, SolverConfig())
+        calls = []
+        original = minimax._scipy_minimize
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(minimax, "_scipy_minimize", counting)
+        result = minimize_max_group_norms(*problem, SolverConfig())
+        assert len(calls) == 1
+        assert result.polished and reference.polished
+        assert result.phi == reference.phi
+        np.testing.assert_array_equal(result.a, reference.a)
+        unpolished = minimize_max_group_norms(*problem, SolverConfig(polish=False))
+        assert len(calls) == 1
+        assert not unpolished.polished
