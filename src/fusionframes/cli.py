@@ -34,7 +34,6 @@ from .errors import (
     ParseError,
 )
 from .erasures import (
-    ErasureReport,
     hierarchical_optimal,
     local_mse_optimal_system,
     local_worst_case_optimal_system,
@@ -64,26 +63,15 @@ def _tolerance(text: str, source: str) -> float:
     return value
 
 
-def _solver_from_args(args) -> SolverConfig:
-    return SolverConfig(
-        max_iters=args.max_iters,
-        step_scale=args.step_scale,
-        tol=args.solver_tol,
-        patience=args.patience,
-        polish=not args.no_polish,
-    )
-
-
-def _emit(report: Report, json_path: str | None) -> None:
+def _emit(report: Report, json_path: str | None) -> int:
+    """Print the report, write it to ``json_path`` if given, and return the
+    exit code of its checks."""
     print(report.human())
     if json_path:
         with open(json_path, "w", encoding="utf-8") as handle:
             handle.write(report.to_json())
             handle.write("\n")
-
-
-def _pattern_table(report: ErasureReport) -> list:
-    return [[pattern.as_key(), err] for pattern, err in report.per_pattern_errors]
+    return EXIT_OK if report.ok else EXIT_CERTIFICATION
 
 
 def cmd_analyze(args) -> int:
@@ -98,8 +86,7 @@ def cmd_analyze(args) -> int:
         lo, hi = ff.fusion_bounds()
         report.payload["bounds"] = {"lower": lo, "upper": hi, "tol": cls.tol}
     report.add(Check.boolean("family is a fusion frame", cls.is_fusion_frame))
-    _emit(report, args.json)
-    return EXIT_OK if report.ok else EXIT_CERTIFICATION
+    return _emit(report, args.json)
 
 
 def cmd_canonical_dual(args) -> int:
@@ -117,8 +104,7 @@ def cmd_canonical_dual(args) -> int:
     report.payload["dual_bases"] = [s.basis for s in pair.dual.subspaces]
     report.payload["q_classification"] = classify_q(pair.q, tol).value
     report.add(Check.leq("duality residual", pair.residual, tol))
-    _emit(report, args.json)
-    return EXIT_OK if report.ok else EXIT_CERTIFICATION
+    return _emit(report, args.json)
 
 
 def cmd_verify_dual(args) -> int:
@@ -141,16 +127,34 @@ def cmd_verify_dual(args) -> int:
     report.payload["residual"] = {"value": pair.residual, "tol": tol}
     report.payload["q_classification"] = classify_q(pair.q, tol).value
     report.add(Check.leq("duality residual", pair.residual, tol))
-    _emit(report, args.json)
-    return EXIT_OK if report.ok else EXIT_CERTIFICATION
+    return _emit(report, args.json)
 
 
-def _optimal_common(report: Report, result: ErasureReport, args) -> None:
+def cmd_optimal(args) -> int:
+    """``ff optimal`` on a fusion frame and ``ff local-optimal`` on a
+    system: they differ only in the loader and the two optimizers."""
+    spec = load_spec(args.file)
+    if args.command == "optimal":
+        primal, mse, worst = spec.fusion_frame(), mse_optimal_dual, worst_case_optimal_dual
+    else:
+        primal, mse, worst = (spec.system(), local_mse_optimal_system,
+                              local_worst_case_optimal_system)
+    report = Report(f"{args.command} p={args.p} r={args.r}", file_digest(args.file))
+    if args.p == "2":
+        result = mse(primal, tol=args.tol)
+    else:
+        solver = SolverConfig(max_iters=args.max_iters, step_scale=args.step_scale,
+                              tol=args.solver_tol, patience=args.patience,
+                              polish=not args.no_polish)
+        result = worst(primal, solver=solver, tol=args.tol)
+    if args.r > 1:
+        result = hierarchical_optimal(result, args.r, samples=args.samples)
     report.payload["p"] = "inf" if result.p == math.inf else result.p
     report.payload["aggregate_r1"] = result.aggregate
     report.payload["aggregate_by_r"] = {str(k): v
                                         for k, v in result.aggregate_by_r.items()}
-    report.payload["error_table_r1"] = _pattern_table(result)
+    report.payload["error_table_r1"] = [[pattern.as_key(), err]
+                                        for pattern, err in result.per_pattern_errors]
     report.payload["certificate"] = result.certificate.splitlines()
     if result.solver is not None:
         report.payload["solver"] = {
@@ -161,44 +165,12 @@ def _optimal_common(report: Report, result: ErasureReport, args) -> None:
         }
     report.add(Check.leq("optimal dual residual",
                          result.optimal_dual.residual, args.tol))
-
-
-def cmd_optimal(args) -> int:
-    spec = load_spec(args.file)
-    ff = spec.fusion_frame()
-    report = Report(f"optimal p={args.p} r={args.r}", file_digest(args.file))
-    if args.p == "2":
-        result = mse_optimal_dual(ff, tol=args.tol)
-    else:
-        result = worst_case_optimal_dual(ff, solver=_solver_from_args(args),
-                                         tol=args.tol)
-    if args.r > 1:
-        result = hierarchical_optimal(result, args.r, samples=args.samples)
-    _optimal_common(report, result, args)
-    _emit(report, args.json)
-    return EXIT_OK if report.ok else EXIT_CERTIFICATION
-
-
-def cmd_local_optimal(args) -> int:
-    spec = load_spec(args.file)
-    ws = spec.system()
-    report = Report(f"local-optimal p={args.p} r={args.r}", file_digest(args.file))
-    if args.p == "2":
-        result = local_mse_optimal_system(ws, tol=args.tol)
-    else:
-        result = local_worst_case_optimal_system(ws, solver=_solver_from_args(args),
-                                                 tol=args.tol)
-    if args.r > 1:
-        result = hierarchical_optimal(result, args.r, samples=args.samples)
-    _optimal_common(report, result, args)
-    _emit(report, args.json)
-    return EXIT_OK if report.ok else EXIT_CERTIFICATION
+    return _emit(report, args.json)
 
 
 def cmd_reproduce(args) -> int:
     report = reproduce(args.example_id, tol=args.tol)
-    _emit(report, args.json)
-    return EXIT_OK if report.ok else EXIT_CERTIFICATION
+    return _emit(report, args.json)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,20 +212,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_verify_dual)
 
-    p = sub.add_parser("optimal", help="loss-optimal dual for subspace erasures")
-    common(p)
-    p.add_argument("--p", choices=["2", "inf"], required=True)
-    p.add_argument("--r", type=int, default=1)
-    solver_flags(p)
-    p.set_defaults(func=cmd_optimal)
-
-    p = sub.add_parser("local-optimal",
-                       help="loss-optimal dual system for local-vector erasures")
-    common(p)
-    p.add_argument("--p", choices=["2", "inf"], required=True)
-    p.add_argument("--r", type=int, default=1)
-    solver_flags(p)
-    p.set_defaults(func=cmd_local_optimal)
+    for name, text in (("optimal", "loss-optimal dual for subspace erasures"),
+                       ("local-optimal",
+                        "loss-optimal dual system for local-vector erasures")):
+        p = sub.add_parser(name, help=text)
+        common(p)
+        p.add_argument("--p", choices=["2", "inf"], required=True)
+        p.add_argument("--r", type=int, default=1)
+        solver_flags(p)
+        p.set_defaults(func=cmd_optimal)
 
     p = sub.add_parser("reproduce", help="rerun a bundled worked example")
     p.add_argument("example_id", choices=list(EXAMPLE_IDS) + ["6.2", "6.3"])

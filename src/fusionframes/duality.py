@@ -206,6 +206,26 @@ def _subspace_from_block(block, tol: float = RANK_TOL) -> Subspace:
     return Subspace.zero(block.shape[0], dtype=np.result_type(block, 1.0))
 
 
+def _checked_left_inverse(a, analysis, weights, v, tol: float, what: str):
+    """Check a left inverse ``a`` of ``analysis`` and the dual weights ``v``
+    (default: the primal ``weights``); return both as arrays and the
+    residual of ``a @ analysis = I``.  Raises ShapeMismatch unless ``a`` is
+    shaped like adjoint(analysis), ValueError unless ``v`` is one positive
+    weight per primal block, and NotLeftInverse if the residual exceeds tol."""
+    a = np.asarray(a, dtype=np.result_type(a, 1.0))
+    v = weights.copy() if v is None else np.asarray(v, dtype=float).ravel()
+    n, d = analysis.shape
+    if a.shape != (d, n):
+        raise ShapeMismatch("left inverse has the wrong shape")
+    if v.size != weights.size or np.any(v <= 0):
+        raise ValueError("dual weights must be positive, one per subspace")
+    resid = frobenius_norm(a @ analysis - np.eye(d))
+    if not resid <= tol:
+        raise NotLeftInverse(f"candidate is not a left inverse of {what} "
+                             f"(residual {resid:.3e} > tol {tol:.1e})")
+    return a, v, resid
+
+
 def dual_from_left_inverse(w: FusionFrame, a, v=None,
                            tol: float = DEFAULT_TOL) -> QDualPair:
     """Component-preserving dual induced by a left inverse of the analysis.
@@ -217,19 +237,8 @@ def dual_from_left_inverse(w: FusionFrame, a, v=None,
     Raises:
         NotLeftInverse: if ``a @ analysis != identity`` within ``tol``.
     """
-    a = np.asarray(a, dtype=np.result_type(a, 1.0))
-    if v is None:
-        v = w.weights.copy()
-    v = np.asarray(v, dtype=float).ravel()
-    if a.shape != (w.ambient_dim, w.total_dim):
-        raise ShapeMismatch("left inverse has the wrong shape")
-    if v.size != w.size or np.any(v <= 0):
-        raise ValueError("dual weights must be positive, one per subspace")
-    resid = frobenius_norm(a @ w.analysis_matrix() - np.eye(w.ambient_dim))
-    if not resid <= tol:
-        raise NotLeftInverse(
-            f"candidate is not a left inverse of the analysis operator "
-            f"(residual {resid:.3e} > tol {tol:.1e})")
+    a, v, resid = _checked_left_inverse(a, w.analysis_matrix(), w.weights, v, tol,
+                                        "the analysis operator")
     slices = w.block_slices()
     dual_subs, q_blocks = [], []
     for i, sl in enumerate(slices):

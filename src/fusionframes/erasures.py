@@ -6,11 +6,13 @@ local coefficients) in a pattern are lost, the residual reconstruction
 operator is the certified identity with the surviving mask removed, and
 its Frobenius norm is the error charged to that pattern.  Subspace and
 local-vector erasures are one problem: losing column groups of a left
-inverse of one synthesis matrix.  One engine reads every pattern error
-from the Gram matrix of the groups' reconstruction maps; this module
-also builds the closed-form mean-square optimal dual and solves the
-worst-case problem over all component-preserving duals with the minimax
-solver.
+inverse of one synthesis matrix T.  One ``_GroupProblem`` holds T, the
+groups and one cost per group for both kinds: c_i = w_i for block i, and
+c_k = w_i ||f_k|| for local vector f_k of block i, except that the local
+mean-square optimum charges exactly w_i, since unit norm is its
+hypothesis.  The problem gives the mean-square optimal left inverse and
+the worst-case one (via the minimax solver).  One engine reads every
+pattern error from the Gram matrix of the groups' reconstruction maps.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from itertools import combinations, islice
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -28,9 +30,8 @@ from .duality import (
     QDualPair,
     _left_inverse_family,
     dual_from_left_inverse,
-    left_inverses_parametrization,
 )
-from .errors import BadR, NotAFusionFrame, NotUnitNorm, NullVector
+from .errors import BadR, LengthMismatch, NotAFusionFrame, NotUnitNorm, NullVector
 from .frames import synthesis
 from .fusion import FusionFrame
 from .linalg import adjoint, frobenius_norm
@@ -92,25 +93,126 @@ class ErasureReport:
     solver: Optional[MinimaxResult] = None
 
 
+#: Certificate wording per erasure kind: the start point of the worst-case
+#: solver, and the uniformity condition that makes it the unique minimizer.
+_START_WORDING = {
+    "subspace": ("canonical dual",
+                 "uniform erasure-norm condition holds: canonical dual is"),
+    "local": ("pseudoinverse left-inverse",
+              "uniform local erasure-norm condition holds: the inverse-"
+              "frame-operator system is"),
+}
+
+
+@dataclass(frozen=True)
+class _GroupProblem:
+    """Erasures of column groups of the left inverses of one synthesis matrix.
+
+    ``synth`` is T; every dual reconstructs with some left inverse A of
+    adjoint(T).  An erasure loses one of the contiguous column ``groups``,
+    named by ``labels`` in patterns of ``kind``, and is charged
+    ``coeffs[j]`` times the Frobenius norm of A's columns in group j.
+    Subspace erasures (``of_blocks``) and local-vector erasures
+    (``of_local_vectors``) are the two instances.
+    """
+
+    synth: np.ndarray = field(repr=False)
+    groups: list = field(repr=False)
+    coeffs: np.ndarray
+    kind: str
+    labels: Sequence
+
+    @classmethod
+    def of_blocks(cls, w: FusionFrame) -> "_GroupProblem":
+        """Losing block i of a fusion frame costs its weight w_i."""
+        return cls(w.synthesis_matrix(),
+                   [np.arange(sl.start, sl.stop) for sl in w.block_slices()],
+                   w.weights, "subspace", range(w.size))
+
+    @classmethod
+    def of_local_vectors(cls, ws: FusionFrameSystem,
+                         unit_norm: bool = False) -> "_GroupProblem":
+        """Losing local vector f_k of block i costs w_i ||f_k||.
+
+        With ``unit_norm``, the hypothesis of the mean-square optimum, every
+        ||f_k|| must be 1 within 1e-9 (else NotUnitNorm) and is charged as
+        exactly 1: a computed norm of 0.9999999999999999 would move the last
+        bit of that optimum.
+        """
+        norms = [np.linalg.norm(frame.vectors, axis=1) for frame in ws.local_frames]
+        if unit_norm:
+            for i, block in enumerate(norms):
+                deviation = np.max(np.abs(block - 1.0))
+                if deviation > 1e-9:
+                    raise NotUnitNorm(f"local frame {i} has non-unit vectors "
+                                      f"(max deviation {deviation:.3e})")
+            norms = [np.ones_like(block) for block in norms]
+        return cls(synthesis(ws.global_frame(weighted=True)),
+                   [[k] for k in range(ws.total_local)],
+                   np.repeat(ws.ff.weights, ws.local_sizes) * np.concatenate(norms),
+                   "local", [(i, l) for i, size in enumerate(ws.local_sizes)
+                             for l in range(size)])
+
+    @property
+    def column_coeffs(self) -> np.ndarray:
+        """The cost of each group repeated over its columns."""
+        return np.repeat(self.coeffs, [len(g) for g in self.groups])
+
+    def mse_left_inverse(self) -> np.ndarray:
+        """The left inverse of adjoint(T) minimizing the sum over columns of
+        c_k^2 ||A[:, k]||^2: (T D^-1 T*)^-1 T D^-1, D = diag(c_k^2)."""
+        scaled = self.synth / self.column_coeffs ** 2
+        return np.linalg.solve(scaled @ adjoint(self.synth), scaled)
+
+    def worst_case(self, solver: SolverConfig | None):
+        """Minimize max_j coeffs[j] ||A[:, groups[j]]||_F over the left inverses.
+
+        Returns the solver result and the certificate lines.  When the
+        weighted group norms are all equal at the start point (the
+        pseudoinverse member), that member is the theorem-backed unique
+        minimizer, and the certificate says so.
+        """
+        family = _left_inverse_family(self.synth)
+        a0 = family.pinv_member
+        result = minimize_max_group_norms(a0, family.kernel_projector, self.groups,
+                                          self.coeffs, solver)
+        start_norms = _group_norms(a0, _membership(self.groups, a0.shape[1]), self.coeffs)
+        start_name, uniform_text = _START_WORDING[self.kind]
+        lines = [
+            f"worst-case objective: {result.phi:.12e} after {result.iterations} "
+            f"subgradient iterations (polished: {result.polished})",
+            f"{start_name} objective: {result.phi_start:.12e} "
+            f"(gap {result.gap_from_start:.3e})",
+        ]
+        if np.ptp(start_norms) <= 1e-9 * np.max(start_norms):
+            dev = frobenius_norm(result.a - a0)
+            lines.append(f"{uniform_text} the theorem-backed unique minimizer "
+                         f"(deviation {dev:.3e})")
+        else:
+            lines.append("no uniformity condition: numerical minimizer, "
+                         "no uniqueness claim")
+        return result, lines
+
+
 class _GroupErasures:
     """Erasure errors of the column groups of one reconstruction.
 
-    The reconstruction is ``left @ adjoint(synth)``; losing group j drops
-    its map M_j = left[:, g_j] @ adjoint(synth)[g_j, :].  With the Gram
-    matrix G_jk = Re <M_j, M_k>_F, a lost pattern S has error
-    sqrt(1' G_SS 1), so every table and level aggregate is read from G.
-    ``labels`` name the groups in the patterns of ``kind``.
+    The reconstruction is ``left @ adjoint(T)`` for the problem's synthesis
+    matrix T; losing group j drops its map M_j = left[:, g_j] @
+    adjoint(T)[g_j, :].  With the Gram matrix G_jk = Re <M_j, M_k>_F, a
+    lost pattern S has error sqrt(1' G_SS 1), so every table and level
+    aggregate is read from G.
     """
 
-    def __init__(self, left, synth, groups, kind: str, labels):
-        right = adjoint(synth)
-        maps = np.array([(left[:, g] @ right[g, :]).ravel() for g in groups])
+    def __init__(self, problem: _GroupProblem, left):
+        right = adjoint(problem.synth)
+        maps = np.array([(left[:, g] @ right[g, :]).ravel() for g in problem.groups])
         self.gram = np.real(maps.conj() @ maps.T)
-        self.synth, self.groups, self.kind, self.labels = synth, groups, kind, labels
+        self.problem = problem
 
     @property
     def size(self) -> int:
-        return len(self.groups)
+        return len(self.problem.groups)
 
     def _errors(self, r: int):
         """Pattern indices and errors in lexicographic order, in chunks."""
@@ -132,9 +234,10 @@ class _GroupErasures:
             raise BadR(
                 f"{count} patterns of size {r} exceed the exact enumeration cap "
                 f"({MAX_PATTERNS}); lower r or the number of blocks")
+        kind, labels = self.problem.kind, self.problem.labels
         out = []
         for lost, errs in self._errors(r):
-            out.extend((ErasurePattern(self.kind, tuple(self.labels[k] for k in row)), e)
+            out.extend((ErasurePattern(kind, tuple(labels[k] for k in row)), e)
                        for row, e in zip(lost.tolist(), errs.tolist()))
         return out
 
@@ -165,19 +268,12 @@ class _GroupErasures:
         return table
 
 
-def _pair_erasures(pair: QDualPair) -> _GroupErasures:
-    w = pair.primal
-    return _GroupErasures(pair.dual.synthesis_matrix() @ pair.q.as_matrix(),
-                          w.synthesis_matrix(),
-                          [np.arange(sl.start, sl.stop) for sl in w.block_slices()],
-                          "subspace", range(w.size))
-
-
-def _system_erasures(ws: FusionFrameSystem, vs: FusionFrameSystem) -> _GroupErasures:
-    flat = [(i, l) for i, size in enumerate(ws.local_sizes) for l in range(size)]
-    return _GroupErasures(vs.ff.synthesis_matrix() @ vs.coupling().as_matrix(),
-                          synthesis(ws.global_frame(weighted=True)),
-                          [[k] for k in range(ws.total_local)], "local", flat)
+def _erasures(problem: _GroupProblem, pair: QDualPair | None = None,
+              system: FusionFrameSystem | None = None) -> _GroupErasures:
+    """The erasures of a dual ``pair`` or, for local vectors, of a dual
+    ``system``: either reconstructs with its synthesis after its coupling."""
+    dual, coupling = (pair.dual, pair.q) if system is None else (system.ff, system.coupling())
+    return _GroupErasures(problem, dual.synthesis_matrix() @ coupling.as_matrix())
 
 
 def error_vector(pair: QDualPair, r: int):
@@ -187,24 +283,18 @@ def error_vector(pair: QDualPair, r: int):
     only the lost blocks kept, which equals the deviation caused by
     running blind reconstruction without them.
     """
-    return _pair_erasures(pair).table(r)
+    return _erasures(_GroupProblem.of_blocks(pair.primal), pair).table(r)
 
 
-def _report(engine: _GroupErasures, p: float, pair: QDualPair, lines, solver=None,
+def _report(problem: _GroupProblem, p: float, pair: QDualPair, lines, solver=None,
             system=None, primal=None) -> ErasureReport:
     """Level-1 table and every level aggregate of an optimizer's dual."""
+    engine = _erasures(problem, pair, system)
     return ErasureReport(
         r=1, p=p, per_pattern_errors=tuple(engine.table(1)),
         aggregate=engine.level(1, p), optimal_dual=pair,
         certificate="\n".join(lines), aggregate_by_r=engine.levels(p),
         optimal_system=system, primal_system=primal, solver=solver)
-
-
-def _mse_left_inverse(synth, coeffs):
-    """The left inverse of ``adjoint(synth)`` minimizing the sum over
-    columns of c_k^2 ||A[:, k]||^2: (T D^-1 T*)^-1 T D^-1, D = diag(c_k^2)."""
-    scaled = synth / np.asarray(coeffs, dtype=float) ** 2
-    return np.linalg.solve(scaled @ adjoint(synth), scaled)
 
 
 def mse_optimal_dual(w: FusionFrame, v=None, tol: float = DEFAULT_TOL) -> ErasureReport:
@@ -220,14 +310,11 @@ def mse_optimal_dual(w: FusionFrame, v=None, tol: float = DEFAULT_TOL) -> Erasur
     """
     if not w.is_fusion_frame():
         raise NotAFusionFrame("subspaces do not span the ambient space")
-    if v is None:
-        v = w.weights.copy()
-    v = np.asarray(v, dtype=float).ravel()
-    coeffs = np.repeat(w.weights, w.dims)
-    optimal = _mse_left_inverse(w.synthesis_matrix(), coeffs)
+    problem = _GroupProblem.of_blocks(w)
+    optimal = problem.mse_left_inverse()
     pair = dual_from_left_inverse(w, optimal, v, tol)
-    canonical = left_inverses_parametrization(w).pinv_member
-    trace_abs = abs(np.sum(coeffs ** 2
+    canonical = _left_inverse_family(problem.synth).pinv_member
+    trace_abs = abs(np.sum(problem.column_coeffs ** 2
                            * np.sum(optimal.conj() * (canonical - optimal), axis=0)))
     uniform = bool(np.all(np.abs(w.weights - w.weights[0])
                           <= 1e-12 * abs(w.weights[0])))
@@ -239,46 +326,7 @@ def mse_optimal_dual(w: FusionFrame, v=None, tol: float = DEFAULT_TOL) -> Erasur
     ]
     if uniform:
         lines.append("uniform weights: optimal dual coincides with the canonical dual")
-    return _report(_pair_erasures(pair), 2.0, pair, lines)
-
-
-#: Certificate wording per erasure kind: the start point of the worst-case
-#: solver, and the uniformity condition that makes it the unique minimizer.
-_START_WORDING = {
-    "subspace": ("canonical dual",
-                 "uniform erasure-norm condition holds: canonical dual is"),
-    "local": ("pseudoinverse left-inverse",
-              "uniform local erasure-norm condition holds: the inverse-"
-              "frame-operator system is"),
-}
-
-
-def _worst_case(family: AffineFamily, groups, coeffs, solver, kind: str):
-    """Minimize max_i coeffs[i] ||A[:, groups[i]]||_F over the family.
-
-    Returns the solver result and the certificate lines.  When the
-    weighted group norms are all equal at the start point (the
-    pseudoinverse member), that member is the theorem-backed unique
-    minimizer, and the certificate says so.
-    """
-    a0 = family.pinv_member
-    result = minimize_max_group_norms(a0, family.kernel_projector, groups, coeffs, solver)
-    start_norms = _group_norms(a0, _membership(groups, a0.shape[1]), np.asarray(coeffs))
-    start_name, uniform_text = _START_WORDING[kind]
-    lines = [
-        f"worst-case objective: {result.phi:.12e} after {result.iterations} "
-        f"subgradient iterations (polished: {result.polished})",
-        f"{start_name} objective: {result.phi_start:.12e} "
-        f"(gap {result.gap_from_start:.3e})",
-    ]
-    if np.ptp(start_norms) <= 1e-9 * np.max(start_norms):
-        dev = frobenius_norm(result.a - a0)
-        lines.append(f"{uniform_text} the theorem-backed unique minimizer "
-                     f"(deviation {dev:.3e})")
-    else:
-        lines.append("no uniformity condition: numerical minimizer, "
-                     "no uniqueness claim")
-    return result, lines
+    return _report(problem, 2.0, pair, lines)
 
 
 def worst_case_optimal_dual(w: FusionFrame, v=None,
@@ -295,23 +343,25 @@ def worst_case_optimal_dual(w: FusionFrame, v=None,
     already all equal, uniqueness of the canonical minimizer is
     theorem-backed and stated.
     """
-    family = left_inverses_parametrization(w)
-    if v is None:
-        v = w.weights.copy()
-    v = np.asarray(v, dtype=float).ravel()
-    groups = [np.arange(sl.start, sl.stop) for sl in w.block_slices()]
-    result, lines = _worst_case(family, groups, w.weights, solver, "subspace")
+    if not w.is_fusion_frame():
+        raise NotAFusionFrame("subspaces do not span the ambient space")
+    problem = _GroupProblem.of_blocks(w)
+    result, lines = problem.worst_case(solver)
     pair = dual_from_left_inverse(w, result.a, v, tol)
-    return _report(_pair_erasures(pair), math.inf, pair, lines, result)
+    return _report(problem, math.inf, pair, lines, result)
 
 
 # -- local-vector erasures ----------------------------------------------------
 
 def local_error_vector(ws: FusionFrameSystem, vs: FusionFrameSystem, r: int):
-    """Errors of all patterns of ``r`` lost local frame vectors."""
+    """Errors of all patterns of ``r`` lost local frame vectors.
+
+    Raises:
+        LengthMismatch: if the two systems are not index-aligned.
+    """
     if vs.local_sizes != ws.local_sizes:
-        raise BadR("systems are not index-aligned")
-    return _system_erasures(ws, vs).table(r)
+        raise LengthMismatch("systems are not index-aligned")
+    return _erasures(_GroupProblem.of_local_vectors(ws), system=vs).table(r)
 
 
 def local_mse_optimal_system(ws: FusionFrameSystem, v=None,
@@ -326,25 +376,14 @@ def local_mse_optimal_system(ws: FusionFrameSystem, v=None,
     Raises:
         NotUnitNorm: if some local frame vector does not have unit norm.
     """
-    if v is None:
-        v = ws.ff.weights.copy()
-    v = np.asarray(v, dtype=float).ravel()
-    for i, frame in enumerate(ws.local_frames):
-        norms = np.linalg.norm(frame.vectors, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise NotUnitNorm(
-                f"local frame {i} has non-unit vectors (max deviation "
-                f"{np.max(np.abs(norms - 1.0)):.3e})")
-    optimal = _mse_left_inverse(synthesis(ws.global_frame(weighted=True)),
-                                np.repeat(ws.ff.weights, ws.local_sizes))
-    vs = dual_system_from_left_inverse_of_frame(ws, optimal, v, tol)
+    problem = _GroupProblem.of_local_vectors(ws, unit_norm=True)
+    vs = dual_system_from_left_inverse_of_frame(ws, problem.mse_left_inverse(), v, tol)
     pair = is_dual_system(ws, vs, tol)
     certificate = (
         "mean-square optimal dual system for unit-norm local frames "
         "(theorem-backed; unique among component-preserving dual systems, "
         "and every optimal dual system shares its reconstruction map)")
-    return _report(_system_erasures(ws, vs), 2.0, pair, [certificate],
-                   system=vs, primal=ws)
+    return _report(problem, 2.0, pair, [certificate], system=vs, primal=ws)
 
 
 def local_worst_case_optimal_system(ws: FusionFrameSystem,
@@ -359,19 +398,14 @@ def local_worst_case_optimal_system(ws: FusionFrameSystem,
     Raises:
         NullVector: if some local frame vector is zero.
     """
-    weights = ws.ff.weights
-    coeffs = []
-    for i, frame in enumerate(ws.local_frames):
-        norms = np.linalg.norm(frame.vectors, axis=1)
-        if np.any(norms <= 0.0):
-            raise NullVector(f"local frame {i} contains a zero vector")
-        coeffs.extend(weights[i] * norms)
-    family = _left_inverse_family(synthesis(ws.global_frame(weighted=True)))
-    groups = [[k] for k in range(ws.total_local)]
-    result, lines = _worst_case(family, groups, coeffs, solver, "local")
-    vs = dual_system_from_left_inverse_of_frame(ws, result.a, weights.copy(), tol)
+    problem = _GroupProblem.of_local_vectors(ws)
+    zero = np.flatnonzero(problem.coeffs <= 0.0)
+    if zero.size:
+        raise NullVector(f"local frame {problem.labels[zero[0]][0]} contains a zero vector")
+    result, lines = problem.worst_case(solver)
+    vs = dual_system_from_left_inverse_of_frame(ws, result.a, tol=tol)
     pair = is_dual_system(ws, vs, tol)
-    return _report(_system_erasures(ws, vs), math.inf, pair, lines, result, vs, ws)
+    return _report(problem, math.inf, pair, lines, result, vs, ws)
 
 
 # -- hierarchical verification --------------------------------------------------
@@ -399,23 +433,23 @@ def hierarchical_optimal(base: ErasureReport, max_r: int, samples: int = 10,
     """
     rng = np.random.default_rng(seed)
     if base.optimal_system is None:
-        engine = _pair_erasures(base.optimal_dual)
+        problem = _GroupProblem.of_blocks(base.optimal_dual.primal)
     elif base.primal_system is None:
         raise BadR("local hierarchy verification needs the primal system "
                    "recorded in the report")
     else:
-        engine = _system_erasures(base.primal_system, base.optimal_system)
+        problem = _GroupProblem.of_local_vectors(base.primal_system)
+    engine = _erasures(problem, base.optimal_dual, base.optimal_system)
     total = engine.size
     if not 1 <= max_r <= total:
         raise BadR(f"max_r must lie in 1..{total}")
 
     levels = [r for r in range(1, max_r + 1) if math.comb(total, r) <= MAX_PATTERNS]
     own = {r: engine.level(r, base.p) for r in levels}
-    family = _left_inverse_family(engine.synth)
+    family = _left_inverse_family(engine.problem.synth)
     comp_tables = []
     for _ in range(samples):
-        comp = _GroupErasures(_random_competitor(family, rng), engine.synth,
-                              engine.groups, engine.kind, engine.labels)
+        comp = _GroupErasures(engine.problem, _random_competitor(family, rng))
         comp_tables.append({r: comp.level(r, base.p) for r in levels})
 
     lines = [f"hierarchy check up to r={max_r} with {samples} sampled competitors"]

@@ -16,13 +16,12 @@ import numpy as np
 
 from . import frames as fr
 from .blockop import BlockOp
-from .duality import (DEFAULT_TOL, QDualPair, _subspace_from_block, dual_from_left_inverse,
-                      is_q_dual)
+from .duality import (DEFAULT_TOL, QDualPair, _checked_left_inverse, _subspace_from_block,
+                      dual_from_left_inverse, is_q_dual)
 from .errors import (
     InvalidSystem,
     LengthMismatch,
     NotADual,
-    NotLeftInverse,
     NotLocalDual,
     NotProjective,
     ShapeMismatch,
@@ -187,20 +186,8 @@ def dual_system_from_left_inverse_of_frame(
     """Dual system built from a left inverse of the global weighted frame
     analysis: column blocks of the left inverse become the local duals and
     their column spaces the dual subspaces."""
-    if v is None:
-        v = ws.ff.weights.copy()
-    v = np.asarray(v, dtype=float).ravel()
-    if v.size != ws.ff.size or np.any(v <= 0):
-        raise ValueError("dual weights must be positive, one per subspace")
-    a = np.asarray(a, dtype=np.result_type(a, 1.0))
-    wf = ws.global_frame(weighted=True)
-    if a.shape != (ws.ff.ambient_dim, ws.total_local):
-        raise ShapeMismatch("left inverse has the wrong shape")
-    resid = frobenius_norm(a @ fr.analysis(wf) - np.eye(ws.ff.ambient_dim))
-    if not resid <= tol:
-        raise NotLeftInverse(
-            f"candidate is not a left inverse of the global frame analysis "
-            f"(residual {resid:.3e} > tol {tol:.1e})")
+    a, v, _ = _checked_left_inverse(a, fr.analysis(ws.global_frame(weighted=True)),
+                                    ws.ff.weights, v, tol, "the global frame analysis")
     subs, new_locals = [], []
     for i, sl in enumerate(ws.local_slices()):
         block = a[:, sl]

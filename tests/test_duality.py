@@ -223,6 +223,15 @@ class TestDualFromLeftInverse:
         with pytest.raises(NotLeftInverse):
             dual_from_left_inverse(ff, a)
 
+    def test_rejects_bad_dual_weights_and_shape(self, rng):
+        ff = random_overcomplete_fusion_frame(rng, 5, 3)
+        a = left_inverses_parametrization(ff).member()
+        for v in ([1.0, 1.0], [1.0, 1.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, -2.0, 1.0]):
+            with pytest.raises(ValueError):
+                dual_from_left_inverse(ff, a, v)
+        with pytest.raises(ShapeMismatch):
+            dual_from_left_inverse(ff, a[:, 1:])
+
 
 class TestNoncanonicalDual:
     def test_two_plane_example_dimension_drop(self):

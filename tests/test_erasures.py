@@ -14,8 +14,9 @@ import pytest
 from scipy.optimize import brentq
 
 from fusionframes.duality import canonical_dual, dual_from_left_inverse, left_inverses_parametrization
-from fusionframes.errors import BadR, NotUnitNorm, NullVector
+from fusionframes.errors import BadR, LengthMismatch, NotUnitNorm, NullVector
 from fusionframes.erasures import (
+    _GroupProblem,
     error_vector,
     hierarchical_optimal,
     local_error_vector,
@@ -329,6 +330,43 @@ class TestLocalErrorVector:
                         assert abs(err - oracle) <= 1e-12 * max(1.0, oracle)
 
 
+    def test_misaligned_systems_raise_length_mismatch(self, rng):
+        ws = random_system(rng, 4, 2, unit_norm=True)
+        vs = local_mse_optimal_system(ws).optimal_system
+        first = vs.local_frames[0].vectors
+        longer = FusionFrameSystem(vs.ff, (Frame(np.vstack([first, first[:1]])),)
+                                   + vs.local_frames[1:])
+        for primal, dual in ((ws, longer), (longer, ws)):
+            with pytest.raises(LengthMismatch):
+                local_error_vector(primal, dual, 1)
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_block_permutation_permutes_tables(self, rng, complex_field):
+        ws = random_system(rng, 3, 4, complex_field, unit_norm=True)
+        perm = rng.permutation(ws.ff.size)
+        permuted = FusionFrameSystem(
+            FusionFrame(tuple(ws.ff.subspaces[k] for k in perm), ws.ff.weights[perm]),
+            tuple(ws.local_frames[k] for k in perm))
+        report, report_perm = (local_mse_optimal_system(s) for s in (ws, permuted))
+        for r in (1, 2, 3):
+            original = {p.indices: e for p, e in
+                        local_error_vector(ws, report.optimal_system, r)}
+            for pattern, err in local_error_vector(permuted, report_perm.optimal_system, r):
+                lost = tuple(sorted((int(perm[i]), l) for i, l in pattern.indices))
+                assert abs(err - original[lost]) <= 1e-12 * max(1.0, err)
+        for p in (2.0, math.inf):
+            levels, levels_perm = (
+                hierarchical_optimal(replace(rep, p=p), ws.total_local,
+                                     samples=0).aggregate_by_r
+                for rep in (report, report_perm))
+            assert set(levels) == set(levels_perm) == set(range(1, ws.total_local + 1))
+            for r, value in levels.items():
+                assert abs(levels_perm[r] - value) <= 1e-12 * value
+        assert report.aggregate_by_r.keys() == report_perm.aggregate_by_r.keys()
+        for r, value in report.aggregate_by_r.items():
+            assert abs(report_perm.aggregate_by_r[r] - value) <= 1e-12 * value
+
+
 class TestLocalMseOptimal:
     def test_requires_unit_norm(self, rng):
         ws = random_system(rng, 4, 2, unit_norm=False)
@@ -424,6 +462,44 @@ class TestLocalWorstCase:
         report = local_worst_case_optimal_system(
             ws, solver=SolverConfig(max_iters=2000))
         assert report.optimal_dual.residual <= 1e-9
+
+
+def basis_system(ff):
+    """The system whose local frames are the stored orthonormal bases."""
+    return FusionFrameSystem(ff, tuple(Frame(sub.basis.T) for sub in ff.subspaces))
+
+
+class TestOneGroupProblem:
+    """Subspace and local-vector erasures are one problem: a system whose
+    local frames are orthonormal bases of its subspaces has the same
+    synthesis matrix and costs under both constructors."""
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_orthonormal_local_bases_give_the_subspace_mse_dual(self, rng, complex_field):
+        ff = random_overcomplete_fusion_frame(rng, 4, 3, complex_field)
+        ws = basis_system(ff)
+        blocks = _GroupProblem.of_blocks(ff)
+        local = _GroupProblem.of_local_vectors(ws, unit_norm=True)
+        np.testing.assert_array_equal(local.synth, blocks.synth)
+        np.testing.assert_array_equal(local.column_coeffs, blocks.column_coeffs)
+        pair = mse_optimal_dual(ff).optimal_dual
+        vs = local_mse_optimal_system(ws).optimal_system
+        left = pair.dual.synthesis_matrix() @ pair.q.as_matrix()
+        left_local = vs.ff.synthesis_matrix() @ vs.coupling().as_matrix()
+        assert frobenius_norm(left_local - left) <= 1e-12 * frobenius_norm(left)
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_lines_give_the_subspace_worst_case(self, rng, complex_field):
+        ff = random_fusion_frame(rng, 3, 5, complex_field, max_dim=1)
+        blocks = worst_case_optimal_dual(ff)
+        local = local_worst_case_optimal_system(basis_system(ff))
+        assert local.solver.iterations == blocks.solver.iterations
+        assert abs(local.solver.phi - blocks.solver.phi) <= 1e-9 * blocks.solver.phi
+        assert len(local.per_pattern_errors) == ff.size
+        for (block, err), (vector, err_local) in zip(blocks.per_pattern_errors,
+                                                     local.per_pattern_errors):
+            assert vector.indices == ((block.indices[0], 0),)
+            assert abs(err_local - err) <= 1e-9 * err
 
 
 class TestHierarchical:

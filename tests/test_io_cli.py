@@ -276,6 +276,23 @@ class TestCli:
         expected = 1.6756255452685564
         assert abs(solver["objective"] - expected) <= 1e-12 * expected
 
+    @pytest.mark.parametrize("name", FIXTURES)
+    @pytest.mark.parametrize("p", ["2", "inf"])
+    @pytest.mark.parametrize("command", ["optimal", "local-optimal"])
+    def test_optimal_exit_codes(self, capsys, command, p, name):
+        # Every fixture is a fusion frame.  orthonormal_basis.json has no
+        # local frames, and the local vectors of examples 6.2 and 6.4 are
+        # not unit vectors, which the local mean-square optimum requires.
+        expected = 0
+        if command == "local-optimal" and name == "orthonormal_basis.json":
+            expected = 2
+        elif command == "local-optimal" and p == "2" and name in ("example_6_2.json",
+                                                                  "example_6_4.json"):
+            expected = 3
+        assert main([command, fixture(name), "--p", p]) == expected
+        if expected == 3:
+            assert "non-unit vectors" in capsys.readouterr().err
+
     def test_reproduce_all_ids(self, capsys):
         for example_id in ["6.2a", "6.2b", "6.3a", "6.3c", "6.3d", "6.4"]:
             assert main(["reproduce", example_id]) == 0

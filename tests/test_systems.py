@@ -14,6 +14,7 @@ from fusionframes.errors import (
     NotLeftInverse,
     NotLocalDual,
     NotProjective,
+    ShapeMismatch,
 )
 from fusionframes.frames import Frame, canonical_dual as canonical_dual_frame
 from fusionframes.fusion import FusionFrame
@@ -312,6 +313,15 @@ class TestFromLeftInverseOfFrame:
         a[0, 0] = np.nan
         with pytest.raises(NotLeftInverse):
             dual_system_from_left_inverse_of_frame(ws, a)
+
+    def test_rejects_bad_dual_weights_and_shape(self, rng):
+        ws = random_system(rng, 4, 2)
+        a = _frame_pinv(ws)
+        for v in ([1.0], [1.0, 1.0, 1.0], [1.0, 0.0], [-1.0, 1.0]):
+            with pytest.raises(ValueError):
+                dual_system_from_left_inverse_of_frame(ws, a, v)
+        with pytest.raises(ShapeMismatch):
+            dual_system_from_left_inverse_of_frame(ws, a[:, 1:])
 
 
 class TestProjectiveBridge:
