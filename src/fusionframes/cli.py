@@ -83,7 +83,7 @@ def cmd_analyze(args) -> int:
     report.payload["dims"] = list(ff.dims)
     report.payload["weights"] = [float(w) for w in ff.weights]
     if cls.is_fusion_frame:
-        lo, hi = ff.fusion_bounds()
+        lo, hi = cls.bounds
         report.payload["bounds"] = {"lower": lo, "upper": hi, "tol": cls.tol}
     report.add(Check.boolean("family is a fusion frame", cls.is_fusion_frame))
     return _emit(report, args.json)

@@ -206,19 +206,25 @@ def _subspace_from_block(block, tol: float = RANK_TOL) -> Subspace:
     return Subspace.zero(block.shape[0], dtype=np.result_type(block, 1.0))
 
 
+def _checked_dual_weights(weights, v):
+    """The dual weights ``v`` as an array (default: a copy of the primal
+    ``weights``); ValueError unless ``v`` is one positive weight per block."""
+    v = weights.copy() if v is None else np.asarray(v, dtype=float).ravel()
+    if v.size != weights.size or np.any(v <= 0):
+        raise ValueError("dual weights must be positive, one per subspace")
+    return v
+
+
 def _checked_left_inverse(a, analysis, weights, v, tol: float, what: str):
     """Check a left inverse ``a`` of ``analysis`` and the dual weights ``v``
-    (default: the primal ``weights``); return both as arrays and the
-    residual of ``a @ analysis = I``.  Raises ShapeMismatch unless ``a`` is
-    shaped like adjoint(analysis), ValueError unless ``v`` is one positive
-    weight per primal block, and NotLeftInverse if the residual exceeds tol."""
+    (see _checked_dual_weights); return both as arrays and the residual of
+    ``a @ analysis = I``.  Raises ShapeMismatch unless ``a`` is shaped like
+    adjoint(analysis), and NotLeftInverse if the residual exceeds tol."""
     a = np.asarray(a, dtype=np.result_type(a, 1.0))
-    v = weights.copy() if v is None else np.asarray(v, dtype=float).ravel()
     n, d = analysis.shape
     if a.shape != (d, n):
         raise ShapeMismatch("left inverse has the wrong shape")
-    if v.size != weights.size or np.any(v <= 0):
-        raise ValueError("dual weights must be positive, one per subspace")
+    v = _checked_dual_weights(weights, v)
     resid = frobenius_norm(a @ analysis - np.eye(d))
     if not resid <= tol:
         raise NotLeftInverse(f"candidate is not a left inverse of {what} "
@@ -267,15 +273,17 @@ def noncanonical_dual(w: FusionFrame, tol: float = DEFAULT_TOL) -> QDualPair:
 
     Requires an overcomplete frame with nonzero subspaces.  Picks the
     first index whose subspace meets the span of the others nontrivially,
-    shrinks it by that intersection, and duals the shrunken family.  The
+    shrinks it by that intersection, and duals the shrunken family: the
+    left inverse routes block i through the projection onto the shrunken
+    subspace and then the inverse of the shrunken fusion operator.  The
     dual subspace at that index has strictly smaller dimension than the
     original, which is what separates it from the canonical duals.
     """
-    if not w.is_fusion_frame():
+    report = w.classify()
+    if not report.is_fusion_frame:
         raise NotAFusionFrame("subspaces do not span the ambient space")
     if any(s.dim == 0 for s in w.subspaces):
         raise TrivialSubspace("all subspaces must be nonzero")
-    report = w.classify()
     if not report.is_overcomplete:
         raise NotOvercomplete("fusion frame is a Riesz fusion basis; "
                               "its component-preserving dual is unique")
@@ -294,26 +302,12 @@ def noncanonical_dual(w: FusionFrame, tol: float = DEFAULT_TOL) -> QDualPair:
                               "family is numerically a Riesz fusion basis")
     shrunk = list(w.subspaces)
     shrunk[pivot] = orth_complement_within(w.subspaces[pivot], overlap, tol=1e-6)
-    shrunk_ff = FusionFrame(tuple(shrunk), w.weights.copy())
-    s_op = shrunk_ff.fusion_operator()
-
-    dual_subs, q_blocks = [], []
-    for i, sub in enumerate(w.subspaces):
-        small = shrunk[i]
-        if small.dim == 0:
-            dual_subs.append(Subspace.zero(w.ambient_dim, dtype=w.dtype))
-            q_blocks.append(np.zeros((0, sub.dim)))
-            continue
-        image = np.linalg.solve(s_op, small.basis)
-        dual_sub = orthonormalize(image)
-        dual_subs.append(dual_sub)
-        # Route block i through: project onto the shrunken subspace, then
-        # apply the inverse of the shrunken fusion operator.
-        shrink_proj = small.basis @ (adjoint(small.basis) @ sub.basis)
-        q_blocks.append(adjoint(dual_sub.basis) @ np.linalg.solve(s_op, shrink_proj))
-    dual = FusionFrame(tuple(dual_subs), w.weights.copy())
-    pair = is_q_dual(w, dual, BlockOp.block_diagonal(q_blocks), tol)
-    if dual_subs[pivot].dim >= w.subspaces[pivot].dim:
+    s_op = FusionFrame(tuple(shrunk), w.weights).fusion_operator()
+    routed = [wi * small.project(sub.basis)
+              for wi, small, sub in zip(w.weights, shrunk, w.subspaces)]
+    a = np.linalg.solve(s_op, np.hstack(routed))
+    pair = dual_from_left_inverse(w, a, tol=tol)
+    if pair.dual.subspaces[pivot].dim >= w.subspaces[pivot].dim:
         raise NotOvercomplete("construction did not reduce the pivot dimension")
     return pair
 
@@ -327,12 +321,8 @@ def riesz_dual_containment_check(w: FusionFrame, pair: QDualPair,
     kind = classify_q(pair.q, tol)
     if kind == QKind.GENERAL:
         raise NotBlockDiagonal("coupling operator has off-diagonal blocks")
-    s_op = w.fusion_operator()
-    for i, sub in enumerate(w.subspaces):
-        canonical_i = orthonormalize(np.linalg.solve(s_op, sub.basis))
-        if not pair.dual.subspaces[i].contains(canonical_i, tol):
-            return False
-    return True
+    canonical = canonical_dual(w, tol=max(tol, DEFAULT_TOL)).dual.subspaces
+    return all(sub.contains(c, tol) for sub, c in zip(pair.dual.subspaces, canonical))
 
 
 def alternate_dual_to_q_dual(w: FusionFrame, v: FusionFrame,
@@ -340,7 +330,9 @@ def alternate_dual_to_q_dual(w: FusionFrame, v: FusionFrame,
     """Convert a weighted-projection alternate dual into a certified dual pair.
 
     ``v`` qualifies when summing v_i P_{V_i} S^{-1} w_i P_{W_i} over i
-    reproduces the identity.  The certified dual subspaces are the images
+    reproduces the identity.  That sum is A @ analysis for the matrix A
+    with column blocks v_i P_{V_i} S^{-1} B_i, so A is a left inverse and
+    induces the certified dual.  Its subspaces are the images
     P_{V_i} S^{-1} W_i, which may be smaller than the V_i.
 
     Raises:
@@ -353,19 +345,11 @@ def alternate_dual_to_q_dual(w: FusionFrame, v: FusionFrame,
     if not w.is_fusion_frame():
         raise NotAFusionFrame("subspaces do not span the ambient space")
     s_op = w.fusion_operator()
-    d = w.ambient_dim
-    recon = np.zeros((d, d), dtype=np.result_type(w.dtype, v.dtype))
-    for wi, vi, sub_w, sub_v in zip(w.weights, v.weights, w.subspaces, v.subspaces):
-        recon = recon + wi * vi * (sub_v.projector()
-                                   @ np.linalg.solve(s_op, sub_w.projector()))
-    resid = frobenius_norm(recon - np.eye(d))
+    a = np.hstack([vi * (sub_v.projector() @ np.linalg.solve(s_op, sub_w.basis))
+                   for vi, sub_v, sub_w in zip(v.weights, v.subspaces, w.subspaces)])
+    resid = frobenius_norm(a @ w.analysis_matrix() - np.eye(w.ambient_dim))
     if not resid <= tol:
         raise NotAlternateDual(
             f"weighted projection reconstruction fails (residual {resid:.3e})",
             residual=resid)
-    blocks = []
-    for vi, sub_v, sub_w in zip(v.weights, v.subspaces, w.subspaces):
-        blocks.append(vi * (sub_v.projector()
-                            @ np.linalg.solve(s_op, sub_w.basis)))
-    a = np.hstack(blocks)
     return dual_from_left_inverse(w, a, v.weights.copy(), tol)

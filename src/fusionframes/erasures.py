@@ -28,6 +28,7 @@ from .duality import (
     DEFAULT_TOL,
     AffineFamily,
     QDualPair,
+    _checked_dual_weights,
     _left_inverse_family,
     dual_from_left_inverse,
 )
@@ -37,11 +38,7 @@ from .fusion import FusionFrame
 from .linalg import adjoint, frobenius_norm
 from .minimax import (MinimaxResult, SolverConfig, _group_norms, _membership,
                       minimize_max_group_norms)
-from .systems import (
-    FusionFrameSystem,
-    dual_system_from_left_inverse_of_frame,
-    is_dual_system,
-)
+from .systems import FusionFrameSystem, _certified_system_from_left_inverse_of_frame
 
 #: Hard cap on exact pattern enumeration.
 MAX_PATTERNS = 1_000_000
@@ -345,6 +342,7 @@ def worst_case_optimal_dual(w: FusionFrame, v=None,
     """
     if not w.is_fusion_frame():
         raise NotAFusionFrame("subspaces do not span the ambient space")
+    v = _checked_dual_weights(w.weights, v)
     problem = _GroupProblem.of_blocks(w)
     result, lines = problem.worst_case(solver)
     pair = dual_from_left_inverse(w, result.a, v, tol)
@@ -377,8 +375,8 @@ def local_mse_optimal_system(ws: FusionFrameSystem, v=None,
         NotUnitNorm: if some local frame vector does not have unit norm.
     """
     problem = _GroupProblem.of_local_vectors(ws, unit_norm=True)
-    vs = dual_system_from_left_inverse_of_frame(ws, problem.mse_left_inverse(), v, tol)
-    pair = is_dual_system(ws, vs, tol)
+    vs, pair = _certified_system_from_left_inverse_of_frame(ws, problem.mse_left_inverse(),
+                                                            v, tol)
     certificate = (
         "mean-square optimal dual system for unit-norm local frames "
         "(theorem-backed; unique among component-preserving dual systems, "
@@ -403,8 +401,7 @@ def local_worst_case_optimal_system(ws: FusionFrameSystem,
     if zero.size:
         raise NullVector(f"local frame {problem.labels[zero[0]][0]} contains a zero vector")
     result, lines = problem.worst_case(solver)
-    vs = dual_system_from_left_inverse_of_frame(ws, result.a, tol=tol)
-    pair = is_dual_system(ws, vs, tol)
+    vs, pair = _certified_system_from_left_inverse_of_frame(ws, result.a, tol=tol)
     return _report(problem, math.inf, pair, lines, result, vs, ws)
 
 

@@ -203,8 +203,8 @@ class FusionFrame:
         bounds = None
         is_tight = is_parseval = False
         if spans:
-            lo, hi = self.fusion_bounds()
-            bounds = (lo, hi)
+            eigs = np.linalg.eigvalsh(self.fusion_operator())
+            lo, hi = bounds = float(eigs[0]), float(eigs[-1])
             is_tight = (hi - lo) <= tol * hi
             is_parseval = is_tight and abs(hi - 1.0) <= tol
         is_riesz = spans and (self.total_dim == self.ambient_dim)

@@ -17,7 +17,7 @@ import numpy as np
 from . import frames as fr
 from .blockop import BlockOp
 from .duality import (DEFAULT_TOL, QDualPair, _checked_left_inverse, _subspace_from_block,
-                      dual_from_left_inverse, is_q_dual)
+                      is_q_dual)
 from .errors import (
     InvalidSystem,
     LengthMismatch,
@@ -158,34 +158,29 @@ def dual_system_from_left_inverse_of_fusion(
 
     The new local vectors are the left inverse applied to each local dual
     vector embedded in its own block; their spans are the dual subspaces
-    of the induced component-preserving dual.
+    of the induced component-preserving dual.  Stacked block by block,
+    those images a_i B_i* G_i^T form a left inverse of the global frame
+    analysis, which the frame construction below turns into the system.
     """
     if local_duals is None:
         raise NotLocalDual("local dual frames are required")
     if len(local_duals) != ws.ff.size:
         raise LengthMismatch("one local dual per subspace is required")
-    pair = dual_from_left_inverse(ws.ff, a, v, tol)
-    v = pair.dual.weights
-    a = np.asarray(a)
-    slices = ws.ff.block_slices()
-    new_locals = []
-    for i, (sub, primal, dual) in enumerate(zip(ws.ff.subspaces, ws.local_frames,
-                                                local_duals)):
+    a, v, _ = _checked_left_inverse(a, ws.ff.analysis_matrix(), ws.ff.weights, v, tol,
+                                    "the analysis operator")
+    images = []
+    for sub, primal, dual, sl in zip(ws.ff.subspaces, ws.local_frames, local_duals,
+                                     ws.ff.block_slices()):
         _check_local_dual(sub, primal, dual, tol)
-        coords = adjoint(sub.basis) @ dual.vectors.T          # n_i x L_i
-        vectors = (a[:, slices[i]] @ coords) / v[i]           # d x L_i
-        new_locals.append(Frame(vectors.T))
-    system = FusionFrameSystem(pair.dual, tuple(new_locals))
-    is_dual_system(ws, system, tol)
-    return system
+        images.append(a[:, sl] @ (adjoint(sub.basis) @ dual.vectors.T))   # d x L_i
+    return dual_system_from_left_inverse_of_frame(ws, np.hstack(images), v, tol)
 
 
-def dual_system_from_left_inverse_of_frame(
+def _certified_system_from_left_inverse_of_frame(
         ws: FusionFrameSystem, a, v=None,
-        tol: float = DEFAULT_TOL) -> FusionFrameSystem:
-    """Dual system built from a left inverse of the global weighted frame
-    analysis: column blocks of the left inverse become the local duals and
-    their column spaces the dual subspaces."""
+        tol: float = DEFAULT_TOL) -> tuple[FusionFrameSystem, QDualPair]:
+    """The system of dual_system_from_left_inverse_of_frame and the dual
+    pair that certifies it."""
     a, v, _ = _checked_left_inverse(a, fr.analysis(ws.global_frame(weighted=True)),
                                     ws.ff.weights, v, tol, "the global frame analysis")
     subs, new_locals = [], []
@@ -194,8 +189,17 @@ def dual_system_from_left_inverse_of_frame(
         subs.append(_subspace_from_block(block))
         new_locals.append(Frame(block.T / v[i]))
     system = FusionFrameSystem(FusionFrame(tuple(subs), v), tuple(new_locals))
-    is_dual_system(ws, system, tol)
-    return system
+    return system, is_dual_system(ws, system, tol)
+
+
+def dual_system_from_left_inverse_of_frame(
+        ws: FusionFrameSystem, a, v=None,
+        tol: float = DEFAULT_TOL) -> FusionFrameSystem:
+    """Dual system built from a left inverse of the global weighted frame
+    analysis: column blocks of the left inverse become the local duals and
+    their column spaces the dual subspaces.  Both left-inverse
+    constructions of a dual system assemble and certify it here."""
+    return _certified_system_from_left_inverse_of_frame(ws, a, v, tol)[0]
 
 
 # -- reconstruction systems ---------------------------------------------------

@@ -42,6 +42,7 @@ from conftest import (
     random_overcomplete_fusion_frame,
     random_parseval_uniform_equidim,
     random_riesz_basis,
+    random_unitary,
 )
 from test_fusion import riesz_c4, two_plane_frame
 
@@ -359,6 +360,60 @@ class TestAlternateDualConversion:
         except NotAlternateDual:
             return
         pytest.skip("random candidate accidentally satisfied the identity")
+
+
+def _moved(ff, u, scale):
+    """``ff`` with every subspace mapped by the unitary ``u`` and every
+    weight multiplied by ``scale``."""
+    return FusionFrame(tuple(Subspace(u @ s.basis) for s in ff.subspaces),
+                       scale * ff.weights)
+
+
+class TestMetamorphicInvariance:
+    """A common weight scale, a unitary change of ambient coordinates and
+    the real-to-complex embedding must not change a dual construction
+    beyond mapping its dual subspaces by the same unitary.  The subspace
+    tests inside (principal angles, orth_complement_within) read only
+    orthonormal bases, so no threshold depends on the scale."""
+
+    @staticmethod
+    def _unitary(rng, d, change):
+        if change == "embedding":
+            return np.eye(d, dtype=complex)
+        return random_unitary(rng, d, complex_field=change == "unitary")
+
+    @staticmethod
+    def _assert_moved_by(base, moved, u):
+        assert moved.dual.dims == base.dual.dims
+        for before, after in zip(base.dual.subspaces, moved.dual.subspaces):
+            expected = u @ before.projector() @ u.conj().T
+            assert frobenius_norm(after.projector() - expected) <= 1e-8
+        assert moved.residual <= 1e-9
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("change", ["orthogonal", "unitary", "embedding"])
+    def test_noncanonical_dual(self, rng, scale, change):
+        for _ in range(5):
+            ff = random_overcomplete_fusion_frame(rng, int(rng.integers(3, 7)),
+                                                  int(rng.integers(2, 5)))
+            u = self._unitary(rng, ff.ambient_dim, change)
+            self._assert_moved_by(noncanonical_dual(ff),
+                                  noncanonical_dual(_moved(ff, u, scale)), u)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("change", ["orthogonal", "unitary", "embedding"])
+    def test_alternate_dual_to_q_dual(self, rng, scale, change):
+        for _ in range(5):
+            ff = random_overcomplete_fusion_frame(rng, 5, 3)
+            # enlarged canonical dual subspaces: an alternate dual whose
+            # certified subspaces are smaller than the candidate's
+            enlarged = FusionFrame(
+                tuple(span_union(sub, orthonormalize(rng.normal(size=(5, 1))))
+                      for sub in canonical_dual(ff).dual.subspaces), ff.weights)
+            u = self._unitary(rng, 5, change)
+            self._assert_moved_by(
+                alternate_dual_to_q_dual(ff, enlarged),
+                alternate_dual_to_q_dual(_moved(ff, u, scale), _moved(enlarged, u, scale)), u)
 
 
 class TestStructuralInvariants:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from fusionframes import erasures
 from fusionframes.duality import canonical_dual, dual_from_left_inverse, left_inverses_parametrization
 from fusionframes.errors import BadR, LengthMismatch, NotUnitNorm, NullVector
 from fusionframes.erasures import (
@@ -271,6 +272,15 @@ class TestWorstCaseOptimal:
         report = worst_case_optimal_dual(ff)
         assert report.solver.iterations == 1
         assert report.solver.phi == report.solver.phi_start
+
+    def test_bad_dual_weights_fail_before_the_solve(self, rng, monkeypatch):
+        def solver_must_not_run(*args, **kwargs):
+            raise AssertionError("the solver ran before the dual weights were checked")
+
+        ff = random_overcomplete_fusion_frame(rng, 6, 5)
+        monkeypatch.setattr(erasures, "minimize_max_group_norms", solver_must_not_run)
+        with pytest.raises(ValueError):
+            worst_case_optimal_dual(ff, v=[1.0])
 
     def test_aggregate_matches_solver_phi(self, rng):
         ff = random_overcomplete_fusion_frame(rng, 4, 3)
