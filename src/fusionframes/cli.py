@@ -139,6 +139,9 @@ def cmd_optimal(args) -> int:
     else:
         primal, mse, worst = (spec.system(), local_mse_optimal_system,
                               local_worst_case_optimal_system)
+    groups = primal.size if args.command == "optimal" else primal.total_local
+    if not 1 <= args.r <= groups:
+        raise InvalidSpec(f"--r must lie in 1..{groups}")
     report = Report(f"{args.command} p={args.p} r={args.r}", file_digest(args.file))
     if args.p == "2":
         result = mse(primal, tol=args.tol)

@@ -208,10 +208,10 @@ def _subspace_from_block(block, tol: float = RANK_TOL) -> Subspace:
 
 def _checked_dual_weights(weights, v):
     """The dual weights ``v`` as an array (default: a copy of the primal
-    ``weights``); ValueError unless ``v`` is one positive weight per block."""
+    ``weights``); ValueError unless ``v`` is one finite weight > 0 per block."""
     v = weights.copy() if v is None else np.asarray(v, dtype=float).ravel()
-    if v.size != weights.size or np.any(v <= 0):
-        raise ValueError("dual weights must be positive, one per subspace")
+    if v.size != weights.size or not np.all(np.isfinite(v) & (v > 0)):
+        raise ValueError("dual weights must be positive and finite, one per subspace")
     return v
 
 

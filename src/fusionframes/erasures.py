@@ -35,7 +35,7 @@ from .duality import (
 from .errors import BadR, LengthMismatch, NotAFusionFrame, NotUnitNorm, NullVector
 from .frames import synthesis
 from .fusion import FusionFrame
-from .linalg import adjoint, frobenius_norm
+from .linalg import adjoint, frobenius_norm, matrix_rank
 from .minimax import (MinimaxResult, SolverConfig, _group_norms, _membership,
                       minimize_max_group_norms)
 from .systems import FusionFrameSystem, _certified_system_from_left_inverse_of_frame
@@ -110,7 +110,8 @@ class _GroupProblem:
     named by ``labels`` in patterns of ``kind``, and is charged
     ``coeffs[j]`` times the Frobenius norm of A's columns in group j.
     Subspace erasures (``of_blocks``) and local-vector erasures
-    (``of_local_vectors``) are the two instances.
+    (``of_local_vectors``) are the two instances.  Construction raises
+    NotAFusionFrame unless T spans: the one spanning check of every caller.
     """
 
     synth: np.ndarray = field(repr=False)
@@ -118,6 +119,10 @@ class _GroupProblem:
     coeffs: np.ndarray
     kind: str
     labels: Sequence
+
+    def __post_init__(self):
+        if matrix_rank(self.synth) < self.synth.shape[0]:
+            raise NotAFusionFrame("subspaces do not span the ambient space")
 
     @classmethod
     def of_blocks(cls, w: FusionFrame) -> "_GroupProblem":
@@ -305,8 +310,6 @@ def mse_optimal_dual(w: FusionFrame, v=None, tol: float = DEFAULT_TOL) -> Erasur
     optimality proof, evaluated against the canonical dual as a
     competitor.
     """
-    if not w.is_fusion_frame():
-        raise NotAFusionFrame("subspaces do not span the ambient space")
     problem = _GroupProblem.of_blocks(w)
     optimal = problem.mse_left_inverse()
     pair = dual_from_left_inverse(w, optimal, v, tol)
@@ -340,10 +343,8 @@ def worst_case_optimal_dual(w: FusionFrame, v=None,
     already all equal, uniqueness of the canonical minimizer is
     theorem-backed and stated.
     """
-    if not w.is_fusion_frame():
-        raise NotAFusionFrame("subspaces do not span the ambient space")
-    v = _checked_dual_weights(w.weights, v)
     problem = _GroupProblem.of_blocks(w)
+    v = _checked_dual_weights(w.weights, v)
     result, lines = problem.worst_case(solver)
     pair = dual_from_left_inverse(w, result.a, v, tol)
     return _report(problem, math.inf, pair, lines, result)

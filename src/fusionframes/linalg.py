@@ -205,8 +205,7 @@ def orth_complement_within(u: Subspace, z: Subspace, tol: float = 1e-9) -> Subsp
         raise DimensionMismatch("subspaces live in different ambient spaces")
     if z.is_zero:
         return u
-    pz = z.projector()
-    if frobenius_norm(u.projector() @ pz - pz) > tol:
+    if not u.contains(z, tol):
         raise NotContained("second subspace is not contained in the first")
     # Work in coordinates of u: complement of the range of basis_u* basis_z.
     coords = adjoint(u.basis) @ z.basis

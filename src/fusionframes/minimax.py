@@ -23,7 +23,7 @@ lowest index and no randomness is used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -215,18 +215,10 @@ def minimize_max_group_norms(a0, kernel_projector,
             best_z = z_polished
             polished = True
 
+    result = MinimaxResult(a0 + best_z @ proj, best_phi, phi_start, phi_subgradient,
+                           iterations, converged=True, polished=polished)
     if not plateaued and not polished and iterations >= config.max_iters:
         raise NonConvergence(
             f"objective still improving after {config.max_iters} iterations",
-            result=MinimaxResult(a0 + best_z @ proj, best_phi, phi_start,
-                                 phi_subgradient, iterations, False, False))
-
-    return MinimaxResult(
-        a=a0 + best_z @ proj,
-        phi=best_phi,
-        phi_start=phi_start,
-        phi_subgradient=phi_subgradient,
-        iterations=iterations,
-        converged=True,
-        polished=polished,
-    )
+            result=replace(result, converged=False))
+    return result

@@ -62,11 +62,11 @@ class FusionFrameSystem:
             vecs = frame.vectors
             if vecs.shape[0] == 0:
                 raise InvalidSystem(f"local frame {i} is empty")
-            proj_err = frobenius_norm(vecs.T - sub.basis @ (adjoint(sub.basis) @ vecs.T))
-            if proj_err > MEMBERSHIP_TOL * max(1.0, frobenius_norm(vecs)):
+            residual = frobenius_norm(vecs.T - sub.project(vecs.T))
+            if not residual <= MEMBERSHIP_TOL * max(1.0, frobenius_norm(vecs)):
                 raise InvalidSystem(
                     f"local frame {i} has vectors outside its subspace "
-                    f"(residual {proj_err:.3e})")
+                    f"(residual {residual:.3e})")
             if matrix_rank(adjoint(sub.basis) @ vecs.T) != sub.dim:
                 raise InvalidSystem(f"local frame {i} does not span its subspace")
         object.__setattr__(self, "local_frames", locs)
@@ -142,8 +142,8 @@ def _check_local_dual(sub: Subspace, primal: Frame, dual: Frame,
     if primal.size != dual.size:
         raise NotLocalDual("local dual has different length than its primal")
     vecs = dual.vectors
-    proj_err = frobenius_norm(vecs.T - sub.basis @ (adjoint(sub.basis) @ vecs.T))
-    if not proj_err <= tol * max(1.0, frobenius_norm(vecs)):
+    residual = frobenius_norm(vecs.T - sub.project(vecs.T))
+    if not residual <= tol * max(1.0, frobenius_norm(vecs)):
         raise NotLocalDual("local dual vectors leave the subspace")
     resid = fr.synthesis(dual) @ fr.analysis(primal) - sub.projector()
     if not frobenius_norm(resid) <= tol:
@@ -243,39 +243,34 @@ class ProjectiveRS:
         return tuple(spectral_norm(t) for t in self.ops)
 
     def synthesis_matrix(self):
-        return np.hstack([t for t in self.ops])
+        return np.hstack(self.ops)
 
     def operator(self):
-        """Sum of op_i op_i*; invertible iff the ranges span."""
-        d = self.ambient_dim
-        s = np.zeros((d, d), dtype=np.result_type(*(t.dtype for t in self.ops)))
-        for t in self.ops:
-            s = s + t @ adjoint(t)
-        return s
+        """The frame operator of the blocks' columns; invertible iff the ranges span."""
+        return fr.frame_operator(_columns(self.ops))
 
     def to_system(self, tol: float = RANK_TOL) -> FusionFrameSystem:
         """The fusion frame system carried by the ranges: subspaces are the
         block ranges, weights the spectral norms, local frames the scaled
         columns."""
-        subs, locals_, weights = [], [], []
-        for t in self.ops:
-            w = spectral_norm(t)
-            subs.append(orthonormalize(t, tol))
-            locals_.append(Frame((t / w).T))
-            weights.append(w)
-        return FusionFrameSystem(FusionFrame(tuple(subs), np.array(weights)),
-                                 tuple(locals_))
+        weights = self.weights_implied
+        subs = tuple(orthonormalize(t, tol) for t in self.ops)
+        locals_ = tuple(Frame((t / w).T) for t, w in zip(self.ops, weights))
+        return FusionFrameSystem(FusionFrame(subs, np.array(weights)), locals_)
+
+
+def _columns(ops) -> Frame:
+    """The frame of the blocks' concatenated columns."""
+    return Frame(np.hstack(ops).T)
 
 
 def canonical_dual_ops(ops) -> list:
-    """Blocks of the canonical dual reconstruction system (inverse operator
-    applied blockwise).  The result need not be projective."""
+    """Blocks of the canonical dual reconstruction system: the column blocks
+    of the canonical dual frame of the blocks' columns (NotAFrame unless
+    they span).  The result need not be projective."""
     ops = [np.asarray(t) for t in ops]
-    d = ops[0].shape[0]
-    s = np.zeros((d, d), dtype=np.result_type(*(t.dtype for t in ops), 1.0))
-    for t in ops:
-        s = s + t @ adjoint(t)
-    return [np.linalg.solve(s, t) for t in ops]
+    dual = fr.synthesis(fr.canonical_dual(_columns(ops)))
+    return [dual[:, sl] for sl in block_slices([t.shape[1] for t in ops])]
 
 
 def projective_rs_bridge(rs: ProjectiveRS, rs_dual: ProjectiveRS,
@@ -293,12 +288,7 @@ def projective_rs_bridge(rs: ProjectiveRS, rs_dual: ProjectiveRS,
         raise LengthMismatch("reconstruction systems have different block counts")
     if any(t.shape[1] != td.shape[1] for t, td in zip(rs.ops, rs_dual.ops)):
         raise LengthMismatch("paired blocks must have equal coordinate dimensions")
-    d = rs.ambient_dim
-    total = np.zeros((d, d), dtype=np.result_type(
-        *(t.dtype for t in rs.ops + rs_dual.ops)))
-    for t, td in zip(rs.ops, rs_dual.ops):
-        total = total + td @ adjoint(t)
-    as_rs = frobenius_norm(total - np.eye(d)) <= tol
+    as_rs = fr.is_dual_frame(_columns(rs.ops), _columns(rs_dual.ops), tol)
     try:
         is_dual_system(rs.to_system(), rs_dual.to_system(), tol)
         as_systems = True

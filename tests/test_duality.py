@@ -227,7 +227,8 @@ class TestDualFromLeftInverse:
     def test_rejects_bad_dual_weights_and_shape(self, rng):
         ff = random_overcomplete_fusion_frame(rng, 5, 3)
         a = left_inverses_parametrization(ff).member()
-        for v in ([1.0, 1.0], [1.0, 1.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, -2.0, 1.0]):
+        for v in ([1.0, 1.0], [1.0, 1.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, -2.0, 1.0],
+                  [1.0, np.nan, 1.0], [1.0, 1.0, np.inf]):
             with pytest.raises(ValueError):
                 dual_from_left_inverse(ff, a, v)
         with pytest.raises(ShapeMismatch):

@@ -15,7 +15,7 @@ from scipy.optimize import brentq
 
 from fusionframes import erasures
 from fusionframes.duality import canonical_dual, dual_from_left_inverse, left_inverses_parametrization
-from fusionframes.errors import BadR, LengthMismatch, NotUnitNorm, NullVector
+from fusionframes.errors import BadR, LengthMismatch, NotAFusionFrame, NotUnitNorm, NullVector
 from fusionframes.erasures import (
     _GroupProblem,
     error_vector,
@@ -279,8 +279,9 @@ class TestWorstCaseOptimal:
 
         ff = random_overcomplete_fusion_frame(rng, 6, 5)
         monkeypatch.setattr(erasures, "minimize_max_group_norms", solver_must_not_run)
-        with pytest.raises(ValueError):
-            worst_case_optimal_dual(ff, v=[1.0])
+        for v in ([1.0], [math.nan] * ff.size, [1.0] * (ff.size - 1) + [math.inf]):
+            with pytest.raises(ValueError):
+                worst_case_optimal_dual(ff, v=v)
 
     def test_aggregate_matches_solver_phi(self, rng):
         ff = random_overcomplete_fusion_frame(rng, 4, 3)
@@ -296,6 +297,44 @@ class TestWorstCaseOptimal:
             competitor = dual_from_left_inverse(ff, family.member(z))
             worst = max(e for _, e in error_vector(competitor, 1))
             assert worst >= report.aggregate - 1e-8
+
+
+def two_lines_in_r3() -> FusionFrameSystem:
+    """A valid system with unit local vectors whose subspaces, two lines
+    in R^3, do not span."""
+    e1, e2 = np.eye(3)[:1], np.eye(3)[1:2]
+    ff = FusionFrame.from_spanning_sets([e1.T, e2.T], [1.0, 1.0])
+    return FusionFrameSystem(ff, (Frame(e1), Frame(e2)))
+
+
+class TestNonSpanning:
+    """One spanning check, in the group-erasure problem, guards every
+    optimizer and table before any solve."""
+
+    @pytest.fixture
+    def no_solve(self, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("solved a problem whose subspaces do not span")
+
+        monkeypatch.setattr(erasures, "minimize_max_group_norms", must_not_run)
+        monkeypatch.setattr(_GroupProblem, "mse_left_inverse", must_not_run)
+
+    @pytest.mark.parametrize("optimizer", [local_mse_optimal_system,
+                                           local_worst_case_optimal_system])
+    def test_local_optimizers_refuse_before_the_solve(self, no_solve, optimizer):
+        with pytest.raises(NotAFusionFrame, match="do not span the ambient space"):
+            optimizer(two_lines_in_r3())
+
+    @pytest.mark.parametrize("optimizer", [mse_optimal_dual, worst_case_optimal_dual])
+    def test_subspace_optimizers_check_spanning_before_dual_weights(self, no_solve,
+                                                                     optimizer):
+        with pytest.raises(NotAFusionFrame, match="do not span the ambient space"):
+            optimizer(two_lines_in_r3().ff, v=[math.nan, 1.0])
+
+    def test_local_error_vector_refuses_a_non_spanning_primal(self):
+        ws = two_lines_in_r3()
+        with pytest.raises(NotAFusionFrame):
+            local_error_vector(ws, ws, 1)
 
 
 class TestLocalErrorVector:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import fusionframes
+from fusionframes import erasures
 from fusionframes.cli import main
 from fusionframes.errors import InvalidSpec, ParseError
 from fusionframes.reproduce import fixture_path
@@ -292,6 +293,33 @@ class TestCli:
         assert main([command, fixture(name), "--p", p]) == expected
         if expected == 3:
             assert "non-unit vectors" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p", ["2", "inf"])
+    def test_local_optimal_non_spanning_exit_3(self, capsys, tmp_path, p):
+        path = tmp_path / "lines.json"
+        path.write_text(json.dumps({
+            "dimension": 3, "field": "real", "weights": [1.0, 1.0],
+            "subspaces": [{"spanning_vectors": [[1.0, 0.0, 0.0]]},
+                          {"spanning_vectors": [[0.0, 1.0, 0.0]]}],
+            "local_frames": [[[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]]]}))
+        assert main(["local-optimal", str(path), "--p", p]) == 3
+        assert capsys.readouterr().err == "error: subspaces do not span the ambient space\n"
+
+    @pytest.mark.parametrize("p", ["2", "inf"])
+    @pytest.mark.parametrize("command, groups", [("optimal", 2), ("local-optimal", 6)])
+    def test_r_out_of_range_exit_2_before_the_solve(self, capsys, monkeypatch,
+                                                    command, groups, p):
+        # example_6_3 has 2 blocks and 6 local vectors.
+        def solver_must_not_run(*args, **kwargs):
+            raise AssertionError("the solver ran before --r was checked")
+
+        monkeypatch.setattr(erasures, "minimize_max_group_norms", solver_must_not_run)
+        for r in (0, -1, groups + 1):
+            assert main([command, fixture("example_6_3.json"), "--p", p,
+                         "--r", str(r)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: --r must lie in 1..{groups}\n"
 
     def test_reproduce_all_ids(self, capsys):
         for example_id in ["6.2a", "6.2b", "6.3a", "6.3c", "6.3d", "6.4"]:

@@ -131,8 +131,10 @@ class TestSolver:
             coeffs = [1.0, 3.0]
         config = SolverConfig(max_iters=3, patience=1000, polish=False,
                               tol=1e-300)
-        with pytest.raises(NonConvergence):
+        with pytest.raises(NonConvergence) as info:
             minimize_max_group_norms(a0, proj, groups, coeffs, config)
+        assert info.value.result.converged is False
+        assert info.value.result.iterations == 3
 
     def test_polish_calls_the_module_level_minimize(self, rng, monkeypatch):
         # The polish reaches SLSQP only through minimax._scipy_minimize, the

@@ -11,6 +11,7 @@ from fusionframes.duality import canonical_dual, left_inverses_parametrization
 from fusionframes.errors import (
     InvalidSystem,
     LengthMismatch,
+    NotAFrame,
     NotLeftInverse,
     NotLocalDual,
     NotProjective,
@@ -81,6 +82,15 @@ class TestConstruction:
             FusionFrameSystem(ff, (Frame(np.array([[0.0, 1.0, 0.0]])),
                                    Frame(np.array([[1.0, 0.0, 0.0],
                                                    [0.0, 0.0, 1.0]]))))
+
+    def test_rejects_nan_local_vector(self):
+        # A NaN residual is not "within tolerance": the membership test
+        # refuses it before any rank decision runs an SVD on NaN.
+        ws = two_plane_system()
+        vecs = ws.local_frames[0].vectors.copy()
+        vecs[1, 1] = math.nan
+        with pytest.raises(InvalidSystem, match="outside its subspace"):
+            FusionFrameSystem(ws.ff, (Frame(vecs), ws.local_frames[1]))
 
 
 class TestCoupling:
@@ -317,7 +327,8 @@ class TestFromLeftInverseOfFrame:
     def test_rejects_bad_dual_weights_and_shape(self, rng):
         ws = random_system(rng, 4, 2)
         a = _frame_pinv(ws)
-        for v in ([1.0], [1.0, 1.0, 1.0], [1.0, 0.0], [-1.0, 1.0]):
+        for v in ([1.0], [1.0, 1.0, 1.0], [1.0, 0.0], [-1.0, 1.0], [np.nan, 1.0],
+                  [1.0, np.inf]):
             with pytest.raises(ValueError):
                 dual_system_from_left_inverse_of_frame(ws, a, v)
         with pytest.raises(ShapeMismatch):
@@ -354,6 +365,21 @@ class TestProjectiveBridge:
         assert frobenius_norm(total - np.eye(4)) <= 1e-10
         with pytest.raises(NotProjective):
             ProjectiveRS(tuple(duals))
+
+    def test_operator_and_canonical_dual_match_the_blockwise_formulas(self, rng):
+        t1, t2 = random_matrix(rng, 4, 2), random_matrix(rng, 4, 3)
+        s = t1 @ adjoint(t1) + t2 @ adjoint(t2)
+        np.testing.assert_allclose(canonical_dual_ops((t1, t2))[1], np.linalg.solve(s, t2),
+                                   atol=1e-12)
+        u = np.linalg.qr(random_matrix(rng, 4, 4))[0]
+        rs = ProjectiveRS((2.0 * u[:, :1], u[:, 1:]))
+        np.testing.assert_allclose(rs.operator(), u @ np.diag([4.0, 1, 1, 1]) @ adjoint(u),
+                                   atol=1e-12)
+
+    def test_canonical_dual_of_non_spanning_blocks_is_refused(self):
+        t = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(NotAFrame):
+            canonical_dual_ops((t, t))
 
     def test_bridge_components_agree_on_nondual(self, rng):
         u = np.linalg.qr(random_matrix(rng, 4, 4))[0]
