@@ -92,6 +92,203 @@ class TestParsing:
             load_spec(str(path))
 
 
+def _problem(complex_field: bool) -> dict:
+    """A small valid file with every list the reader checks: subspaces of
+    dimensions 1 and 2 in R^2 or C^2, local frames, and a dual section
+    with a Q grid.  Complex entries are [re, im] pairs."""
+    def entries(rows):
+        return [[[x, 0.0] for x in row] for row in rows] if complex_field else rows
+
+    spans = [[[1.0, 0.0]], [[0.0, 1.0], [1.0, 1.0]]]
+    data = {"field": "complex" if complex_field else "real", "dimension": 2,
+            "subspaces": [{"spanning_vectors": entries(rows)} for rows in spans],
+            "weights": [1.0, 2.0],
+            "local_frames": [entries(rows) for rows in spans],
+            "dual": {"subspaces": [{"spanning_vectors": entries(rows)} for rows in spans],
+                     "q_blocks": [[entries([[1.0]]), entries([[0.0, 0.0]])],
+                                  [entries([[0.0], [0.0]]),
+                                   entries([[1.0, 0.0], [0.0, 1.0]])]]}}
+    # The round trip gives every list its own copy, as a decoded file has.
+    return json.loads(json.dumps(data))
+
+
+def _setter(*path):
+    """A corruption that stores ``value`` at ``path`` in a decoded file."""
+    def corrupt(value):
+        def apply(data):
+            node = data
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        return apply
+    return corrupt
+
+
+_SPAN = _setter("subspaces", 1, "spanning_vectors", 1, 0)
+_LOCAL = _setter("local_frames", 1, 0, 1)
+_DUAL_SPAN = _setter("dual", "subspaces", 0, "spanning_vectors", 0, 0)
+_Q = _setter("dual", "q_blocks", 1, 1, 0, 1)
+_BIG = 10 ** 400
+
+# (id, field, corruption, exception class, message).  Each input has one
+# error, except the "first-of-two" cases, which pin which error is found
+# first.
+PARSE_ERRORS = [
+    ("real-bool", "real", _SPAN(True), ParseError,
+     "subspaces[1][1]: real entries must be plain numbers"),
+    ("real-string", "real", _SPAN("1"), ParseError,
+     "subspaces[1][1]: real entries must be plain numbers"),
+    ("real-pair", "real", _SPAN([1.0, 0.0]), ParseError,
+     "subspaces[1][1]: real entries must be plain numbers"),
+    ("real-nan", "real", _SPAN(math.nan), InvalidSpec, "subspaces[1]: entries must be finite"),
+    ("real-inf", "real", _SPAN(-math.inf), InvalidSpec, "subspaces[1]: entries must be finite"),
+    ("real-huge", "real", _SPAN(_BIG), InvalidSpec, "subspaces[1][1]: entries must be finite"),
+    ("real-local-bool", "real", _LOCAL(False), ParseError,
+     "local_frames[1][0]: real entries must be plain numbers"),
+    ("real-local-nan", "real", _LOCAL(math.nan), InvalidSpec,
+     "local_frames[1]: entries must be finite"),
+    ("real-local-huge", "real", _LOCAL(-_BIG), InvalidSpec,
+     "local_frames[1][0]: entries must be finite"),
+    ("real-dual-string", "real", _DUAL_SPAN("x"), ParseError,
+     "dual.subspaces[0][0]: real entries must be plain numbers"),
+    ("real-dual-inf", "real", _DUAL_SPAN(math.inf), InvalidSpec,
+     "dual.subspaces[0]: entries must be finite"),
+    ("real-q-bool", "real", _Q(True), ParseError,
+     "dual.q_blocks[1][1][0]: real entries must be plain numbers"),
+    ("real-q-nan", "real", _Q(math.nan), InvalidSpec,
+     "dual.q_blocks[1][1]: entries must be finite"),
+    ("real-q-huge", "real", _Q(_BIG), InvalidSpec,
+     "dual.q_blocks[1][1][0]: entries must be finite"),
+    ("complex-bool", "complex", _SPAN(True), ParseError,
+     "subspaces[1][1]: complex entries must be numbers or [re, im] pairs"),
+    ("complex-string", "complex", _SPAN("1"), ParseError,
+     "subspaces[1][1]: complex entries must be numbers or [re, im] pairs"),
+    ("complex-bool-in-pair", "complex", _SPAN([0.0, True]), ParseError,
+     "subspaces[1][1]: complex entries must be numbers or [re, im] pairs"),
+    ("complex-string-in-pair", "complex", _SPAN(["1", 0.0]), ParseError,
+     "subspaces[1][1]: complex entries must be numbers or [re, im] pairs"),
+    ("complex-nan", "complex", _SPAN(math.nan), InvalidSpec,
+     "subspaces[1]: entries must be finite"),
+    ("complex-nan-in-pair", "complex", _SPAN([0.0, math.nan]), InvalidSpec,
+     "subspaces[1]: entries must be finite"),
+    ("complex-inf-in-pair", "complex", _SPAN([math.inf, 0.0]), InvalidSpec,
+     "subspaces[1]: entries must be finite"),
+    ("complex-huge", "complex", _SPAN(_BIG), InvalidSpec,
+     "subspaces[1][1]: entries must be finite"),
+    ("complex-huge-in-pair", "complex", _SPAN([0.0, _BIG]), InvalidSpec,
+     "subspaces[1][1]: entries must be finite"),
+    ("complex-short-pair", "complex", _SPAN([1.0]), ParseError,
+     "subspaces[1][1]: complex entries must be numbers or [re, im] pairs"),
+    ("complex-long-pair", "complex", _SPAN([1.0, 2.0, 3.0]), ParseError,
+     "subspaces[1][1]: complex entries must be numbers or [re, im] pairs"),
+    ("complex-nested-pair", "complex", _SPAN([[1.0], 0.0]), ParseError,
+     "subspaces[1][1]: complex entries must be numbers or [re, im] pairs"),
+    ("complex-local-nan", "complex", _LOCAL([math.nan, 0.0]), InvalidSpec,
+     "local_frames[1]: entries must be finite"),
+    ("complex-q-pair", "complex", _Q([1.0]), ParseError,
+     "dual.q_blocks[1][1][0]: complex entries must be numbers or [re, im] pairs"),
+    ("complex-q-huge", "complex", _Q([_BIG, 0.0]), InvalidSpec,
+     "dual.q_blocks[1][1][0]: entries must be finite"),
+    ("short-row", "real", _setter("subspaces", 1, "spanning_vectors", 1)([1.0]),
+     ParseError, "subspaces[1][1]: expected a vector of length 2"),
+    ("long-row", "real", _setter("subspaces", 0, "spanning_vectors", 0)([1.0, 0.0, 0.0]),
+     ParseError, "subspaces[0][0]: expected a vector of length 2"),
+    ("number-row", "real", _setter("subspaces", 1, "spanning_vectors", 0)(1.0),
+     ParseError, "subspaces[1][0]: expected a vector of length 2"),
+    ("empty-rows", "real", _setter("subspaces", 1, "spanning_vectors")([]),
+     ParseError, "subspaces[1]: expected a non-empty list of vectors"),
+    ("number-rows", "complex", _setter("subspaces", 0, "spanning_vectors")(1.0),
+     ParseError, "subspaces[0]: expected a non-empty list of vectors"),
+    ("no-spanning-vectors", "real", _setter("subspaces", 1)({"vectors": [[1.0, 0.0]]}),
+     ParseError, "subspaces[1] must be an object with spanning_vectors"),
+    ("local-short-row", "complex", _setter("local_frames", 1, 1)([[1.0, 0.0]]),
+     ParseError, "local_frames[1][1]: expected a vector of length 2"),
+    ("local-empty", "real", _setter("local_frames", 0)([]),
+     ParseError, "local_frames[0]: expected a non-empty list of vectors"),
+    ("weight-bool", "real", _setter("weights", 0)(True), ParseError, "weights must be numbers"),
+    ("weight-string", "real", _setter("weights", 1)("2"), ParseError,
+     "weights must be numbers"),
+    ("weight-negative", "real", _setter("weights", 1)(-2.0), InvalidSpec,
+     "weights must be positive and finite"),
+    ("weight-zero", "complex", _setter("weights", 0)(0), InvalidSpec,
+     "weights must be positive and finite"),
+    ("weight-nan", "real", _setter("weights", 0)(math.nan), InvalidSpec,
+     "weights must be positive and finite"),
+    ("weight-huge", "real", _setter("weights", 0)(_BIG), InvalidSpec,
+     "weights must be positive and finite"),
+    ("dual-weight-inf", "real", _setter("dual", "weights")([1.0, math.inf]), InvalidSpec,
+     "dual.weights must be positive and finite"),
+    ("q-grid-number", "real", _setter("dual", "q_blocks")(5), ParseError,
+     "dual.q_blocks must be a grid of matrices"),
+    ("q-grid-row", "real", _setter("dual", "q_blocks", 1)(5), ParseError,
+     "dual.q_blocks must be a grid of matrices"),
+    ("q-block-number", "real", _setter("dual", "q_blocks", 0, 1)(5), ParseError,
+     "dual.q_blocks[0][1] must be a matrix"),
+    ("q-block-vector", "complex", _setter("dual", "q_blocks", 1, 0)([[0.0, 0.0], 0.0]),
+     ParseError, "dual.q_blocks[1][0] must be a matrix"),
+    ("q-block-ragged", "real", _setter("dual", "q_blocks", 1, 1, 1)([0.0]), ParseError,
+     "dual.q_blocks[1][1][1]: expected a vector of length 2"),
+    ("q-block-wrong-width", "real", _setter("dual", "q_blocks", 0, 1)([[0.0]]), InvalidSpec,
+     "dual.q_blocks do not match the frames: block (0,1) has shape (1, 1), expected (1, 2)"),
+    ("q-block-wrong-height", "complex",
+     _setter("dual", "q_blocks", 1, 0)([[[0.0, 0.0]]]), InvalidSpec,
+     "dual.q_blocks do not match the frames: block (1,0) has shape (1, 1), expected (2, 1)"),
+    ("q-block-empty", "real", _setter("dual", "q_blocks", 0, 0)([]), InvalidSpec,
+     "dual.q_blocks do not match the frames: block (0,0) has shape (0, 0), expected (1, 1)"),
+    ("q-grid-short", "real", _setter("dual", "q_blocks")([[[[1.0]], [[0.0, 0.0]]]]),
+     InvalidSpec, "dual.q_blocks do not match the frames: block grid has wrong number of rows"),
+    ("first-of-two-rows", "real",
+     lambda d: (_setter("subspaces", 1, "spanning_vectors", 0, 0)(math.nan)(d),
+                _setter("subspaces", 1, "spanning_vectors", 1, 1)("1")(d)),
+     ParseError, "subspaces[1][1]: real entries must be plain numbers"),
+    ("first-of-two-matrices", "real",
+     lambda d: (_SPAN(math.nan)(d), _setter("subspaces", 0, "spanning_vectors")(5)(d)),
+     ParseError, "subspaces[0]: expected a non-empty list of vectors"),
+    ("first-of-two-entries", "real",
+     lambda d: (_SPAN(True)(d), _setter("subspaces", 0)(7)(d)),
+     ParseError, "subspaces[0] must be an object with spanning_vectors"),
+    ("first-of-two-lists", "complex",
+     lambda d: (_Q(math.nan)(d), _LOCAL(True)(d)),
+     ParseError, "local_frames[1][0]: complex entries must be numbers or [re, im] pairs"),
+]
+
+
+def _read(data) -> None:
+    """Parse ``data`` and build every operator the file defines, as
+    ``verify-dual`` does."""
+    spec = parse_spec(data)
+    if spec.dual is not None and spec.dual.q_blocks is not None:
+        spec.dual_q(spec.fusion_frame(), spec.dual_fusion_frame())
+
+
+class TestParseErrors:
+    """The exact first error the reader reports for a malformed file."""
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_valid_problem_reads(self, complex_field):
+        _read(_problem(complex_field))
+
+    @pytest.mark.parametrize("field, corrupt, error, message",
+                             [case[1:] for case in PARSE_ERRORS],
+                             ids=[case[0] for case in PARSE_ERRORS])
+    def test_error_class_and_message(self, field, corrupt, error, message):
+        data = _problem(field == "complex")
+        corrupt(data)
+        with pytest.raises((ParseError, InvalidSpec)) as caught:
+            _read(data)
+        assert (type(caught.value), str(caught.value)) == (error, message)
+
+    @pytest.mark.parametrize("case", PARSE_ERRORS[::9], ids=[c[0] for c in PARSE_ERRORS[::9]])
+    def test_cli_exit_2_with_the_message(self, capsys, tmp_path, case):
+        _, field, corrupt, _, message = case
+        data = _problem(field == "complex")
+        corrupt(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["verify-dual", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestCli:
     def test_analyze_two_plane(self, capsys):
         code = main(["analyze", fixture("example_6_3.json")])
