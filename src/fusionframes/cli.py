@@ -11,7 +11,9 @@ Commands:
 Exit codes: 0 pass, 2 parse error or invalid input, 3 certification
 failure, 4 solver non-convergence.  FF_TOL overrides the default
 tolerance 1e-9; a ``--tol``, ``--solver-tol`` or FF_TOL that is not a
-finite number >= 0 exits 2.  Reports
+finite number >= 0 exits 2, and so does a ``--max-iters``,
+``--patience`` or ``--samples`` below 1 or a ``--step-scale`` that is not a
+finite number > 0.  Reports
 go to stdout; ``--json PATH`` additionally writes the machine-readable
 report, byte-identical for identical inputs and flags.
 """
@@ -19,6 +21,7 @@ report, byte-identical for identical inputs and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -61,6 +64,14 @@ def _tolerance(text: str, source: str) -> float:
     if not (math.isfinite(value) and value >= 0.0):
         raise InvalidSpec(f"{source} must be a finite number >= 0, got {text!r}")
     return value
+
+
+def _positive(value, source: str) -> None:
+    """Check a solver flag read from ``source``: finite and > 0, so an
+    integer flag is >= 1."""
+    if not 0 < value < math.inf:
+        rule = "an integer >= 1" if isinstance(value, int) else "a finite number > 0"
+        raise InvalidSpec(f"{source} must be {rule}, got {value!r}")
 
 
 def _emit(report: Report, json_path: str | None) -> int:
@@ -203,17 +214,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="classification and bounds")
     common(p)
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(handler="cmd_analyze")
 
     p = sub.add_parser("canonical-dual", help="canonical dual and residual")
     common(p)
     p.add_argument("--weights", type=float, nargs="+", default=None,
                    help="dual weights (default: primal weights)")
-    p.set_defaults(func=cmd_canonical_dual)
+    p.set_defaults(handler="cmd_canonical_dual")
 
     p = sub.add_parser("verify-dual", help="certify the dual section")
     common(p)
-    p.set_defaults(func=cmd_verify_dual)
+    p.set_defaults(handler="cmd_verify_dual")
 
     for name, text in (("optimal", "loss-optimal dual for subspace erasures"),
                        ("local-optimal",
@@ -223,19 +234,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p", choices=["2", "inf"], required=True)
         p.add_argument("--r", type=int, default=1)
         solver_flags(p)
-        p.set_defaults(func=cmd_optimal)
+        p.set_defaults(handler="cmd_optimal")
 
     p = sub.add_parser("reproduce", help="rerun a bundled worked example")
     p.add_argument("example_id", choices=list(EXAMPLE_IDS) + ["6.2", "6.3"])
     common(p, needs_file=False)
-    p.set_defaults(func=cmd_reproduce)
+    p.set_defaults(handler="cmd_reproduce")
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call, built at the first.  Parsing
+    reads no state from earlier calls: each call fills a new namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.tol is None:
             args.tol = _tolerance(os.environ.get("FF_TOL", "1e-9"), "FF_TOL")
@@ -243,7 +260,11 @@ def main(argv=None) -> int:
             args.tol = _tolerance(args.tol, "--tol")
         if "solver_tol" in args:
             args.solver_tol = _tolerance(args.solver_tol, "--solver-tol")
-        return args.func(args)
+            for flag in ("--max-iters", "--step-scale", "--patience", "--samples"):
+                _positive(getattr(args, flag[2:].replace("-", "_")), flag)
+        # The handler is looked up by name at each call, so a wrapper put on
+        # it after the parser was built still runs.
+        return globals()[args.handler](args)
     except (ParseError, InvalidSpec) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -29,7 +29,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Optional
 
 import numpy as np
@@ -86,6 +86,53 @@ def _read_matrix(raw, width: int, complex_field: bool, where: str) -> np.ndarray
     return mat
 
 
+def _read_matrices(raws: list, width: Optional[int], complex_field: bool) -> Optional[list]:
+    """Every matrix of ``raws`` read in one pass, or None.
+
+    Reads ``raws[k]`` as ``_read_matrix`` reads it at width ``width``, or
+    at the length of its first row when ``width`` is None, with one type
+    check over all entries, one conversion and one finiteness test; each
+    matrix is a view of the one converted array.  Returns None, without
+    raising, when the pass does not take some matrix: a bad one, or one
+    outside its fast case, such as complex rows that mix numbers and
+    pairs.  The caller then reads the list with ``_read_matrix``, one
+    matrix at a time, which raises the first error in file order.
+    """
+    if set(map(type, raws)) != {list} or not all(raws):
+        return None
+    rows = list(chain.from_iterable(raws))
+    if set(map(type, rows)) != {list}:
+        return None
+    counts = list(map(len, raws))
+    widths = [len(raw[0]) for raw in raws] if width is None else [width] * len(raws)
+    if not np.array_equal(np.fromiter(map(len, rows), int, len(rows)),
+                          np.repeat(widths, counts)):
+        return None
+    entries = list(chain.from_iterable(rows))
+    types = set(map(type, entries))
+    pairs = complex_field and types == {list}
+    if pairs:
+        if set(map(len, entries)) != {2}:
+            return None
+        entries = list(chain.from_iterable(entries))
+        types = set(map(type, entries))
+    if not types <= _NUMBER_TYPES:
+        return None
+    try:
+        flat = np.array(entries, dtype=float)
+    except OverflowError:
+        return None
+    if not np.isfinite(flat).all():
+        return None
+    if pairs:
+        flat = flat.view(complex)
+    elif complex_field:
+        flat = flat.astype(complex)
+    sizes = [n * w for n, w in zip(counts, widths)]
+    return [flat[end - size:end].reshape(n, w)
+            for end, size, n, w in zip(accumulate(sizes), sizes, counts, widths)]
+
+
 def _parse_weights(raw, where: str) -> list:
     if any(type(w) not in _NUMBER_TYPES for w in raw):
         raise ParseError(f"{where} must be numbers")
@@ -121,21 +168,26 @@ def _read_section(raw: dict, dim: int, complex_field: bool, where: str = "",
     primal = count is None
     subs = weights = local_frames = None
     if primal or "subspaces" in raw:
-        subs = []
-        for i, entry in enumerate(_entries(raw, "subspaces", count, "spanning set", where)):
-            if not isinstance(entry, dict) or "spanning_vectors" not in entry:
-                raise ParseError(
-                    f"{where}subspaces[{i}] must be an object with spanning_vectors")
-            subs.append(_read_matrix(entry["spanning_vectors"], dim, complex_field,
-                                     f"{where}subspaces[{i}]"))
+        entries = _entries(raw, "subspaces", count, "spanning set", where)
+        subs = _read_matrices([entry.get("spanning_vectors") if isinstance(entry, dict)
+                               else None for entry in entries], dim, complex_field)
+        if subs is None:
+            subs = []
+            for i, entry in enumerate(entries):
+                if not isinstance(entry, dict) or "spanning_vectors" not in entry:
+                    raise ParseError(
+                        f"{where}subspaces[{i}] must be an object with spanning_vectors")
+                subs.append(_read_matrix(entry["spanning_vectors"], dim, complex_field,
+                                         f"{where}subspaces[{i}]"))
         count = len(subs)
     if primal or "weights" in raw:
         weights = _parse_weights(_entries(raw, "weights", count, "positive number", where),
                                  f"{where}weights")
     if "local_frames" in raw:
-        local_frames = [
+        entries = _entries(raw, "local_frames", count, "frame", where)
+        local_frames = _read_matrices(entries, dim, complex_field) or [
             _read_matrix(entry, dim, complex_field, f"{where}local_frames[{i}]")
-            for i, entry in enumerate(_entries(raw, "local_frames", count, "frame", where))]
+            for i, entry in enumerate(entries)]
     return subs, weights, local_frames
 
 
@@ -143,17 +195,21 @@ def _read_q_blocks(grid, complex_field: bool) -> list:
     """The ``dual.q_blocks`` grid; an empty block reads as a 0 x 0 matrix."""
     if not isinstance(grid, list) or not all(isinstance(r, list) for r in grid):
         raise ParseError("dual.q_blocks must be a grid of matrices")
-    out = []
-    for j, row in enumerate(grid):
-        blocks = []
-        for i, blk in enumerate(row):
-            where = f"dual.q_blocks[{j}][{i}]"
-            if not isinstance(blk, list) or not all(isinstance(r, list) for r in blk):
-                raise ParseError(f"{where} must be a matrix")
-            blocks.append(_read_matrix(blk, len(blk[0]), complex_field, where) if blk
-                          else np.zeros((0, 0), dtype=complex if complex_field else float))
-        out.append(blocks)
-    return out
+    filled = [blk for row in grid for blk in row if type(blk) is not list or blk]
+    mats = _read_matrices(filled, None, complex_field)
+    if mats is None:
+        mats = []
+        for j, row in enumerate(grid):
+            for i, blk in enumerate(row):
+                where = f"dual.q_blocks[{j}][{i}]"
+                if not isinstance(blk, list) or not all(isinstance(r, list) for r in blk):
+                    raise ParseError(f"{where} must be a matrix")
+                if blk:
+                    mats.append(_read_matrix(blk, len(blk[0]), complex_field, where))
+    mats = iter(mats)
+    dtype = complex if complex_field else float
+    return [[next(mats) if blk else np.zeros((0, 0), dtype=dtype) for blk in row]
+            for row in grid]
 
 
 def _fusion_frame(subspaces, weights, tol: float, where: str) -> FusionFrame:
@@ -232,9 +288,10 @@ class InputSpec:
                  else [{"spanning_vectors": rows} for rows in self.subspaces],
                  "weights": self.weights, "local_frames": self.local_frames,
                  "q_blocks": self.q_blocks}
-        return {key: _jsonable(value) for key, value in lists.items() if value is not None}
+        return {key: value for key, value in lists.items() if value is not None}
 
     def to_json_dict(self) -> dict:
+        """The file as a dict, matrices as arrays, as ``dumps_spec`` writes it."""
         out = {"field": self.field_name, "dimension": self.dimension, **self._section_json()}
         if self.dual is not None:
             out["dual"] = self.dual._section_json()
@@ -277,7 +334,7 @@ def load_spec(path) -> InputSpec:
 
 
 def dumps_spec(spec: InputSpec) -> str:
-    return json.dumps(spec.to_json_dict(), indent=2, sort_keys=True)
+    return _dumps(spec.to_json_dict())
 
 
 def file_digest(path) -> str:
@@ -334,11 +391,11 @@ class Report:
         body = {
             "command": self.command,
             "input_digest": self.input_digest,
-            "payload": _jsonable(self.payload),
+            "payload": self.payload,
             "checks": [c.as_dict() for c in self.checks],
             "ok": self.ok,
         }
-        return json.dumps(body, indent=2, sort_keys=True)
+        return _dumps(body)
 
     def human(self) -> str:
         lines = [f"command: {self.command}", f"input: {self.input_digest[:16]}"]
@@ -351,28 +408,66 @@ class Report:
         return "\n".join(lines)
 
 
-def _jsonable(value):
+def _dumps(value, level: int = 0) -> str:
+    """``value`` as JSON text, indented by two spaces, with sorted keys;
+    ``level`` is its nesting depth inside the text being written.
+
+    The text is what ``json.dumps(..., indent=2, sort_keys=True)`` writes
+    for the JSON form of ``value``: dict keys become strings; tuples and
+    arrays become lists, a complex number an [re, im] pair; numpy scalars
+    become Python numbers; a float that is not finite becomes the string
+    of its repr ("nan", "inf", "-inf"), except inside a complex scalar,
+    which keeps JSON's NaN and Infinity; any other object becomes its
+    str().
+    """
+    if isinstance(value, np.ndarray):
+        return _write_array(value, level)
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+        items = sorted({str(k): v for k, v in value.items()}.items())
+        return _join([f"{json.dumps(k)}: {_dumps(v, level + 1)}" for k, v in items],
+                     level, "{}")
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return _join([_dumps(v, level + 1) for v in value], level)
     if isinstance(value, (np.floating, float)):
         v = float(value)
-        return v if math.isfinite(v) else repr(v)
+        return float.__repr__(v) if math.isfinite(v) else json.dumps(repr(v))
     if isinstance(value, (np.complexfloating, complex)):
-        return [float(np.real(value)), float(np.imag(value))]
+        return _join([json.dumps(float(np.real(value))), json.dumps(float(np.imag(value)))],
+                     level)
     # bool before int: bool is a subclass of int.
     if isinstance(value, (bool, np.bool_)):
-        return bool(value)
+        return "true" if value else "false"
     if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        if np.iscomplexobj(value):
-            value = np.stack((value.real, value.imag), -1)
-        return _jsonable(value.tolist())
-    if isinstance(value, str) or value is None:
-        return value
-    return str(value)
+        return int.__repr__(int(value))
+    if value is None:
+        return "null"
+    return json.dumps(value if isinstance(value, str) else str(value))
+
+
+def _write_array(a: np.ndarray, level: int) -> str:
+    """An array as nested lists; a finite float64 or complex128 array is
+    formatted in one pass, any other one through its ``tolist()``."""
+    if np.iscomplexobj(a):
+        a = np.stack((a.real, a.imag), -1)
+    if type(a) is not np.ndarray or a.dtype != np.float64 or not np.isfinite(a).all():
+        return _dumps(a.tolist(), level)
+    items = list(map(float.__repr__, a.ravel().tolist()))
+    for depth in range(a.ndim - 1, -1, -1):
+        n = a.shape[depth]
+        if n == 0:
+            items = ["[]"] * math.prod(a.shape[:depth])
+        else:
+            items = [_join(items[k:k + n], level + depth) for k in range(0, len(items), n)]
+    return items[0]
+
+
+def _join(items: list, level: int, brackets: str = "[]") -> str:
+    """A JSON list (or, with ``brackets`` "{}", object) of the written
+    ``items``, nested ``level`` deep."""
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (level + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * level + brackets[1]
 
 
 def _human_value(value) -> str:

@@ -224,14 +224,15 @@ class ProjectiveRS:
         if any(t.shape[0] != d for t in ops):
             raise ShapeMismatch("all blocks must map into the same ambient space")
         for i, t in enumerate(ops):
+            if not np.isfinite(t).all():
+                raise NotProjective(f"block {i} has entries that are not finite")
             w = spectral_norm(t)
             if w <= 0:
                 raise NotProjective(f"block {i} is zero")
-            gram = adjoint(t) @ t - (w * w) * np.eye(t.shape[1])
-            if frobenius_norm(gram) > self.tol * w * w:
+            deviation = frobenius_norm(adjoint(t) @ t - (w * w) * np.eye(t.shape[1]))
+            if not deviation <= self.tol * w * w:
                 raise NotProjective(
-                    f"block {i} is not a scaled isometry "
-                    f"(deviation {frobenius_norm(gram):.3e})")
+                    f"block {i} is not a scaled isometry (deviation {deviation:.3e})")
         object.__setattr__(self, "ops", ops)
 
     @property

@@ -8,9 +8,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import fusionframes
-from fusionframes import erasures
+from fusionframes import cli, erasures, specio
 from fusionframes.cli import main
 from fusionframes.errors import InvalidSpec, ParseError
 from fusionframes.reproduce import fixture_path
@@ -62,6 +64,28 @@ class TestParsing:
                         "subspaces": [{"spanning_vectors": [[entry, 0.0]]}],
                         "weights": [1.0]})
 
+    @given(st.data(), st.booleans(), st.booleans(), st.booleans())
+    def test_bulk_reader_matches_the_matrix_reader(self, data, complex_field, pairs,
+                                                   fixed_width):
+        # One pass over a list of matrices returns, bit for bit, what reading
+        # them one at a time returns.  Without pairs a complex matrix holds
+        # plain numbers; with a fixed width every matrix has the same one.
+        number = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.integers(-2**60, 2**60))
+        entry = st.lists(number, min_size=2, max_size=2) if complex_field and pairs else number
+        width = data.draw(st.integers(0, 3))
+        shapes = data.draw(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 3)),
+                                    min_size=1, max_size=4))
+        raws = [data.draw(st.lists(st.lists(entry, min_size=w, max_size=w), min_size=n,
+                                   max_size=n))
+                for n, w in ((n, width if fixed_width else w) for n, w in shapes)]
+        bulk = specio._read_matrices(raws, width if fixed_width else None, complex_field)
+        one_by_one = [specio._read_matrix(raw, len(raw[0]), complex_field, "m") for raw in raws]
+        assert len(bulk) == len(one_by_one)
+        for got, want in zip(bulk, one_by_one):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
     def test_rejects_bad_field(self):
         with pytest.raises(ParseError):
             parse_spec({"field": "quaternion", "dimension": 2,
@@ -90,6 +114,79 @@ class TestParsing:
         path.write_text("{not json")
         with pytest.raises(ParseError):
             load_spec(str(path))
+
+
+def _jsonable(value):
+    """The reference JSON form of a report value, converted one Python
+    object at a time; ``json.dumps(_jsonable(v), indent=2, sort_keys=True)``
+    is the text ``specio._dumps(v)`` must write."""
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, (np.floating, float)):
+        v = float(value)
+        return v if math.isfinite(v) else repr(v)
+    if isinstance(value, (np.complexfloating, complex)):
+        return [float(np.real(value)), float(np.imag(value))]
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (np.integer, int)):
+        return int(value)
+    if isinstance(value, np.ndarray):
+        if np.iscomplexobj(value):
+            value = np.stack((value.real, value.imag), -1)
+        return _jsonable(value.tolist())
+    if isinstance(value, str) or value is None:
+        return value
+    return str(value)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_ANY_FLOAT = st.floats()
+
+
+def _arrays(dtype, elements):
+    return hnp.arrays(dtype, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+                      elements=elements)
+
+
+_ARRAYS = st.one_of(
+    _arrays(np.float64, _FINITE), _arrays(np.float64, _ANY_FLOAT),
+    _arrays(np.complex128, st.complex_numbers(allow_nan=False, allow_infinity=False)),
+    _arrays(np.complex128, st.complex_numbers(allow_nan=True, allow_infinity=True)),
+    _arrays(np.float32, st.floats(width=32)), _arrays(np.int64, st.integers(-2**63, 2**63 - 1)),
+    _arrays(np.bool_, st.booleans()))
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), _ANY_FLOAT, st.complex_numbers(),
+    st.text(), st.builds(np.float64, _ANY_FLOAT), st.builds(np.float32, st.floats(width=32)),
+    st.builds(np.int64, st.integers(-2**63, 2**63 - 1)), st.builds(np.bool_, st.booleans()),
+    st.builds(np.complex128, st.complex_numbers()), st.just(frozenset({1})))
+_KEYS = st.one_of(st.text(max_size=4), st.integers(-3, 3), st.booleans(), _ANY_FLOAT, st.none())
+_VALUES = st.recursive(
+    st.one_of(_SCALARS, _ARRAYS),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
+                            st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=12)
+
+
+class TestJsonWriter:
+    @settings(max_examples=400)
+    @given(_VALUES)
+    def test_writes_the_reference_text(self, value):
+        assert specio._dumps(value) == json.dumps(_jsonable(value), indent=2, sort_keys=True)
+
+    def test_report_and_spec_text(self):
+        spec = load_spec(fixture("example_6_2.json"))
+        payload = {"bases": [s.basis for s in spec.fusion_frame().subspaces],
+                   "residual": {"value": np.float64(2e-16), "tol": 1e-9}, "dims": (1, 1)}
+        report = specio.Report("canonical-dual", "0" * 64, payload,
+                               [specio.Check.leq("duality residual", 2e-16, 1e-9)])
+        body = {"command": "canonical-dual", "input_digest": "0" * 64, "payload": payload,
+                "checks": [report.checks[0].as_dict()], "ok": True}
+        assert report.to_json() == json.dumps(_jsonable(body), indent=2, sort_keys=True)
+        assert dumps_spec(spec) == json.dumps(_jsonable(spec.to_json_dict()), indent=2,
+                                              sort_keys=True)
 
 
 def _problem(complex_field: bool) -> dict:
@@ -517,6 +614,72 @@ class TestCli:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"error: --r must lie in 1..{groups}\n"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--p", "2", "--r", "2", "--samples", "-4"], "--samples must be an integer >= 1, got -4"),
+        (["--p", "2", "--samples", "0"], "--samples must be an integer >= 1, got 0"),
+        (["--p", "inf", "--max-iters", "-3", "--no-polish"],
+         "--max-iters must be an integer >= 1, got -3"),
+        (["--p", "inf", "--max-iters", "0"], "--max-iters must be an integer >= 1, got 0"),
+        (["--p", "inf", "--patience", "0"], "--patience must be an integer >= 1, got 0"),
+        (["--p", "inf", "--patience", "-1"], "--patience must be an integer >= 1, got -1"),
+        (["--p", "inf", "--step-scale", "nan"], "--step-scale must be a finite number > 0, got nan"),
+        (["--p", "inf", "--step-scale", "inf"], "--step-scale must be a finite number > 0, got inf"),
+        (["--p", "inf", "--step-scale", "0"], "--step-scale must be a finite number > 0, got 0.0"),
+        (["--p", "inf", "--step-scale", "-0.1"],
+         "--step-scale must be a finite number > 0, got -0.1"),
+    ])
+    @pytest.mark.parametrize("command", ["optimal", "local-optimal"])
+    def test_bad_solver_flag_exit_2_before_the_solve(self, capsys, monkeypatch, command,
+                                                    flags, message):
+        def solver_must_not_run(*args, **kwargs):
+            raise AssertionError("the solver ran before its flags were checked")
+
+        monkeypatch.setattr(erasures, "minimize_max_group_norms", solver_must_not_run)
+        assert main([command, fixture("example_6_3.json"), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_smallest_solver_flags_are_accepted(self, capsys):
+        assert main(["optimal", fixture("example_6_3.json"), "--p", "2", "--r", "2",
+                     "--samples", "1"]) == 0
+        assert main(["optimal", fixture("example_6_2.json"), "--p", "inf", "--max-iters", "1",
+                     "--patience", "1", "--step-scale", "1e-300"]) == 0
+
+    def test_parser_is_built_once_and_keeps_no_state(self, capsys, monkeypatch, tmp_path):
+        builds = []
+
+        def counted_build():
+            builds.append(1)
+            return build_parser()
+
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", counted_build)
+        cli._parser.cache_clear()
+        try:
+            # example_6_3 has weights 1 and 2; --weights and --json of the
+            # first call must not carry over to the second.
+            report = tmp_path / "report.json"
+            assert main(["canonical-dual", fixture("example_6_3.json"), "--weights", "3", "4",
+                         "--json", str(report)]) == 0
+            assert json.loads(report.read_text())["payload"]["dual_weights"] == [3.0, 4.0]
+            report.unlink()
+            assert main(["canonical-dual", fixture("example_6_3.json")]) == 0
+            assert not report.exists()
+            out = capsys.readouterr().out.split("command: ")
+            assert "dual_weights: [3, 4]" in out[1]
+            assert "dual_weights: [1, 2]" in out[2]
+
+            assert main(["verify-dual", fixture("example_6_2.json"), "--tol", "1e-3"]) == 0
+            assert "<= 1.000e-03" in capsys.readouterr().out
+            monkeypatch.setenv("FF_TOL", "1e-5")
+            assert main(["verify-dual", fixture("example_6_2.json")]) == 0
+            out = capsys.readouterr().out
+            assert "<= 1.000e-05" in out and "1.000e-03" not in out
+            assert len(builds) == 1
+        finally:
+            cli._parser.cache_clear()
 
     def test_reproduce_all_ids(self, capsys):
         for example_id in ["6.2a", "6.2b", "6.3a", "6.3c", "6.3d", "6.4"]:

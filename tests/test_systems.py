@@ -348,6 +348,21 @@ class TestProjectiveBridge:
         with pytest.raises(NotProjective):
             ProjectiveRS((np.array([[1.0, 0.0], [0.0, 0.5]]),))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_block_rejected(self, bad):
+        with pytest.raises(NotProjective, match="^block 0 has entries that are not finite$"):
+            ProjectiveRS((np.array([[bad, 0.0], [0.0, 1.0]]),))
+        eye = np.eye(2)
+        with pytest.raises(NotProjective, match="^block 1 has entries that are not finite$"):
+            ProjectiveRS((eye, np.array([[1.0, 0.0], [0.0, bad]])))
+
+    def test_overflowing_gram_is_not_certified(self):
+        # (1e200 I)* (1e200 I) overflows, so the deviation is NaN: it cannot
+        # show that the block is a scaled isometry.
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NotProjective, match=r"deviation nan"):
+            ProjectiveRS((1e200 * np.eye(2),))
+
     def test_canonical_dual_of_orthonormal_blocks(self, rng):
         u = np.linalg.qr(random_matrix(rng, 4, 4))[0]
         rs = ProjectiveRS((u[:, :2], u[:, 2:]))
