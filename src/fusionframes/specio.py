@@ -195,6 +195,7 @@ def _read_q_blocks(grid, complex_field: bool) -> list:
     """The ``dual.q_blocks`` grid; an empty block reads as a 0 x 0 matrix."""
     if not isinstance(grid, list) or not all(isinstance(r, list) for r in grid):
         raise ParseError("dual.q_blocks must be a grid of matrices")
+    # An empty block is a 0 x 0 matrix; the pass reads every other one.
     filled = [blk for row in grid for blk in row if type(blk) is not list or blk]
     mats = _read_matrices(filled, None, complex_field)
     if mats is None:
