@@ -192,20 +192,6 @@ def left_inverses_parametrization(w: FusionFrame) -> AffineFamily:
     return _left_inverse_family(w.synthesis_matrix())
 
 
-def _subspace_from_block(block, tol: float = RANK_TOL) -> Subspace:
-    """Column space of an operator block, allowing the zero subspace.
-
-    Callers certify the block's residual first, so its entries are finite.
-    """
-    block = np.asarray(block)
-    if block.size:              # orthonormalize refuses a d x 0 block
-        try:
-            return orthonormalize(block, tol)
-        except ZeroSubspace:
-            pass
-    return Subspace.zero(block.shape[0], dtype=np.result_type(block, 1.0))
-
-
 def _checked_dual_weights(weights, v):
     """The dual weights ``v`` as an array (default: a copy of the primal
     ``weights``); ValueError unless ``v`` is one finite weight > 0 per block."""
@@ -217,9 +203,9 @@ def _checked_dual_weights(weights, v):
 
 def _checked_left_inverse(a, analysis, weights, v, tol: float, what: str):
     """Check a left inverse ``a`` of ``analysis`` and the dual weights ``v``
-    (see _checked_dual_weights); return both as arrays and the residual of
-    ``a @ analysis = I``.  Raises ShapeMismatch unless ``a`` is shaped like
-    adjoint(analysis), and NotLeftInverse if the residual exceeds tol."""
+    (see _checked_dual_weights); return both as arrays.  Raises
+    ShapeMismatch unless ``a`` is shaped like adjoint(analysis), and
+    NotLeftInverse if the residual of ``a @ analysis = I`` exceeds tol."""
     a = np.asarray(a, dtype=np.result_type(a, 1.0))
     n, d = analysis.shape
     if a.shape != (d, n):
@@ -229,7 +215,21 @@ def _checked_left_inverse(a, analysis, weights, v, tol: float, what: str):
     if not resid <= tol:
         raise NotLeftInverse(f"candidate is not a left inverse of {what} "
                              f"(residual {resid:.3e} > tol {tol:.1e})")
-    return a, v, resid
+    return a, v
+
+
+def _column_space_frame(a, slices, v) -> FusionFrame:
+    """The fusion frame, with weights ``v``, of the column spaces of the
+    column blocks ``a[:, sl]`` of a checked left inverse.  A block with no
+    columns, or a numerically zero one, spans the zero subspace."""
+    zero = Subspace.zero(a.shape[0], dtype=a.dtype)
+
+    def span(block):
+        try:
+            return orthonormalize(block) if block.size else zero
+        except ZeroSubspace:
+            return zero
+    return FusionFrame(tuple(span(a[:, sl]) for sl in slices), v)
 
 
 def dual_from_left_inverse(w: FusionFrame, a, v=None,
@@ -242,19 +242,15 @@ def dual_from_left_inverse(w: FusionFrame, a, v=None,
 
     Raises:
         NotLeftInverse: if ``a @ analysis != identity`` within ``tol``.
+        NotADual: if the reconstruction residual of the pair exceeds ``tol``.
     """
-    a, v, resid = _checked_left_inverse(a, w.analysis_matrix(), w.weights, v, tol,
-                                        "the analysis operator")
+    a, v = _checked_left_inverse(a, w.analysis_matrix(), w.weights, v, tol,
+                                 "the analysis operator")
     slices = w.block_slices()
-    dual_subs, q_blocks = [], []
-    for i, sl in enumerate(slices):
-        block = a[:, sl]
-        sub = _subspace_from_block(block)
-        dual_subs.append(sub)
-        q_blocks.append((adjoint(sub.basis) @ block) / v[i])
-    dual = FusionFrame(tuple(dual_subs), v)
-    q = BlockOp.block_diagonal(q_blocks)
-    return is_q_dual(w, dual, q, tol=max(tol, 10 * resid + 1e-12))
+    dual = _column_space_frame(a, slices, v)
+    q = BlockOp.block_diagonal([adjoint(sub.basis) @ a[:, sl] / vi
+                                for sub, sl, vi in zip(dual.subspaces, slices, v)])
+    return is_q_dual(w, dual, q, tol)
 
 
 def canonical_dual(w: FusionFrame, v=None, tol: float = DEFAULT_TOL) -> QDualPair:
@@ -279,12 +275,11 @@ def noncanonical_dual(w: FusionFrame, tol: float = DEFAULT_TOL) -> QDualPair:
     dual subspace at that index has strictly smaller dimension than the
     original, which is what separates it from the canonical duals.
     """
-    report = w.classify()
-    if not report.is_fusion_frame:
+    if not w.is_fusion_frame():
         raise NotAFusionFrame("subspaces do not span the ambient space")
     if any(s.dim == 0 for s in w.subspaces):
         raise TrivialSubspace("all subspaces must be nonzero")
-    if not report.is_overcomplete:
+    if w.total_dim == w.ambient_dim:
         raise NotOvercomplete("fusion frame is a Riesz fusion basis; "
                               "its component-preserving dual is unique")
     pivot, overlap = None, None

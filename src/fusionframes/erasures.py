@@ -427,8 +427,10 @@ def hierarchical_optimal(base: ErasureReport, max_r: int, samples: int = 10,
     to ``max_r`` and checks that none of ``samples`` randomly drawn
     competitor duals beats it by more than ``margin``.  Sampling is
     evidence, not proof; the certificate says which levels are
-    theorem-backed.
+    theorem-backed.  ValueError unless ``samples`` is at least 1.
     """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     rng = np.random.default_rng(seed)
     if base.optimal_system is None:
         problem = _GroupProblem.of_blocks(base.optimal_dual.primal)
@@ -452,7 +454,7 @@ def hierarchical_optimal(base: ErasureReport, max_r: int, samples: int = 10,
 
     lines = [f"hierarchy check up to r={max_r} with {samples} sampled competitors"]
     for r in sorted(own):
-        best_comp = min(t[r] for t in comp_tables) if comp_tables else math.inf
+        best_comp = min(t[r] for t in comp_tables)
         beaten = best_comp < own[r] - margin
         lines.append(
             f"r={r}: optimizer {own[r]:.12e}, best competitor {best_comp:.12e}"

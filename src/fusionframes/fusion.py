@@ -248,7 +248,7 @@ class FusionFrame:
         sub = self.subspaces[index]
         if unitary.shape != (sub.dim, sub.dim):
             raise ValueError("rotation must be square of the block dimension")
-        if frobenius_norm(adjoint(unitary) @ unitary - np.eye(sub.dim)) > 1e-10:
+        if not frobenius_norm(adjoint(unitary) @ unitary - np.eye(sub.dim)) <= 1e-10:
             raise ValueError("rotation must be unitary")
         subs = list(self.subspaces)
         subs[index] = Subspace(sub.basis @ unitary)

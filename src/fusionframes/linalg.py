@@ -63,14 +63,15 @@ def _canonical_phases(basis):
     Column-space invariant; makes orthonormalization deterministic so
     repeated runs print identical bases.
     """
-    basis = basis.copy()
-    for j in range(basis.shape[1]):
-        col = basis[:, j]
-        k = int(np.argmax(np.abs(col)))
-        pivot = col[k]
-        if pivot != 0:
-            basis[:, j] = col * (abs(pivot) / pivot)
-    return basis
+    # The copy comes before the temporaries: the erasure tables' BLAS calls
+    # depend on where later arrays land, and one benchmark op ran 25 % slower.
+    out = basis.copy()
+    pivots = basis[np.abs(basis).argmax(axis=0), np.arange(basis.shape[1])]
+    pivots[pivots == 0] = 1     # a zero column keeps its phase
+    # hypot, not np.abs: numpy's vector complex modulus can differ from the
+    # scalar one in the last place, and printed bases would change.
+    out *= np.hypot(pivots.real, pivots.imag) / pivots
+    return out
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,7 @@ class Subspace:
             raise ValueError("subspace basis must be a 2-d array")
         object.__setattr__(self, "basis", basis)
         gram = adjoint(basis) @ basis
-        if frobenius_norm(gram - np.eye(basis.shape[1])) > ORTHO_TOL:
+        if not frobenius_norm(gram - np.eye(basis.shape[1])) <= ORTHO_TOL:
             raise ValueError("subspace basis columns are not orthonormal")
 
     @property
@@ -149,11 +150,14 @@ def orthonormalize(spanning, tol: float = RANK_TOL) -> Subspace:
     singular values above ``tol * sigma_max`` are kept.
 
     Raises:
+        ValueError: if an entry is not finite.
         ZeroSubspace: if every singular value is at or below the cutoff.
     """
     mat = np.asarray(spanning, dtype=np.result_type(spanning, 1.0))
     if mat.ndim != 2 or mat.shape[1] < 1:
         raise ValueError("spanning set must be a d x k matrix with k >= 1")
+    if not np.isfinite(mat).all():
+        raise ValueError("spanning set has entries that are not finite")
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         raise ZeroSubspace("spanning set is numerically zero")

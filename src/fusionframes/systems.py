@@ -16,7 +16,7 @@ import numpy as np
 
 from . import frames as fr
 from .blockop import BlockOp
-from .duality import (DEFAULT_TOL, QDualPair, _checked_left_inverse, _subspace_from_block,
+from .duality import (DEFAULT_TOL, QDualPair, _checked_left_inverse, _column_space_frame,
                       is_q_dual)
 from .errors import (
     InvalidSystem,
@@ -34,7 +34,6 @@ from .linalg import (
     adjoint,
     frobenius_norm,
     matrix_rank,
-    orthonormalize,
     spectral_norm,
 )
 
@@ -166,8 +165,8 @@ def dual_system_from_left_inverse_of_fusion(
         raise NotLocalDual("local dual frames are required")
     if len(local_duals) != ws.ff.size:
         raise LengthMismatch("one local dual per subspace is required")
-    a, v, _ = _checked_left_inverse(a, ws.ff.analysis_matrix(), ws.ff.weights, v, tol,
-                                    "the analysis operator")
+    a, v = _checked_left_inverse(a, ws.ff.analysis_matrix(), ws.ff.weights, v, tol,
+                                 "the analysis operator")
     images = []
     for sub, primal, dual, sl in zip(ws.ff.subspaces, ws.local_frames, local_duals,
                                      ws.ff.block_slices()):
@@ -181,14 +180,11 @@ def _certified_system_from_left_inverse_of_frame(
         tol: float = DEFAULT_TOL) -> tuple[FusionFrameSystem, QDualPair]:
     """The system of dual_system_from_left_inverse_of_frame and the dual
     pair that certifies it."""
-    a, v, _ = _checked_left_inverse(a, fr.analysis(ws.global_frame(weighted=True)),
-                                    ws.ff.weights, v, tol, "the global frame analysis")
-    subs, new_locals = [], []
-    for i, sl in enumerate(ws.local_slices()):
-        block = a[:, sl]
-        subs.append(_subspace_from_block(block))
-        new_locals.append(Frame(block.T / v[i]))
-    system = FusionFrameSystem(FusionFrame(tuple(subs), v), tuple(new_locals))
+    a, v = _checked_left_inverse(a, fr.analysis(ws.global_frame(weighted=True)),
+                                 ws.ff.weights, v, tol, "the global frame analysis")
+    slices = ws.local_slices()
+    locals_ = tuple(Frame(a[:, sl].T / vi) for sl, vi in zip(slices, v))
+    system = FusionFrameSystem(_column_space_frame(a, slices, v), locals_)
     return system, is_dual_system(ws, system, tol)
 
 
@@ -255,9 +251,8 @@ class ProjectiveRS:
         block ranges, weights the spectral norms, local frames the scaled
         columns."""
         weights = self.weights_implied
-        subs = tuple(orthonormalize(t, tol) for t in self.ops)
         locals_ = tuple(Frame((t / w).T) for t, w in zip(self.ops, weights))
-        return FusionFrameSystem(FusionFrame(subs, np.array(weights)), locals_)
+        return FusionFrameSystem(FusionFrame.from_spanning_sets(self.ops, weights, tol), locals_)
 
 
 def _columns(ops) -> Frame:

@@ -19,6 +19,7 @@ from fusionframes.duality import (
 )
 from fusionframes.errors import (
     NotADual,
+    NotAFusionFrame,
     NotAlternateDual,
     NotBlockDiagonal,
     NotLeftInverse,
@@ -79,6 +80,24 @@ class TestCertification:
         zero = BlockOp.zeros(ff.dims, ff.dims)
         resid = q_dual_residual(ff, ff, zero)
         assert abs(resid - 2.0) < 1e-12  # ||I_4||_F
+
+    def test_certifies_at_the_callers_tol(self):
+        # Example 6.4's pseudoinverse is a left inverse to about 8.9e-16 and
+        # its dual reconstructs to about 1.07e-15: at 1e-15 the left
+        # inverse passes, so only the certificate itself can refuse.
+        ff = load_spec(str(fixture_path("example_6_4.json"))).fusion_frame()
+        assert canonical_dual(ff).residual > 1e-15
+        with pytest.raises(NotADual, match="exceeds tol 1.0e-15"):
+            canonical_dual(ff, tol=1e-15)
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_reconstruction_matrix_is_the_identity(self, rng, complex_field):
+        ff = random_overcomplete_fusion_frame(rng, 4, 3, complex_field)
+        pair = canonical_dual(ff)
+        for p in (pair, pair.swapped()):
+            recon = p.reconstruction_matrix()
+            assert recon.shape == (4, 4)
+            assert frobenius_norm(recon - np.eye(4)) <= 1e-9
 
 
 class TestClassifyQ:
@@ -263,6 +282,20 @@ class TestNoncanonicalDual:
             (Subspace(np.eye(2)), Subspace.zero(2)), [1.0, 1.0])
         with pytest.raises(TrivialSubspace):
             noncanonical_dual(ff)
+
+    def test_spanning_is_checked_before_trivial_subspaces(self):
+        line = Subspace(np.array([[1.0], [0.0]]))
+        with pytest.raises(NotAFusionFrame):
+            noncanonical_dual(FusionFrame((line, line, Subspace.zero(2)), [1.0, 1.0, 1.0]))
+
+    def test_needs_no_full_classification(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("classify() called")
+        monkeypatch.setattr(FusionFrame, "classify", refuse)
+        assert noncanonical_dual(two_plane_frame(1.0, 2.0)).residual <= 1e-9
+        with pytest.raises(NotOvercomplete):
+            noncanonical_dual(FusionFrame.from_spanning_sets(
+                [np.array([[1.0], [0.0]]), np.array([[1.0], [1.0]])], [1.0, 1.0]))
 
     def test_random_overcomplete_family(self, rng):
         for _ in range(10):

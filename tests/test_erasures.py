@@ -163,7 +163,7 @@ class TestErrorVector:
         for p in (2.0, math.inf):
             levels, levels_perm = (
                 hierarchical_optimal(replace(mse_optimal_dual(w), p=p), w.size,
-                                     samples=0).aggregate_by_r
+                                     samples=1).aggregate_by_r
                 for w in (ff, permuted))
             assert set(levels) == set(levels_perm) == set(range(1, ff.size + 1))
             for r, value in levels.items():
@@ -406,7 +406,7 @@ class TestLocalErrorVector:
         for p in (2.0, math.inf):
             levels, levels_perm = (
                 hierarchical_optimal(replace(rep, p=p), ws.total_local,
-                                     samples=0).aggregate_by_r
+                                     samples=1).aggregate_by_r
                 for rep in (report, report_perm))
             assert set(levels) == set(levels_perm) == set(range(1, ws.total_local + 1))
             for r, value in levels.items():
@@ -583,3 +583,20 @@ class TestHierarchical:
         base = mse_optimal_dual(ff)
         with pytest.raises(BadR):
             hierarchical_optimal(base, 5)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_no_certificate_without_samples(self, samples):
+        base = mse_optimal_dual(two_plane_frame(1.0, 2.0))
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            hierarchical_optimal(base, 2, samples=samples)
+
+    def test_complex_chain_draws_complex_left_inverses(self, rng):
+        ff = random_overcomplete_fusion_frame(rng, 3, 4, complex_field=True)
+        base = mse_optimal_dual(ff)
+        chained = hierarchical_optimal(base, 2, samples=5)
+        assert "with 5 sampled competitors" in chained.certificate
+        assert set(chained.aggregate_by_r) == {1, 2}
+        family = left_inverses_parametrization(ff)
+        competitor = erasures._random_competitor(family, np.random.default_rng(0))
+        assert np.iscomplexobj(competitor)
+        assert frobenius_norm(competitor @ ff.analysis_matrix() - np.eye(3)) <= 1e-9

@@ -40,6 +40,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             FusionFrame((Subspace(np.eye(2)), Subspace(np.eye(3))), [1.0, 1.0])
 
+    def test_rejects_non_finite_spanning_set(self):
+        with pytest.raises(ValueError, match="spanning set has entries that are not finite"):
+            FusionFrame.from_spanning_sets([np.eye(2), np.array([[1.0], [np.nan]])],
+                                           [1.0, 1.0])
+
 
 class TestOperators:
     def test_orthonormal_line_decomposition_is_unitary(self):
@@ -173,3 +178,7 @@ class TestBasisRotation:
         n0 = ff.subspaces[0].dim
         with pytest.raises(ValueError):
             ff.rotate_block_basis(0, np.ones((n0, n0)))
+
+    def test_rejects_nan_rotation(self):
+        with pytest.raises(ValueError, match="rotation must be unitary"):
+            two_plane_frame().rotate_block_basis(0, np.full((2, 2), np.nan))

@@ -470,6 +470,35 @@ class TestCli:
                      "--json", str(out_path)]) == 0
         assert json.loads(out_path.read_text())["payload"]["solver"]["polished"] is True
 
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_verify_dual_fusion_frame_mode(self, capsys, tmp_path, complex_field):
+        # The dual takes the primal's weights (1, 2) and subspaces, and
+        # Q = diag(0, I/4): block 2 spans the plane, so 2 * 2 * B_2 Q_22 B_2* = I.
+        data = _problem(complex_field)
+        _setter("dual", "q_blocks", 0, 0, 0, 0)(0.0)(data)
+        for k in (0, 1):
+            _setter("dual", "q_blocks", 1, 1, k, k)(0.25)(data)
+        path = tmp_path / "dual.json"
+        path.write_text(json.dumps(data))
+        out_path = tmp_path / "report.json"
+        assert main(["verify-dual", str(path), "--json", str(out_path)]) == 0
+        payload = json.loads(out_path.read_text())["payload"]
+        assert payload["mode"] == "fusion-frame"
+        assert payload["residual"]["value"] <= 1e-15
+        assert payload["q_classification"] == "block_diagonal"
+        capsys.readouterr()
+        _Q(0.01)(data)
+        path.write_text(json.dumps(data))
+        assert main(["verify-dual", str(path)]) == 3
+        assert "error: certification failed" in capsys.readouterr().err
+
+    def test_canonical_dual_below_the_achievable_residual_exits_3(self, capsys):
+        assert main(["canonical-dual", fixture("example_6_4.json"), "--tol", "1e-15"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: certification failed: reconstruction residual ")
+        assert captured.err.endswith(" exceeds tol 1.0e-15\n")
+
     def test_verify_dual_missing_section(self, capsys):
         code = main(["verify-dual", fixture("example_6_3.json")])
         assert code == 2

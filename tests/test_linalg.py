@@ -11,6 +11,7 @@ import pytest
 from fusionframes.errors import DimensionMismatch, NotContained, ZeroSubspace
 from fusionframes.linalg import (
     Subspace,
+    _canonical_phases,
     frobenius_norm,
     intersect,
     orth_complement_within,
@@ -67,6 +68,40 @@ class TestOrthonormalize:
         base = random_matrix(rng, 5, 2)
         mat = np.hstack([base, base @ rng.normal(size=(2, 2))])
         assert orthonormalize(mat).dim == 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_raise(self, bad):
+        with pytest.raises(ValueError, match="^spanning set has entries that are not finite$"):
+            orthonormalize(np.array([[1.0, 0.0], [bad, 1.0]]))
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_largest_entry_of_each_column_is_real_positive(self, rng, complex_field):
+        basis = orthonormalize(random_matrix(rng, 6, 4, complex_field)).basis
+        pivots = basis[np.argmax(np.abs(basis), axis=0), np.arange(4)]
+        assert np.all(pivots.real > 0)
+        assert np.all(np.abs(pivots.imag) <= 1e-15)
+
+    def test_a_line_basis_does_not_depend_on_the_input_phase(self, rng):
+        vec = random_matrix(rng, 5, 1, complex_field=True)
+        np.testing.assert_allclose(orthonormalize(vec * np.exp(2.1j)).basis,
+                                   orthonormalize(vec).basis, atol=1e-14)
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_phases_match_the_column_loop(self, rng, complex_field):
+        def loop(basis):
+            basis = basis.copy()
+            for j in range(basis.shape[1]):
+                col = basis[:, j]
+                pivot = col[int(np.argmax(np.abs(col)))]
+                if pivot != 0:
+                    basis[:, j] = col * (abs(pivot) / pivot)
+            return basis
+        basis = random_matrix(rng, 7, 5, complex_field)
+        basis[:, 2] = 0.0           # a zero column keeps its phase
+        # Real factors are exactly +-1; complex products may round
+        # differently in numpy's vector loops, by a few units in the last place.
+        tol = 8 * np.finfo(float).eps * np.abs(basis).max() if complex_field else 0.0
+        np.testing.assert_allclose(_canonical_phases(basis), loop(basis), rtol=0, atol=tol)
 
 
 class TestPinv:
@@ -131,6 +166,10 @@ class TestSubspace:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValueError):
             Subspace(np.array([[1.0], [1.0]]))
+
+    def test_rejects_nan_basis(self):
+        with pytest.raises(ValueError, match="not orthonormal"):
+            Subspace(np.array([[np.nan], [0.0]]))
 
 
 class TestIntersect:
