@@ -9,13 +9,13 @@ Commands:
     ff reproduce <id>                    rerun a bundled worked example
 
 Exit codes: 0 pass, 2 parse error or invalid input, 3 certification
-failure, 4 solver non-convergence.  FF_TOL overrides the default
-tolerance 1e-9; a ``--tol``, ``--solver-tol`` or FF_TOL that is not a
-finite number >= 0 exits 2, and so does a ``--max-iters``,
-``--patience`` or ``--samples`` below 1 or a ``--step-scale`` that is not a
-finite number > 0.  Reports
-go to stdout; ``--json PATH`` additionally writes the machine-readable
-report, byte-identical for identical inputs and flags.
+failure, 4 solver non-convergence.  A file that is not UTF-8 JSON exits
+2.  FF_TOL overrides the default tolerance 1e-9; a ``--tol``,
+``--solver-tol`` or FF_TOL that is not a finite number >= 0 exits 2, and
+so does a ``--max-iters``, ``--patience`` or ``--samples`` below 1 or a
+``--step-scale`` that is not a finite number > 0.  Reports go to stdout;
+``--json PATH`` additionally writes the machine-readable report,
+byte-identical for identical inputs and flags.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .erasures import (
 )
 from .minimax import SolverConfig
 from .reproduce import EXAMPLE_IDS, reproduce
-from .specio import Check, Report, file_digest, load_spec
+from .specio import Check, Report, load_spec
 from .systems import is_dual_system
 
 EXIT_OK = 0
@@ -88,7 +88,7 @@ def _emit(report: Report, json_path: str | None) -> int:
 def cmd_analyze(args) -> int:
     spec = load_spec(args.file)
     ff = spec.fusion_frame()
-    report = Report("analyze", file_digest(args.file))
+    report = Report("analyze", spec.digest)
     cls = ff.classify()
     report.payload["classification"] = cls.as_dict()
     report.payload["dims"] = list(ff.dims)
@@ -108,7 +108,7 @@ def cmd_canonical_dual(args) -> int:
     if v is not None and (v.size != ff.size or not np.all((v > 0) & np.isfinite(v))):
         raise InvalidSpec(f"--weights must be {ff.size} positive finite numbers, one each")
     pair = canonical_dual(ff, v, tol)
-    report = Report("canonical-dual", file_digest(args.file))
+    report = Report("canonical-dual", spec.digest)
     report.payload["residual"] = {"value": pair.residual, "tol": tol}
     report.payload["dual_dims"] = [s.dim for s in pair.dual.subspaces]
     report.payload["dual_weights"] = [float(w) for w in pair.dual.weights]
@@ -122,7 +122,7 @@ def cmd_verify_dual(args) -> int:
     tol = args.tol
     spec = load_spec(args.file)
     ff = spec.fusion_frame()
-    report = Report("verify-dual", file_digest(args.file))
+    report = Report("verify-dual", spec.digest)
     if spec.dual is None:
         raise InvalidSpec("verify-dual requires a dual section")
     if spec.dual.local_frames is not None and spec.local_frames is not None:
@@ -153,7 +153,7 @@ def cmd_optimal(args) -> int:
     groups = primal.size if args.command == "optimal" else primal.total_local
     if not 1 <= args.r <= groups:
         raise InvalidSpec(f"--r must lie in 1..{groups}")
-    report = Report(f"{args.command} p={args.p} r={args.r}", file_digest(args.file))
+    report = Report(f"{args.command} p={args.p} r={args.r}", spec.digest)
     if args.p == "2":
         result = mse(primal, tol=args.tol)
     else:

@@ -35,7 +35,6 @@ from .errors import (
     NotRiesz,
     ShapeMismatch,
     TrivialSubspace,
-    ZeroSubspace,
 )
 from .fusion import FusionFrame
 from .linalg import (
@@ -46,7 +45,7 @@ from .linalg import (
     intersect,
     matrix_rank,
     orth_complement_within,
-    orthonormalize,
+    orthonormalize_many,
     span_union,
     spectral_norm,
 )
@@ -222,14 +221,10 @@ def _column_space_frame(a, slices, v) -> FusionFrame:
     """The fusion frame, with weights ``v``, of the column spaces of the
     column blocks ``a[:, sl]`` of a checked left inverse.  A block with no
     columns, or a numerically zero one, spans the zero subspace."""
+    blocks = [a[:, sl] for sl in slices]
+    spans = iter(orthonormalize_many([b for b in blocks if b.size], allow_zero=True))
     zero = Subspace.zero(a.shape[0], dtype=a.dtype)
-
-    def span(block):
-        try:
-            return orthonormalize(block) if block.size else zero
-        except ZeroSubspace:
-            return zero
-    return FusionFrame(tuple(span(a[:, sl]) for sl in slices), v)
+    return FusionFrame(tuple(next(spans) if b.size else zero for b in blocks), v)
 
 
 def dual_from_left_inverse(w: FusionFrame, a, v=None,
@@ -311,7 +306,7 @@ def riesz_dual_containment_check(w: FusionFrame, pair: QDualPair,
                                  tol: float = DEFAULT_TOL) -> bool:
     """For a Riesz fusion basis, every block-diagonal dual must contain the
     canonical dual subspaces; verify that containment projector-wise."""
-    if not w.classify().is_riesz:
+    if not (w.is_fusion_frame() and w.total_dim == w.ambient_dim):
         raise NotRiesz("containment check applies to Riesz fusion bases only")
     kind = classify_q(pair.q, tol)
     if kind == QKind.GENERAL:

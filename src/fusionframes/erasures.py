@@ -12,13 +12,15 @@ c_k = w_i ||f_k|| for local vector f_k of block i, except that the local
 mean-square optimum charges exactly w_i, since unit norm is its
 hypothesis.  The problem gives the mean-square optimal left inverse and
 the worst-case one (via the minimax solver).  One engine reads every
-pattern error from the Gram matrix of the groups' reconstruction maps.
+pattern error from the Gram matrix of the groups' reconstruction maps,
+formed in kernel form from n x n products (see ``_GroupErasures``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import combinations, islice
 from typing import Optional, Sequence
 
@@ -155,6 +157,16 @@ class _GroupProblem:
                    "local", [(i, l) for i, size in enumerate(ws.local_sizes)
                              for l in range(size)])
 
+    @cached_property
+    def membership(self) -> np.ndarray:
+        """The n x m 0/1 matrix Pi whose column j marks the columns of group j."""
+        return _membership(self.groups, self.synth.shape[1])
+
+    @cached_property
+    def synth_gram_t(self) -> np.ndarray:
+        """The transpose of H = T* T, the n x n Gram matrix of the synthesis matrix."""
+        return self.synth.T @ self.synth.conj()
+
     @property
     def column_coeffs(self) -> np.ndarray:
         """The cost of each group repeated over its columns."""
@@ -178,7 +190,7 @@ class _GroupProblem:
         a0 = family.pinv_member
         result = minimize_max_group_norms(a0, family.kernel_projector, self.groups,
                                           self.coeffs, solver)
-        start_norms = _group_norms(a0, _membership(self.groups, a0.shape[1]), self.coeffs)
+        start_norms = _group_norms(a0, self.membership, self.coeffs)
         start_name, uniform_text = _START_WORDING[self.kind]
         lines = [
             f"worst-case objective: {result.phi:.12e} after {result.iterations} "
@@ -203,14 +215,18 @@ class _GroupErasures:
     matrix T; losing group j drops its map M_j = left[:, g_j] @
     adjoint(T)[g_j, :].  With the Gram matrix G_jk = Re <M_j, M_k>_F, a
     lost pattern S has error sqrt(1' G_SS 1), so every table and level
-    aggregate is read from G.
+    aggregate is read from G.  Since <M_j, M_k>_F sums (A* A)_ab H_ba over
+    a in g_j and b in g_k, G = Re(Pi' ((A* A) o H') Pi) for A = ``left``,
+    the Gram matrix H = T* T of T and the membership matrix Pi: no map is
+    formed, and A* A is the one product that depends on ``left``.
     """
 
     def __init__(self, problem: _GroupProblem, left):
-        right = adjoint(problem.synth)
-        maps = np.array([(left[:, g] @ right[g, :]).ravel() for g in problem.groups])
-        self.gram = np.real(maps.conj() @ maps.T)
+        member = problem.membership
+        self.gram = member.T @ np.real((adjoint(left) @ left) * problem.synth_gram_t) @ member
         self.problem = problem
+        self._trace = float(np.trace(self.gram))
+        self._sum = float(np.sum(self.gram))
 
     @property
     def size(self) -> int:
@@ -250,9 +266,9 @@ class _GroupErasures:
         groups in C(m-2, r-2), which gives a closed form in G.
         """
         if p == 2:
-            m, tr = self.size, float(np.trace(self.gram))
+            m, tr = self.size, self._trace
             pairs = math.comb(m - 2, r - 2) if r >= 2 else 0
-            total = math.comb(m - 1, r - 1) * tr + pairs * (float(np.sum(self.gram)) - tr)
+            total = math.comb(m - 1, r - 1) * tr + pairs * (self._sum - tr)
             return math.sqrt(max(total, 0.0))
         errs = (e for _, e in self._errors(r))
         if p == math.inf:
@@ -408,9 +424,9 @@ def local_worst_case_optimal_system(ws: FusionFrameSystem,
 
 # -- hierarchical verification --------------------------------------------------
 
-def _random_competitor(family: AffineFamily, rng):
-    """A random member of the family, scaled like its pseudoinverse member."""
-    scale = frobenius_norm(family.pinv_member)
+def _random_competitor(family: AffineFamily, scale: float, rng):
+    """A random member of the family; ``scale`` is the Frobenius norm of its
+    pseudoinverse member."""
     z = rng.normal(size=family.shape) * scale
     if np.iscomplexobj(family.pinv_member):
         z = z + 1j * rng.normal(size=family.shape) * scale
@@ -447,9 +463,10 @@ def hierarchical_optimal(base: ErasureReport, max_r: int, samples: int = 10,
     levels = [r for r in range(1, max_r + 1) if math.comb(total, r) <= MAX_PATTERNS]
     own = {r: engine.level(r, base.p) for r in levels}
     family = _left_inverse_family(engine.problem.synth)
+    scale = frobenius_norm(family.pinv_member)
     comp_tables = []
     for _ in range(samples):
-        comp = _GroupErasures(engine.problem, _random_competitor(family, rng))
+        comp = _GroupErasures(engine.problem, _random_competitor(family, scale, rng))
         comp_tables.append({r: comp.level(r, base.p) for r in levels})
 
     lines = [f"hierarchy check up to r={max_r} with {samples} sampled competitors"]

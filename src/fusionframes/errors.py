@@ -8,7 +8,12 @@ class FusionFrameError(Exception):
 # -- linear algebra -----------------------------------------------------------
 
 class ZeroSubspace(FusionFrameError):
-    """A spanning set was numerically rank zero."""
+    """A spanning set was numerically rank zero; ``index`` is its position
+    in a list of spanning sets, when it came from one."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class DimensionMismatch(FusionFrameError):

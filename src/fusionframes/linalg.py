@@ -61,17 +61,23 @@ def _canonical_phases(basis):
     """Rotate each column so its largest-magnitude entry is real positive.
 
     Column-space invariant; makes orthonormalization deterministic so
-    repeated runs print identical bases.
+    repeated runs print identical bases.  ``basis`` may be a stack of
+    matrices (..., d, k); each column of each matrix is rotated alone.
     """
-    # The copy comes before the temporaries: the erasure tables' BLAS calls
-    # depend on where later arrays land, and one benchmark op ran 25 % slower.
-    out = basis.copy()
-    pivots = basis[np.abs(basis).argmax(axis=0), np.arange(basis.shape[1])]
+    if basis.shape[-2] == 0:    # no rows: no pivots to rotate by
+        return basis.copy()
+    # The result is allocated before the temporaries: the erasure tables' BLAS
+    # calls depend on where later arrays land, and one benchmark op ran 25 %
+    # slower.  It is not the input's copy multiplied in place: numpy rounds an
+    # in-place product of one complex element differently from a longer one,
+    # and a 1 x 1 basis would depend on how many were stacked with it.
+    out = np.empty_like(basis)
+    rows = np.abs(basis).argmax(axis=-2)[..., None, :]
+    pivots = np.take_along_axis(basis, rows, axis=-2)
     pivots[pivots == 0] = 1     # a zero column keeps its phase
     # hypot, not np.abs: numpy's vector complex modulus can differ from the
     # scalar one in the last place, and printed bases would change.
-    out *= np.hypot(pivots.real, pivots.imag) / pivots
-    return out
+    return np.multiply(basis, np.hypot(pivots.real, pivots.imag) / pivots, out=out)
 
 
 @dataclass(frozen=True)
@@ -153,18 +159,62 @@ def orthonormalize(spanning, tol: float = RANK_TOL) -> Subspace:
         ValueError: if an entry is not finite.
         ZeroSubspace: if every singular value is at or below the cutoff.
     """
-    mat = np.asarray(spanning, dtype=np.result_type(spanning, 1.0))
-    if mat.ndim != 2 or mat.shape[1] < 1:
-        raise ValueError("spanning set must be a d x k matrix with k >= 1")
-    if not np.isfinite(mat).all():
-        raise ValueError("spanning set has entries that are not finite")
-    u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        raise ZeroSubspace("spanning set is numerically zero")
-    rank = int(np.sum(s > tol * s[0]))
-    if rank == 0:
-        raise ZeroSubspace("spanning set is numerically zero")
-    return Subspace(_canonical_phases(u[:, :rank]))
+    return orthonormalize_many([spanning], tol)[0]
+
+
+def orthonormalize_many(mats, tol: float = RANK_TOL, *, allow_zero: bool = False) -> list:
+    """The subspace spanned by the columns of each matrix in ``mats``, as
+    ``orthonormalize`` gives it.
+
+    Matrices of one shape and dtype share one stacked SVD and one stacked
+    orthonormality check.  With ``allow_zero``, a numerically zero
+    spanning set gives the zero subspace instead of an error.
+
+    Raises:
+        ValueError: at the first matrix that is not d x k with k >= 1, or
+            has an entry that is not finite.
+        ZeroSubspace: at the first numerically zero spanning set, when it
+            comes before any such matrix; its ``index`` is its position.
+    """
+    arrays, bad = [], None
+    for mat in mats:
+        mat = np.asarray(mat, dtype=np.result_type(mat, 1.0))
+        if mat.ndim != 2 or mat.shape[1] < 1:
+            bad = ValueError("spanning set must be a d x k matrix with k >= 1")
+        elif not np.isfinite(mat).all():
+            bad = ValueError("spanning set has entries that are not finite")
+        if bad is not None:
+            break
+        arrays.append(mat)
+    stacks = {}
+    for i, mat in enumerate(arrays):
+        stacks.setdefault((mat.shape, mat.dtype), []).append(i)
+    out = [None] * len(arrays)
+    for index in stacks.values():
+        u, s, _ = np.linalg.svd(np.stack([arrays[i] for i in index]), full_matrices=False)
+        ranks = (s > tol * s[:, :1]).sum(axis=1)
+        keep = np.arange(s.shape[1]) < ranks[:, None]
+        # Columns past each rank are zeroed, so one Gram matrix per stack
+        # checks exactly the columns that are kept.
+        u = np.where(keep[:, None, :], _canonical_phases(u), 0)
+        dev = np.swapaxes(u.conj(), -1, -2) @ u - keep[:, :, None] * np.eye(s.shape[1])
+        if not np.max((dev.conj() * dev).real.sum(axis=(1, 2))) <= ORTHO_TOL ** 2:
+            raise ValueError("subspace basis columns are not orthonormal")
+        for i, basis, rank in zip(index, u, ranks.tolist()):
+            out[i] = _trusted_subspace(basis[:, :rank].copy())
+    for i, sub in enumerate(out):
+        if sub.is_zero and not allow_zero:
+            raise ZeroSubspace("spanning set is numerically zero", index=i)
+    if bad is not None:
+        raise bad
+    return out
+
+
+def _trusted_subspace(basis) -> Subspace:
+    """A Subspace of a basis whose orthonormality has already been checked."""
+    sub = object.__new__(Subspace)
+    object.__setattr__(sub, "basis", basis)
+    return sub
 
 
 def span_union(u: Subspace, v: Subspace, tol: float = RANK_TOL) -> Subspace:

@@ -32,7 +32,7 @@ from .erasures import (
 from .fusion import FusionFrame
 from .linalg import Subspace, adjoint, frobenius_norm, orthonormalize
 from .minimax import SolverConfig
-from .specio import Check, Report, file_digest, load_spec
+from .specio import Check, Report, load_spec
 from .systems import (
     FusionFrameSystem,
     ProjectiveRS,
@@ -50,8 +50,8 @@ def fixture_path(name: str):
 
 
 def _load(name: str):
-    path = fixture_path(name)
-    return load_spec(str(path)), file_digest(str(path))
+    spec = load_spec(str(fixture_path(name)))
+    return spec, spec.digest
 
 
 def reproduce(example_id: str, tol: float = 1e-9,

@@ -26,9 +26,10 @@ identical inputs and flags produce byte-identical JSON.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain
 from typing import Optional
 
@@ -38,7 +39,7 @@ from .blockop import BlockOp
 from .errors import InvalidSpec, ParseError, ShapeMismatch, ZeroSubspace
 from .frames import Frame
 from .fusion import FusionFrame
-from .linalg import RANK_TOL, orthonormalize
+from .linalg import RANK_TOL, orthonormalize_many
 from .systems import FusionFrameSystem
 
 
@@ -220,12 +221,10 @@ def _fusion_frame(subspaces, weights, tol: float, where: str) -> FusionFrame:
         InvalidSpec: a spanning set is numerically zero; the message names
             it by its place in the input file.
     """
-    subs = []
-    for i, rows in enumerate(subspaces):
-        try:
-            subs.append(orthonormalize(np.asarray(rows).T, tol))
-        except ZeroSubspace as exc:
-            raise InvalidSpec(f"{where}[{i}]: {exc}") from exc
+    try:
+        subs = orthonormalize_many([np.asarray(rows).T for rows in subspaces], tol)
+    except ZeroSubspace as exc:
+        raise InvalidSpec(f"{where}[{exc.index}]: {exc}") from exc
     return FusionFrame(tuple(subs), np.asarray(weights, dtype=float))
 
 
@@ -237,7 +236,8 @@ class InputSpec:
     into a spec of its own with the same field and dimension.  In it,
     ``subspaces`` and ``weights`` are None where the file omits them (the
     weights then default to the primal's), and only it may set
-    ``q_blocks``, a row-major grid of matrices.
+    ``q_blocks``, a row-major grid of matrices.  ``digest`` is the sha256
+    of the file's bytes when ``load_spec`` read the spec from a file.
     """
 
     field_name: str
@@ -247,6 +247,7 @@ class InputSpec:
     local_frames: Optional[list] = None             # row matrices, one per subspace
     dual: Optional["InputSpec"] = None
     q_blocks: Optional[list] = None
+    digest: Optional[str] = field(default=None, repr=False, compare=False)
 
     # -- construction of domain objects ----------------------------------------
 
@@ -324,23 +325,29 @@ def parse_spec(data) -> InputSpec:
 
 
 def load_spec(path) -> InputSpec:
+    """The spec in the file at ``path``, which is read once: its bytes are
+    hashed into ``digest`` and decoded as UTF-8 JSON.
+
+    Raises:
+        ParseError: the file cannot be read, is not UTF-8 or is not JSON.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+        with open(path, "rb") as handle:
+            raw = handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    try:
+        # Decoded as open() in text mode decodes, universal newlines included.
+        data = json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-    return parse_spec(data)
+    return replace(parse_spec(data), digest=hashlib.sha256(raw).hexdigest())
 
 
 def dumps_spec(spec: InputSpec) -> str:
     return _dumps(spec.to_json_dict())
-
-
-def file_digest(path) -> str:
-    with open(path, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()
 
 
 # -- reports --------------------------------------------------------------------
@@ -452,13 +459,19 @@ def _write_array(a: np.ndarray, level: int) -> str:
         a = np.stack((a.real, a.imag), -1)
     if type(a) is not np.ndarray or a.dtype != np.float64 or not np.isfinite(a).all():
         return _dumps(a.tolist(), level)
-    items = list(map(float.__repr__, a.ravel().tolist()))
-    for depth in range(a.ndim - 1, -1, -1):
-        n = a.shape[depth]
+    return _nest(list(map(float.__repr__, a.ravel().tolist())), a.shape,
+                 lambda items, depth: _join(items, level + depth))
+
+
+def _nest(items: list, shape: tuple, join) -> str:
+    """The written entries ``items`` of an array of ``shape``, in C order,
+    as nested lists; ``join(entries, depth)`` writes one list."""
+    for depth in range(len(shape) - 1, -1, -1):
+        n = shape[depth]
         if n == 0:
-            items = ["[]"] * math.prod(a.shape[:depth])
+            items = [join([], depth)] * math.prod(shape[:depth])
         else:
-            items = [_join(items[k:k + n], level + depth) for k in range(0, len(items), n)]
+            items = [join(items[k:k + n], depth) for k in range(0, len(items), n)]
     return items[0]
 
 
@@ -473,6 +486,9 @@ def _join(items: list, level: int, brackets: str = "[]") -> str:
 
 def _human_value(value) -> str:
     if isinstance(value, np.ndarray):
+        if value.dtype.kind in "fc":
+            return _nest([f"{v:.6g}" for v in value.ravel().tolist()], value.shape,
+                         lambda items, depth: "[" + ", ".join(items) + "]")
         value = value.tolist()
     if isinstance(value, (float, complex)):
         return f"{value:.6g}"

@@ -324,6 +324,19 @@ class TestRieszContainment:
         with pytest.raises(NotRiesz):
             riesz_dual_containment_check(ff, pair)
 
+    def test_needs_no_full_classification(self, rng, monkeypatch):
+        ff = random_riesz_basis(rng, 4, 2)
+        pair = canonical_dual(ff)
+        overcomplete = random_overcomplete_fusion_frame(rng, 4, 3)
+        other = canonical_dual(overcomplete)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("classify() called")
+        monkeypatch.setattr(FusionFrame, "classify", refuse)
+        assert riesz_dual_containment_check(ff, pair, tol=1e-8)
+        with pytest.raises(NotRiesz):
+            riesz_dual_containment_check(overcomplete, other)
+
     def test_requires_block_diagonal(self, rng):
         ff = random_riesz_basis(rng, 4, 2)
         pair = canonical_dual(ff)

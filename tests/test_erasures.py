@@ -14,9 +14,11 @@ import pytest
 from scipy.optimize import brentq
 
 from fusionframes import erasures
-from fusionframes.duality import canonical_dual, dual_from_left_inverse, left_inverses_parametrization
+from fusionframes.duality import (_left_inverse_family, canonical_dual, dual_from_left_inverse,
+                                  left_inverses_parametrization)
 from fusionframes.errors import BadR, LengthMismatch, NotAFusionFrame, NotUnitNorm, NullVector
 from fusionframes.erasures import (
+    _GroupErasures,
     _GroupProblem,
     error_vector,
     hierarchical_optimal,
@@ -28,7 +30,7 @@ from fusionframes.erasures import (
 )
 from fusionframes.frames import Frame, frame_operator
 from fusionframes.fusion import FusionFrame
-from fusionframes.linalg import frobenius_norm
+from fusionframes.linalg import Subspace, frobenius_norm
 from fusionframes.minimax import SolverConfig
 from fusionframes import frames as fr
 from fusionframes.systems import (
@@ -597,6 +599,93 @@ class TestHierarchical:
         assert "with 5 sampled competitors" in chained.certificate
         assert set(chained.aggregate_by_r) == {1, 2}
         family = left_inverses_parametrization(ff)
-        competitor = erasures._random_competitor(family, np.random.default_rng(0))
+        competitor = erasures._random_competitor(family, frobenius_norm(family.pinv_member),
+                                                 np.random.default_rng(0))
         assert np.iscomplexobj(competitor)
         assert frobenius_norm(competitor @ ff.analysis_matrix() - np.eye(3)) <= 1e-9
+
+
+def maps_gram(problem, left):
+    """The Gram matrix Re <M_j, M_k>_F of the group maps, each map
+    M_j = left[:, g_j] T*[g_j, :] formed explicitly."""
+    right = problem.synth.conj().T
+    maps = [left[:, g] @ right[g, :] for g in problem.groups]
+    return np.array([[np.vdot(mj, mk).real for mk in maps] for mj in maps])
+
+
+def scaled_problem(rng, kind, complex_field, scale):
+    """A random subspace or local-vector problem with every weight times ``scale``."""
+    if kind == "blocks":
+        ff = random_fusion_frame(rng, 4, 3, complex_field)
+        return _GroupProblem.of_blocks(FusionFrame(ff.subspaces, ff.weights * scale))
+    ws = random_system(rng, 4, 3, complex_field)
+    return _GroupProblem.of_local_vectors(FusionFrameSystem(
+        FusionFrame(ws.ff.subspaces, ws.ff.weights * scale), ws.local_frames))
+
+
+class TestKernelGram:
+    """The engine's Gram matrix against the explicit group maps."""
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("kind", ["blocks", "local"])
+    def test_matches_the_group_maps(self, rng, kind, complex_field, scale):
+        problem = scaled_problem(rng, kind, complex_field, scale)
+        family = _left_inverse_family(problem.synth)
+        competitor = family.member(rng.normal(size=family.shape) / scale)
+        for left in (problem.mse_left_inverse(), family.pinv_member, competitor):
+            ref = maps_gram(problem, left)
+            gram = _GroupErasures(problem, left).gram
+            assert gram.shape == (len(problem.groups),) * 2
+            assert np.abs(gram - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_a_zero_subspace_gives_a_zero_row(self, rng):
+        ff = random_fusion_frame(rng, 3, 2)
+        problem = _GroupProblem.of_blocks(FusionFrame(
+            ff.subspaces + (Subspace.zero(3),), np.append(ff.weights, 1.5)))
+        gram = _GroupErasures(problem, problem.mse_left_inverse()).gram
+        assert not gram[2].any() and not gram[:, 2].any()
+        ref = maps_gram(problem, problem.mse_left_inverse())
+        assert np.abs(gram - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_problem_builds_its_kernel_once(self, rng):
+        problem = _GroupProblem.of_blocks(random_fusion_frame(rng, 3, 3))
+        assert problem.synth_gram_t is problem.synth_gram_t
+        assert problem.membership is problem.membership
+
+
+def _certificate_levels(certificate):
+    """{r: best competitor value} read from a hierarchy certificate."""
+    out = {}
+    for line in certificate.splitlines():
+        if line.startswith("r=") and "best competitor" in line:
+            r = int(line[2:line.index(":")])
+            out[r] = float(line.split("best competitor ")[1].split()[0])
+    return out
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_hierarchy_competitors_match_a_per_competitor_loop(rng, complex_field):
+    """Each competitor drawn in turn, scaled by the Frobenius norm of the
+    pseudoinverse member, with every pattern error from explicit maps."""
+    ff = random_overcomplete_fusion_frame(rng, 3, 4, complex_field)
+    chained = hierarchical_optimal(mse_optimal_dual(ff), 3, samples=6, seed=7)
+    draws = np.random.default_rng(7)
+    family = left_inverses_parametrization(ff)
+    right = ff.synthesis_matrix().conj().T
+    best = {r: math.inf for r in (1, 2, 3)}
+    for _ in range(6):
+        scale = frobenius_norm(family.pinv_member)
+        z = draws.normal(size=family.shape) * scale
+        if complex_field:
+            z = z + 1j * draws.normal(size=family.shape) * scale
+        a = family.member(z)
+        maps = [a[:, sl] @ right[sl, :] for sl in ff.block_slices()]
+        for r in best:
+            level = math.sqrt(sum(frobenius_norm(sum(maps[j] for j in lost)) ** 2
+                                  for lost in combinations(range(ff.size), r)))
+            best[r] = min(best[r], level)
+    printed = _certificate_levels(chained.certificate)
+    assert printed.keys() == best.keys()
+    for r in best:
+        assert abs(printed[r] - best[r]) <= 1e-11 * best[r]

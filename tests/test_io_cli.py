@@ -1,5 +1,7 @@
 """Input parsing, report serialization, and the command-line front end."""
 
+import builtins
+import hashlib
 import json
 import math
 import os
@@ -115,6 +117,47 @@ class TestParsing:
         with pytest.raises(ParseError):
             load_spec(str(path))
 
+    @pytest.mark.parametrize("command", ["analyze", "canonical-dual", "verify-dual"])
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path, command):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"field": "real", "dimension": 1, "label": "caf\xe9"}')
+        with pytest.raises(ParseError, match="is not UTF-8 text"):
+            load_spec(str(path))
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path} is not UTF-8 text: ")
+
+    def test_reads_the_file_once_and_hashes_its_bytes(self, capsys, monkeypatch):
+        path = fixture("example_6_3.json")
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        spec = load_spec(path)
+        assert opened.count(path) == 1
+        with real_open(path, "rb") as handle:
+            assert spec.digest == hashlib.sha256(handle.read()).hexdigest()
+        opened.clear()
+        assert main(["analyze", path]) == 0
+        assert opened.count(path) == 1
+        assert f"input: {spec.digest[:16]}" in capsys.readouterr().out
+
+    def test_crlf_file_reads_like_lf(self, tmp_path):
+        with open(fixture("example_6_2.json"), "rb") as handle:
+            text = handle.read()
+        path = tmp_path / "crlf.json"
+        path.write_bytes(text.replace(b"\n", b"\r\n"))
+        assert dumps_spec(load_spec(str(path))) == dumps_spec(load_spec(fixture("example_6_2.json")))
+        path.write_bytes(b"{\r\n  \"field\": \r\n}")
+        with pytest.raises(json.JSONDecodeError) as text_mode:
+            with open(path, encoding="utf-8") as handle:
+                json.load(handle)
+        with pytest.raises(ParseError) as caught:
+            load_spec(str(path))
+        assert str(caught.value) == f"{path} is not valid JSON: {text_mode.value}"
+
 
 def _jsonable(value):
     """The reference JSON form of a report value, converted one Python
@@ -187,6 +230,31 @@ class TestJsonWriter:
         assert report.to_json() == json.dumps(_jsonable(body), indent=2, sort_keys=True)
         assert dumps_spec(spec) == json.dumps(_jsonable(spec.to_json_dict()), indent=2,
                                               sort_keys=True)
+
+
+def _human_reference(value) -> str:
+    """The human text of a report value, written one Python object at a time."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (float, complex)):
+        return f"{value:.6g}"
+    if isinstance(value, dict):
+        return ", ".join(f"{k}={_human_reference(v)}" for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_human_reference(v) for v in value) + "]"
+    return str(value)
+
+
+class TestHumanReport:
+    @settings(max_examples=400)
+    @given(_VALUES)
+    def test_writes_the_reference_text(self, value):
+        assert specio._human_value(value) == _human_reference(value)
+
+    def test_dual_bases(self):
+        bases = [s.basis for s in load_spec(fixture("example_6_3.json")).fusion_frame().subspaces]
+        bases.append(np.zeros((3, 0)))
+        assert specio._human_value(bases) == _human_reference(bases)
 
 
 def _problem(complex_field: bool) -> dict:

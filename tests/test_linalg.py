@@ -16,6 +16,7 @@ from fusionframes.linalg import (
     intersect,
     orth_complement_within,
     orthonormalize,
+    orthonormalize_many,
     pinv,
     span_union,
     spectral_norm,
@@ -103,6 +104,52 @@ class TestOrthonormalize:
         tol = 8 * np.finfo(float).eps * np.abs(basis).max() if complex_field else 0.0
         np.testing.assert_allclose(_canonical_phases(basis), loop(basis), rtol=0, atol=tol)
 
+
+
+class TestOrthonormalizeMany:
+    def test_bit_identical_to_one_at_a_time(self, rng):
+        shapes = [(1, 1), (3, 2), (1, 1), (4, 1), (3, 2), (5, 3), (1, 1), (4, 1), (2, 3)]
+        mats = [random_matrix(rng, d, k, complex_field) for d, k in shapes
+                for complex_field in (False, True)]
+        mats[3][:, 1] = mats[3][:, 0]           # rank deficient, stacked with full rank
+        many = orthonormalize_many(mats)
+        assert len(many) == len(mats)
+        for mat, sub in zip(mats, many):
+            one = orthonormalize(mat).basis
+            assert (sub.basis.dtype, sub.basis.shape) == (one.dtype, one.shape)
+            assert sub.basis.tobytes() == one.tobytes()     # signed zeros included
+            assert sub.basis.flags.c_contiguous
+
+    def test_reports_the_index_of_the_first_zero_set(self):
+        mats = [np.eye(3)[:, :2], np.zeros((3, 2)), np.eye(3)[:, :2], np.zeros((3, 1))]
+        with pytest.raises(ZeroSubspace, match="^spanning set is numerically zero$") as caught:
+            orthonormalize_many(mats)
+        assert caught.value.index == 1
+
+    def test_allow_zero_gives_the_zero_subspace(self):
+        subs = orthonormalize_many([np.zeros((3, 2), dtype=complex), np.eye(3)[:, :1]],
+                                   allow_zero=True)
+        assert subs[0].is_zero and subs[0].ambient_dim == 3
+        assert subs[0].basis.dtype == complex
+        assert subs[1].dim == 1
+
+    def test_errors_come_in_list_order(self):
+        nan = np.array([[np.nan], [1.0]])
+        with pytest.raises(ZeroSubspace) as caught:
+            orthonormalize_many([np.eye(2), np.zeros((2, 1)), nan])
+        assert caught.value.index == 1
+        with pytest.raises(ValueError, match="not finite"):
+            orthonormalize_many([np.eye(2), nan, np.zeros((2, 1))])
+        with pytest.raises(ValueError, match="d x k matrix"):
+            orthonormalize_many([np.zeros((2, 0))])
+
+    def test_empty_list(self):
+        assert orthonormalize_many([]) == []
+
+    def test_no_rows_spans_nothing(self):
+        with pytest.raises(ZeroSubspace):
+            orthonormalize(np.zeros((0, 2)))
+        assert orthonormalize_many([np.zeros((0, 2))], allow_zero=True)[0].is_zero
 
 class TestPinv:
     def test_identity(self):
