@@ -12,10 +12,11 @@ Exit codes: 0 pass, 2 parse error or invalid input, 3 certification
 failure, 4 solver non-convergence.  A file that is not UTF-8 JSON exits
 2.  FF_TOL overrides the default tolerance 1e-9; a ``--tol``,
 ``--solver-tol`` or FF_TOL that is not a finite number >= 0 exits 2, and
-so does a ``--max-iters``, ``--patience`` or ``--samples`` below 1 or a
-``--step-scale`` that is not a finite number > 0.  Reports go to stdout;
-``--json PATH`` additionally writes the machine-readable report,
-byte-identical for identical inputs and flags.
+so does a ``--max-iters``, ``--patience`` or ``--samples`` below 1, a
+``--step-scale`` that is not a finite number > 0, and at ``--p inf`` an
+``--r`` with a level of more than MAX_PATTERNS erasure patterns.
+Reports go to stdout; ``--json PATH`` additionally writes the
+machine-readable report, byte-identical for identical inputs and flags.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .errors import (
     ParseError,
 )
 from .erasures import (
+    _check_enumerable,
     hierarchical_optimal,
     local_mse_optimal_system,
     local_worst_case_optimal_system,
@@ -153,6 +155,8 @@ def cmd_optimal(args) -> int:
     groups = primal.size if args.command == "optimal" else primal.total_local
     if not 1 <= args.r <= groups:
         raise InvalidSpec(f"--r must lie in 1..{groups}")
+    if args.p == "inf":
+        _check_enumerable(groups, range(1, args.r + 1), InvalidSpec)
     report = Report(f"{args.command} p={args.p} r={args.r}", spec.digest)
     if args.p == "2":
         result = mse(primal, tol=args.tol)
@@ -210,7 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-polish", action="store_true",
                        help="skip the smooth polish after subgradient descent")
         p.add_argument("--samples", type=int, default=10,
-                       help="competitors per level for hierarchy checks")
+                       help="sampled competitors of the --p inf hierarchy check "
+                            "(no effect at --p 2, which compares with the "
+                            "mean-square optimum)")
 
     p = sub.add_parser("analyze", help="classification and bounds")
     common(p)

@@ -34,7 +34,8 @@ from .duality import (
     _left_inverse_family,
     dual_from_left_inverse,
 )
-from .errors import BadR, LengthMismatch, NotAFusionFrame, NotUnitNorm, NullVector
+from .errors import (BadR, LengthMismatch, NotADual, NotAFusionFrame, NotUnitNorm,
+                     NullVector)
 from .frames import synthesis
 from .fusion import FusionFrame
 from .linalg import adjoint, frobenius_norm, matrix_rank
@@ -48,6 +49,17 @@ MAX_PATTERNS = 1_000_000
 #: Patterns gathered from the Gram matrix at once; bounds the memory of
 #: an enumeration.
 _CHUNK = 512
+
+
+def _check_enumerable(m: int, levels, error=BadR) -> None:
+    """Raise ``error`` at the first level r in ``levels`` whose patterns of
+    r lost groups out of ``m`` exceed MAX_PATTERNS: the one cap on exact
+    enumeration, for tables, the sampled hierarchy and the CLI."""
+    for r in levels:
+        count = math.comb(m, r)
+        if count > MAX_PATTERNS:
+            raise error(f"{count} patterns of size {r} exceed the exact enumeration cap "
+                        f"({MAX_PATTERNS}); lower r or the number of blocks")
 
 
 @dataclass(frozen=True)
@@ -247,11 +259,7 @@ class _GroupErasures:
         m = self.size
         if not 1 <= r <= m:
             raise BadR(f"r must lie in 1..{m}")
-        count = math.comb(m, r)
-        if count > MAX_PATTERNS:
-            raise BadR(
-                f"{count} patterns of size {r} exceed the exact enumeration cap "
-                f"({MAX_PATTERNS}); lower r or the number of blocks")
+        _check_enumerable(m, (r,))
         kind, labels = self.problem.kind, self.problem.labels
         out = []
         for lost, errs in self._errors(r):
@@ -433,56 +441,100 @@ def _random_competitor(family: AffineFamily, scale: float, rng):
     return family.member(z)
 
 
+def _identity_line(engine: _GroupErasures, residual: float) -> str:
+    """Check 1'G1 = d, the identity behind the p = 2 theorem; NotADual if
+    it fails.
+
+    The group maps sum to A T* and ||A T* - I||_F is the pair's recorded
+    ``residual``, so |1'G1 - d| = |2 Re tr(A T* - I) + ||A T* - I||^2| is at
+    most residual (2 sqrt(d) + residual).  1'G1 sums terms (A*A)_ab H_ba
+    whose moduli add up to at most n tr G (Cauchy-Schwarz over the n
+    columns), which bounds its rounding.
+    """
+    d, n = engine.problem.synth.shape
+    gap = abs(engine._sum - d)
+    bound = residual * (2.0 * math.sqrt(d) + residual) + 1e-12 * n * engine._trace
+    if not gap <= bound:
+        raise NotADual(f"group maps do not sum to the identity: |1'G1 - d| = {gap:.3e} "
+                       f"exceeds {bound:.3e}", residual=residual)
+    return f"identity 1'G1 = d holds: |1'G1 - d| = {gap:.3e} (bound {bound:.3e})"
+
+
 def hierarchical_optimal(base: ErasureReport, max_r: int, samples: int = 10,
                          seed: int = 0, margin: float = 1e-9) -> ErasureReport:
     """Verify that the level-1 optimizer stays optimal level by level.
 
-    For the mean-square case (and the worst case under its uniformity
-    condition) the level-1 optimizer is unique, so the whole hierarchy is
-    constant; this recomputes the optimizer's aggregate at each level up
-    to ``max_r`` and checks that none of ``samples`` randomly drawn
-    competitor duals beats it by more than ``margin``.  Sampling is
-    evidence, not proof; the certificate says which levels are
-    theorem-backed.  ValueError unless ``samples`` is at least 1.
+    Stage r of the hierarchy minimizes the level-r aggregate over the duals
+    optimal at every lower level.  The report's aggregates at every level
+    r = 1..max_r are compared with rivals, and BadR is raised if a rival
+    beats the optimizer by more than ``margin`` at some level.
+
+    At p = 2 the hierarchy is a theorem.  The group maps of every left
+    inverse sum to A T* = I_d, so 1'G1 = d and the level-r sum of squares
+    is C(m-2, r-1) tr G + C(m-2, r-2) d, increasing in the level-1
+    objective tr G: the unique mean-square optimum is optimal at every
+    level.  The one rival is that optimum (charging local vectors exactly
+    w_i, as ``local_mse_optimal_system`` does, so a local report needs
+    unit-norm local frames), and 1'G1 = d is checked against the bound the
+    pair's residual allows (NotADual if it fails).  The check is
+    deterministic, needs no enumeration, and ``samples`` and ``seed`` have
+    no effect.
+
+    At any other p the rivals are ``samples`` random members of the affine
+    family drawn with ``seed``: evidence, not proof.  Every level up to
+    ``max_r`` is enumerated, so BadR is raised if one has more than
+    MAX_PATTERNS patterns.  ValueError unless ``samples`` is at least 1.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    rng = np.random.default_rng(seed)
+    theorem = base.p == 2
     if base.optimal_system is None:
         problem = _GroupProblem.of_blocks(base.optimal_dual.primal)
     elif base.primal_system is None:
         raise BadR("local hierarchy verification needs the primal system "
                    "recorded in the report")
     else:
-        problem = _GroupProblem.of_local_vectors(base.primal_system)
-    engine = _erasures(problem, base.optimal_dual, base.optimal_system)
-    total = engine.size
+        problem = _GroupProblem.of_local_vectors(base.primal_system, unit_norm=theorem)
+    total = len(problem.groups)
     if not 1 <= max_r <= total:
         raise BadR(f"max_r must lie in 1..{total}")
+    levels = range(1, max_r + 1)
+    if not theorem:
+        _check_enumerable(total, levels)
 
-    levels = [r for r in range(1, max_r + 1) if math.comb(total, r) <= MAX_PATTERNS]
+    engine = _erasures(problem, base.optimal_dual, base.optimal_system)
     own = {r: engine.level(r, base.p) for r in levels}
-    family = _left_inverse_family(engine.problem.synth)
-    scale = frobenius_norm(family.pinv_member)
-    comp_tables = []
-    for _ in range(samples):
-        comp = _GroupErasures(engine.problem, _random_competitor(family, scale, rng))
-        comp_tables.append({r: comp.level(r, base.p) for r in levels})
-
-    lines = [f"hierarchy check up to r={max_r} with {samples} sampled competitors"]
-    for r in sorted(own):
-        best_comp = min(t[r] for t in comp_tables)
-        beaten = best_comp < own[r] - margin
-        lines.append(
-            f"r={r}: optimizer {own[r]:.12e}, best competitor {best_comp:.12e}"
-            + ("  ** BEATEN **" if beaten else ""))
-        if beaten:
-            raise BadR(
-                f"sampled competitor beat the optimizer at level {r}; "
-                "hierarchy verification failed")
-    lines.append("chain constant: the level-1 optimizer attains every "
-                 "level aggregate above (sampled evidence; level-1 "
-                 "uniqueness is theorem-backed where the base certificate "
-                 "says so)")
+    if theorem:
+        rivals = [_GroupErasures(problem, problem.mse_left_inverse())]
+        rival_name = "mean-square optimum"
+        lines = [f"hierarchy check up to r={max_r} against the mean-square optimum",
+                 _identity_line(engine, base.optimal_dual.residual)]
+        closing = ("chain constant: with 1'G1 = d the level-r sum of squares is "
+                   "C(m-2,r-1) tr G + C(m-2,r-2) d, increasing in the level-1 "
+                   "objective tr G, so the mean-square optimum attains the optimal "
+                   "aggregate at every level (theorem-backed)")
+    else:
+        rng = np.random.default_rng(seed)
+        family = _left_inverse_family(problem.synth)
+        scale = frobenius_norm(family.pinv_member)
+        # One engine at a time, so memory does not grow with ``samples``.
+        rivals = (_GroupErasures(problem, _random_competitor(family, scale, rng))
+                  for _ in range(samples))
+        rival_name = "best competitor"
+        lines = [f"hierarchy check up to r={max_r} with {samples} sampled competitors"]
+        closing = ("chain constant: the level-1 optimizer attains every "
+                   "level aggregate above (sampled evidence; level-1 "
+                   "uniqueness is theorem-backed where the base certificate "
+                   "says so)")
+    best = dict.fromkeys(levels, math.inf)
+    for rival in rivals:
+        for r in levels:
+            best[r] = min(best[r], rival.level(r, base.p))
+    for r in levels:
+        if own[r] > best[r] + margin:
+            raise BadR(f"the {rival_name} beat the optimizer at level {r}; "
+                       "hierarchy verification failed")
+        lines.append(f"r={r}: optimizer {own[r]:.12e}, {rival_name} {best[r]:.12e}")
+    lines.append(closing)
     return replace(base, aggregate_by_r=own,
                    certificate=base.certificate + "\n" + "\n".join(lines))

@@ -11,12 +11,14 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from fusionframes import erasures
 from fusionframes.duality import (_left_inverse_family, canonical_dual, dual_from_left_inverse,
-                                  left_inverses_parametrization)
-from fusionframes.errors import BadR, LengthMismatch, NotAFusionFrame, NotUnitNorm, NullVector
+                                  left_inverses_parametrization, q_dual_residual)
+from fusionframes.errors import (BadR, LengthMismatch, NotADual, NotAFusionFrame, NotUnitNorm,
+                                 NullVector)
 from fusionframes.erasures import (
     _GroupErasures,
     _GroupProblem,
@@ -45,6 +47,7 @@ from conftest import (
     random_parseval_uniform_equidim,
     random_riesz_basis,
     random_system,
+    random_unitary,
 )
 from test_fusion import two_plane_frame
 from test_systems import two_plane_system
@@ -592,9 +595,90 @@ class TestHierarchical:
         with pytest.raises(ValueError, match="samples must be at least 1"):
             hierarchical_optimal(base, 2, samples=samples)
 
-    def test_complex_chain_draws_complex_left_inverses(self, rng):
-        ff = random_overcomplete_fusion_frame(rng, 3, 4, complex_field=True)
+    def test_p2_canonical_dual_is_beaten_by_the_mse_optimum(self):
+        # Example 6.3 with w = (1, 2): the canonical dual's level-1 aggregate
+        # is 1.6371, the optimum's 1.5811.  Ten sampled competitors missed it.
+        ff = two_plane_frame(1.0, 2.0)
+        base = replace(mse_optimal_dual(ff), optimal_dual=canonical_dual(ff))
+        with pytest.raises(BadR, match="the mean-square optimum beat the optimizer at level 1"):
+            hierarchical_optimal(base, 2)
+
+    def test_p2_certificate_is_theorem_backed(self):
+        chained = hierarchical_optimal(mse_optimal_dual(two_plane_frame(1.0, 2.0)), 2)
+        assert "theorem-backed" in chained.certificate
+        assert "identity 1'G1 = d holds" in chained.certificate
+        assert "sampled" not in chained.certificate.split("hierarchy check")[1]
+
+    def test_p2_builds_two_engines_and_draws_nothing(self, rng, monkeypatch):
+        base = mse_optimal_dual(random_overcomplete_fusion_frame(rng, 4, 5))
+        built = []
+
+        class CountedErasures(_GroupErasures):
+            def __init__(self, problem, left):
+                built.append(left)
+                super().__init__(problem, left)
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the p = 2 check sampled competitors")
+
+        monkeypatch.setattr(erasures, "_GroupErasures", CountedErasures)
+        monkeypatch.setattr(erasures, "_left_inverse_family", must_not_run)
+        monkeypatch.setattr(np.random, "default_rng", must_not_run)
+        few = hierarchical_optimal(base, 5, samples=1, seed=0)
+        many = hierarchical_optimal(base, 5, samples=50, seed=3)
+        assert len(built) == 4
+        assert few.certificate == many.certificate
+        assert few.aggregate_by_r == many.aggregate_by_r
+
+    def test_p2_checks_that_the_maps_sum_to_the_identity(self):
+        base = mse_optimal_dual(two_plane_frame(1.0, 2.0))
+        pair = base.optimal_dual
+        # A T* = (1 + 1e-8) I: 1'G1 misses d = 3 by 6e-8, but the recorded
+        # residual is the optimum's, about 1e-16.
+        off = replace(pair, dual=FusionFrame(pair.dual.subspaces,
+                                             (1.0 + 1e-8) * pair.dual.weights))
+        with pytest.raises(NotADual, match="group maps do not sum to the identity"):
+            hierarchical_optimal(replace(base, optimal_dual=off), 2)
+        # With its true residual the identity holds (the bound is tight here),
+        # and the comparison with the optimum catches the scaled dual instead.
+        honest = replace(off, residual=q_dual_residual(off.primal, off.dual, off.q))
+        with pytest.raises(BadR, match="level 1"):
+            hierarchical_optimal(replace(base, optimal_dual=honest), 2)
+
+    def test_p2_local_hierarchy_needs_unit_norm_local_frames(self, rng):
+        ws = random_system(rng, 3, 2)
+        base = replace(local_worst_case_optimal_system(ws), p=2.0)
+        with pytest.raises(NotUnitNorm):
+            hierarchical_optimal(base, 2)
+
+    def test_p2_lists_every_level_beyond_the_enumeration_cap(self, rng):
+        # 24 lines in R^3: C(24, 9) = 1307504 patterns exceed the cap, but
+        # the p = 2 levels need no enumeration.
+        ff = random_fusion_frame(rng, 3, 24, max_dim=1)
         base = mse_optimal_dual(ff)
+        assert set(base.aggregate_by_r) == set(range(1, 9))
+        chained = hierarchical_optimal(base, 12)
+        assert set(chained.aggregate_by_r) == set(range(1, 13))
+        assert "r=12: optimizer" in chained.certificate
+        for r, value in base.aggregate_by_r.items():
+            assert abs(chained.aggregate_by_r[r] - value) <= 1e-12 * value
+
+    def test_p_inf_refuses_levels_beyond_the_enumeration_cap(self, rng, monkeypatch):
+        ff = random_fusion_frame(rng, 3, 24, max_dim=1)
+        base = replace(mse_optimal_dual(ff), p=math.inf)
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("an engine was built before the cap was checked")
+
+        monkeypatch.setattr(erasures, "_GroupErasures", must_not_run)
+        with pytest.raises(BadR, match=r"1307504 patterns of size 9 exceed the exact "
+                                       r"enumeration cap \(1000000\)"):
+            hierarchical_optimal(base, 12)
+
+    def test_complex_chain_draws_complex_left_inverses(self, rng):
+        # The sampler runs at p = inf only; p = 2 compares with the MSE optimum.
+        ff = random_overcomplete_fusion_frame(rng, 3, 4, complex_field=True)
+        base = replace(mse_optimal_dual(ff), p=math.inf)
         chained = hierarchical_optimal(base, 2, samples=5)
         assert "with 5 sampled competitors" in chained.certificate
         assert set(chained.aggregate_by_r) == {1, 2}
@@ -667,9 +751,11 @@ def _certificate_levels(certificate):
 @pytest.mark.parametrize("complex_field", [False, True])
 def test_hierarchy_competitors_match_a_per_competitor_loop(rng, complex_field):
     """Each competitor drawn in turn, scaled by the Frobenius norm of the
-    pseudoinverse member, with every pattern error from explicit maps."""
+    pseudoinverse member, with every pattern error from explicit maps; the
+    sampler runs at p = inf, so a level is the largest pattern error."""
     ff = random_overcomplete_fusion_frame(rng, 3, 4, complex_field)
-    chained = hierarchical_optimal(mse_optimal_dual(ff), 3, samples=6, seed=7)
+    chained = hierarchical_optimal(replace(mse_optimal_dual(ff), p=math.inf), 3,
+                                   samples=6, seed=7)
     draws = np.random.default_rng(7)
     family = left_inverses_parametrization(ff)
     right = ff.synthesis_matrix().conj().T
@@ -682,10 +768,125 @@ def test_hierarchy_competitors_match_a_per_competitor_loop(rng, complex_field):
         a = family.member(z)
         maps = [a[:, sl] @ right[sl, :] for sl in ff.block_slices()]
         for r in best:
-            level = math.sqrt(sum(frobenius_norm(sum(maps[j] for j in lost)) ** 2
-                                  for lost in combinations(range(ff.size), r)))
+            level = max(frobenius_norm(sum(maps[j] for j in lost))
+                        for lost in combinations(range(ff.size), r))
             best[r] = min(best[r], level)
     printed = _certificate_levels(chained.certificate)
     assert printed.keys() == best.keys()
     for r in best:
         assert abs(printed[r] - best[r]) <= 1e-11 * best[r]
+
+
+def level_rounding(problem, trace, r):
+    """A bound on the rounding of a level-r sum of squares read from G.
+
+    tr G and 1'G1 are exact up to rounding of order eps n tr G (n columns),
+    and the sum carries them C(m-1, r-1) and C(m-2, r-2) times.  A member
+    with a large tr G reads sqrt(d) at r = m only to that accuracy.
+    """
+    n, m = problem.synth.shape[1], len(problem.groups)
+    return 2 * math.comb(m - 1, r - 1) * 1e-12 * n * trace
+
+
+def random_problem(seed, kind, complex_field):
+    """A random subspace problem, or a local problem with unit-norm charges."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 5))
+    if kind == "blocks":
+        return rng, _GroupProblem.of_blocks(
+            random_fusion_frame(rng, d, int(rng.integers(2, 6)), complex_field))
+    ws = random_system(rng, d, int(rng.integers(2, 4)), complex_field, unit_norm=True)
+    return rng, _GroupProblem.of_local_vectors(ws, unit_norm=True)
+
+
+def random_members(rng, problem, count):
+    """``count`` random members of the affine family, at scales from near the
+    pseudoinverse member to far from it."""
+    family = _left_inverse_family(problem.synth)
+    for scale in np.geomspace(1e-3, 10.0, count):
+        z = rng.normal(size=family.shape)
+        if np.iscomplexobj(problem.synth):
+            z = z + 1j * rng.normal(size=family.shape)
+        yield family.member(scale * frobenius_norm(family.pinv_member) * z)
+
+
+class TestP2Theorem:
+    """For every left inverse the group maps sum to A T* = I_d, so 1'G1 = d
+    and the level-r sum of squares is C(m-2, r-1) tr G + C(m-2, r-2) d:
+    increasing in tr G, so the MSE optimum is optimal at every level."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["blocks", "local"]),
+           complex_field=st.booleans())
+    @settings(max_examples=30)
+    def test_level_is_the_closed_form_in_tr_g_and_d(self, seed, kind, complex_field):
+        rng, problem = random_problem(seed, kind, complex_field)
+        d, m = problem.synth.shape[0], len(problem.groups)
+        for left in (problem.mse_left_inverse(), *random_members(rng, problem, 2)):
+            engine = _GroupErasures(problem, left)
+            trace = float(np.trace(maps_gram(problem, left)))
+            for r in range(1, m + 1):
+                closed = (math.comb(m - 2, r - 1) * trace
+                          + (math.comb(m - 2, r - 2) * d if r >= 2 else 0.0))
+                enumerated = math.fsum(e * e for _, e in engine.table(r))
+                tol = 1e-12 * closed + level_rounding(problem, trace, r)
+                assert abs(enumerated - closed) <= tol
+                assert abs(engine.level(r, 2) ** 2 - closed) <= tol
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["blocks", "local"]),
+           complex_field=st.booleans())
+    @settings(max_examples=30)
+    def test_no_member_beats_the_mse_optimum_at_any_level(self, seed, kind, complex_field):
+        rng, problem = random_problem(seed, kind, complex_field)
+        m = len(problem.groups)
+        optimum = _GroupErasures(problem, problem.mse_left_inverse())
+        for left in random_members(rng, problem, 5):
+            # Only rounding separates a member equal to the optimum (a Riesz
+            # basis has one left inverse), or any member at r = m.
+            member = _GroupErasures(problem, left)
+            trace = np.trace(member.gram)
+            for r in range(1, m + 1):
+                assert (member.level(r, 2) ** 2
+                        >= optimum.level(r, 2) ** 2 - level_rounding(problem, trace, r))
+
+
+def moved_frame(ff, u, scale):
+    """``ff`` with every subspace mapped by the unitary ``u`` and every
+    weight multiplied by ``scale``."""
+    return FusionFrame(tuple(Subspace(u @ s.basis) for s in ff.subspaces), scale * ff.weights)
+
+
+def moved_system(ws, u, scale):
+    """``ws`` with its subspaces and local vectors mapped by ``u`` and its
+    weights multiplied by ``scale``."""
+    return FusionFrameSystem(moved_frame(ws.ff, u, scale),
+                             tuple(Frame(f.vectors @ u.T) for f in ws.local_frames))
+
+
+class TestP2Invariance:
+    """The p = 2 level aggregates and the hierarchy do not depend on a common
+    weight scale, a unitary change of ambient coordinates or the embedding
+    of a real problem in the complex field."""
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("change", ["orthogonal", "unitary", "embedding"])
+    @pytest.mark.parametrize("kind", ["blocks", "local"])
+    def test_levels_and_hierarchy(self, rng, kind, change, scale):
+        d = 4 if kind == "blocks" else 3
+        u = (np.eye(d, dtype=complex) if change == "embedding"
+             else random_unitary(rng, d, complex_field=change == "unitary"))
+        if kind == "blocks":
+            ff = random_overcomplete_fusion_frame(rng, d, 4)
+            reports = [mse_optimal_dual(ff), mse_optimal_dual(moved_frame(ff, u, scale))]
+            m = ff.size
+        else:
+            ws = random_system(rng, d, 2, unit_norm=True)
+            reports = [local_mse_optimal_system(ws),
+                       local_mse_optimal_system(moved_system(ws, u, scale))]
+            m = ws.total_local
+        chained = [hierarchical_optimal(report, m) for report in reports]
+        for before, after in ((reports[0].aggregate_by_r, reports[1].aggregate_by_r),
+                              (chained[0].aggregate_by_r, chained[1].aggregate_by_r)):
+            assert before.keys() == after.keys()
+            for r, value in before.items():
+                assert abs(after[r] - value) <= 1e-10 * value
+        assert all("theorem-backed" in c.certificate for c in chained)

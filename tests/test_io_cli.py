@@ -738,6 +738,50 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @staticmethod
+    def _lines_file(tmp_path, m=24):
+        """m random lines in R^3, each with its unit vector as local frame."""
+        vectors = np.random.default_rng(5).normal(size=(m, 3))
+        vectors /= np.linalg.norm(vectors, axis=1)[:, None]
+        data = {"field": "real", "dimension": 3,
+                "subspaces": [{"spanning_vectors": [v]} for v in vectors.tolist()],
+                "weights": [1.0] * m, "local_frames": [[v] for v in vectors.tolist()]}
+        path = tmp_path / "lines.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["optimal", "local-optimal"])
+    def test_inf_levels_beyond_the_enumeration_cap_exit_2_before_the_solve(
+            self, capsys, monkeypatch, tmp_path, command):
+        def solver_must_not_run(*args, **kwargs):
+            raise AssertionError("the solver ran before the levels were checked")
+
+        monkeypatch.setattr(erasures, "minimize_max_group_norms", solver_must_not_run)
+        assert main([command, self._lines_file(tmp_path), "--p", "inf", "--r", "12"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: 1307504 patterns of size 9 exceed the exact "
+                                "enumeration cap (1000000); lower r or the number of blocks\n")
+
+    def test_p2_lists_every_level_beyond_the_enumeration_cap(self, capsys, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["optimal", self._lines_file(tmp_path), "--p", "2", "--r", "12",
+                     "--json", str(out)]) == 0
+        payload = json.loads(out.read_text())["payload"]
+        assert sorted(map(int, payload["aggregate_by_r"])) == list(range(1, 13))
+
+    @pytest.mark.parametrize("command, name", [("optimal", name) for name in FIXTURES]
+                             + [("local-optimal", "example_6_3.json")])
+    def test_p2_hierarchy_does_not_depend_on_samples(self, capsys, tmp_path, command, name):
+        reports = []
+        for samples in ("1", "50"):
+            out = tmp_path / f"samples-{samples}.json"
+            assert main([command, fixture(name), "--p", "2", "--r", "2",
+                         "--samples", samples, "--json", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert b"theorem-backed" in reports[0]
+
     def test_smallest_solver_flags_are_accepted(self, capsys):
         assert main(["optimal", fixture("example_6_3.json"), "--p", "2", "--r", "2",
                      "--samples", "1"]) == 0
