@@ -214,9 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-polish", action="store_true",
                        help="skip the smooth polish after subgradient descent")
         p.add_argument("--samples", type=int, default=10,
-                       help="sampled competitors of the --p inf hierarchy check "
-                            "(no effect at --p 2, which compares with the "
-                            "mean-square optimum)")
+                       help="accepted and checked (>= 1) but without effect: the "
+                            "hierarchy check compares with the mean-square "
+                            "optimum at every --p")
 
     p = sub.add_parser("analyze", help="classification and bounds")
     common(p)

@@ -556,6 +556,17 @@ class TestOneGroupProblem:
             assert abs(err_local - err) <= 1e-9 * err
 
 
+def _certificate_levels(certificate, name):
+    """{r: value printed after ``name``} from the level lines of a hierarchy
+    certificate."""
+    out = {}
+    for line in certificate.splitlines():
+        if line.startswith("r=") and name + " " in line:
+            r = int(line[2:line.index(":")])
+            out[r] = float(line.split(name + " ")[1].split(",")[0])
+    return out
+
+
 class TestHierarchical:
     def test_mse_chain_constant_on_two_plane(self):
         ff = two_plane_frame(1.0, 2.0)
@@ -566,10 +577,17 @@ class TestHierarchical:
         assert abs(chained.aggregate_by_r[2] - math.sqrt(3.0)) <= 1e-9
 
     def test_worst_case_chain_on_uniform_parseval(self, rng):
+        # Every block has the same erasure norm, so level 1 attains its bound;
+        # the pairs of blocks do not all lose the same, so level 2 does not.
         ff = random_parseval_uniform_equidim(rng, 4, 2, copies=2)
         base = worst_case_optimal_dual(ff, solver=SolverConfig(max_iters=1500))
         chained = hierarchical_optimal(base, 2, samples=5)
-        assert "chain constant" in chained.certificate
+        bounds = _certificate_levels(chained.certificate, "lower bound")
+        assert abs(chained.aggregate_by_r[1] - bounds[1]) <= 1e-9
+        assert chained.aggregate_by_r[2] > bounds[2] + 1e-3
+        assert "chain constant" not in chained.certificate
+        assert chained.certificate.endswith(
+            "lower bound not attained at r=2: optimality above the bound is not proven there")
 
     def test_local_chain(self, rng):
         ws = random_system(rng, 3, 2, unit_norm=True)
@@ -609,8 +627,9 @@ class TestHierarchical:
         assert "identity 1'G1 = d holds" in chained.certificate
         assert "sampled" not in chained.certificate.split("hierarchy check")[1]
 
-    def test_p2_builds_two_engines_and_draws_nothing(self, rng, monkeypatch):
-        base = mse_optimal_dual(random_overcomplete_fusion_frame(rng, 4, 5))
+    @staticmethod
+    def _check_two_engines_and_no_draws(rng, monkeypatch, p):
+        base = replace(mse_optimal_dual(random_overcomplete_fusion_frame(rng, 4, 5)), p=p)
         built = []
 
         class CountedErasures(_GroupErasures):
@@ -619,7 +638,7 @@ class TestHierarchical:
                 super().__init__(problem, left)
 
         def must_not_run(*args, **kwargs):
-            raise AssertionError("the p = 2 check sampled competitors")
+            raise AssertionError("the hierarchy check sampled competitors")
 
         monkeypatch.setattr(erasures, "_GroupErasures", CountedErasures)
         monkeypatch.setattr(erasures, "_left_inverse_family", must_not_run)
@@ -629,6 +648,12 @@ class TestHierarchical:
         assert len(built) == 4
         assert few.certificate == many.certificate
         assert few.aggregate_by_r == many.aggregate_by_r
+
+    def test_p2_builds_two_engines_and_draws_nothing(self, rng, monkeypatch):
+        self._check_two_engines_and_no_draws(rng, monkeypatch, 2.0)
+
+    def test_p_inf_builds_two_engines_and_draws_nothing(self, rng, monkeypatch):
+        self._check_two_engines_and_no_draws(rng, monkeypatch, math.inf)
 
     def test_p2_checks_that_the_maps_sum_to_the_identity(self):
         base = mse_optimal_dual(two_plane_frame(1.0, 2.0))
@@ -675,18 +700,36 @@ class TestHierarchical:
                                        r"enumeration cap \(1000000\)"):
             hierarchical_optimal(base, 12)
 
-    def test_complex_chain_draws_complex_left_inverses(self, rng):
-        # The sampler runs at p = inf only; p = 2 compares with the MSE optimum.
-        ff = random_overcomplete_fusion_frame(rng, 3, 4, complex_field=True)
-        base = replace(mse_optimal_dual(ff), p=math.inf)
-        chained = hierarchical_optimal(base, 2, samples=5)
-        assert "with 5 sampled competitors" in chained.certificate
-        assert set(chained.aggregate_by_r) == {1, 2}
-        family = left_inverses_parametrization(ff)
-        competitor = erasures._random_competitor(family, frobenius_norm(family.pinv_member),
-                                                 np.random.default_rng(0))
-        assert np.iscomplexobj(competitor)
-        assert frobenius_norm(competitor @ ff.analysis_matrix() - np.eye(3)) <= 1e-9
+    def test_p_inf_optimum_tied_below_and_lower_above_raises(self):
+        # The MSE optimum ties the worst-case report at levels 1 and 2, so it
+        # is a stage-3 competitor, and it beats the report there: 1.24763
+        # against 1.25113.  Random members of the family read 2.1-3.0.
+        ws = random_system(np.random.default_rng(34), 3, 3)
+        base = local_worst_case_optimal_system(ws)
+        with pytest.raises(BadR, match="the mean-square optimum beat the optimizer at level 3"):
+            hierarchical_optimal(base, 3)
+
+    def test_p_inf_optimum_worse_at_level_1_is_no_competitor(self):
+        # The MSE optimum is lower at levels 2-4 but higher at level 1, so it
+        # is not optimal at level 1 and competes at no later stage.
+        ws = random_system(np.random.default_rng(1), 3, 3)
+        chained = hierarchical_optimal(local_worst_case_optimal_system(ws), 4)
+        own = chained.aggregate_by_r
+        rival = _certificate_levels(chained.certificate, "mean-square optimum")
+        assert rival[1] > own[1] + 0.1
+        assert all(rival[r] < own[r] - 0.05 for r in (2, 3, 4))
+        assert "chain constant" not in chained.certificate
+
+    def test_p_inf_example_6_3_attains_its_bounds(self):
+        # Example 6.3 with w = (1, 2): the worst-case dual attains the lower
+        # bound at both levels, so the chain is constant.
+        chained = hierarchical_optimal(worst_case_optimal_dual(two_plane_frame(1.0, 2.0)), 2)
+        bounds = _certificate_levels(chained.certificate, "lower bound")
+        assert abs(bounds[1] - math.sqrt(1.25)) <= 1e-9
+        for r in (1, 2):
+            assert abs(chained.aggregate_by_r[r] - bounds[r]) <= 1e-9
+        assert "chain constant" in chained.certificate
+        assert "theorem-backed" in chained.certificate.split("hierarchy check")[1]
 
 
 def maps_gram(problem, left):
@@ -738,43 +781,35 @@ class TestKernelGram:
         assert problem.membership is problem.membership
 
 
-def _certificate_levels(certificate):
-    """{r: best competitor value} read from a hierarchy certificate."""
-    out = {}
-    for line in certificate.splitlines():
-        if line.startswith("r=") and "best competitor" in line:
-            r = int(line[2:line.index(":")])
-            out[r] = float(line.split("best competitor ")[1].split()[0])
-    return out
+def mse_group_maps(ff):
+    """The mean-square optimum's group maps from explicit products: the left
+    inverse (T D^-1 T*)^-1 T D^-1 with D the squared weights per column, and
+    each map its columns of a block times the block's rows of T*."""
+    synth = ff.synthesis_matrix()
+    scaled = synth / np.repeat(ff.weights, [s.dim for s in ff.subspaces]) ** 2
+    left = np.linalg.inv(scaled @ synth.conj().T) @ scaled
+    return [left[:, sl] @ synth.conj().T[sl, :] for sl in ff.block_slices()]
 
 
 @pytest.mark.parametrize("complex_field", [False, True])
-def test_hierarchy_competitors_match_a_per_competitor_loop(rng, complex_field):
-    """Each competitor drawn in turn, scaled by the Frobenius norm of the
-    pseudoinverse member, with every pattern error from explicit maps; the
-    sampler runs at p = inf, so a level is the largest pattern error."""
+def test_hierarchy_rival_and_bounds_match_explicit_maps(rng, complex_field):
+    """At p = inf the printed rival is the largest pattern error of the mean-
+    square optimum's explicit group maps, and the printed bound is
+    sqrt(S_r / N_r), S_r the level-r sum of squares of the same maps."""
     ff = random_overcomplete_fusion_frame(rng, 3, 4, complex_field)
-    chained = hierarchical_optimal(replace(mse_optimal_dual(ff), p=math.inf), 3,
-                                   samples=6, seed=7)
-    draws = np.random.default_rng(7)
-    family = left_inverses_parametrization(ff)
-    right = ff.synthesis_matrix().conj().T
-    best = {r: math.inf for r in (1, 2, 3)}
-    for _ in range(6):
-        scale = frobenius_norm(family.pinv_member)
-        z = draws.normal(size=family.shape) * scale
-        if complex_field:
-            z = z + 1j * draws.normal(size=family.shape) * scale
-        a = family.member(z)
-        maps = [a[:, sl] @ right[sl, :] for sl in ff.block_slices()]
-        for r in best:
-            level = max(frobenius_norm(sum(maps[j] for j in lost))
-                        for lost in combinations(range(ff.size), r))
-            best[r] = min(best[r], level)
-    printed = _certificate_levels(chained.certificate)
-    assert printed.keys() == best.keys()
-    for r in best:
-        assert abs(printed[r] - best[r]) <= 1e-11 * best[r]
+    chained = hierarchical_optimal(replace(mse_optimal_dual(ff), p=math.inf), 3)
+    maps = mse_group_maps(ff)
+    rival, bound = {}, {}
+    for r in (1, 2, 3):
+        errors = [frobenius_norm(sum(maps[j] for j in lost))
+                  for lost in combinations(range(ff.size), r)]
+        rival[r] = max(errors)
+        bound[r] = math.sqrt(math.fsum(e * e for e in errors) / len(errors))
+    for name, reference in (("mean-square optimum", rival), ("lower bound", bound)):
+        printed = _certificate_levels(chained.certificate, name)
+        assert printed.keys() == reference.keys()
+        for r, value in reference.items():
+            assert abs(printed[r] - value) <= 1e-11 * value
 
 
 def level_rounding(problem, trace, r):
@@ -890,3 +925,64 @@ class TestP2Invariance:
             for r, value in before.items():
                 assert abs(after[r] - value) <= 1e-10 * value
         assert all("theorem-backed" in c.certificate for c in chained)
+
+
+def _hierarchy_reading(chained):
+    """The levels, the printed bounds and the closing verdict of a hierarchy."""
+    return (chained.aggregate_by_r, _certificate_levels(chained.certificate, "lower bound"),
+            chained.certificate.splitlines()[-1])
+
+
+class TestInfHierarchyInvariance:
+    """The p = inf hierarchy of the mean-square bases: levels, lower bounds and
+    the certified verdict do not depend on a common weight scale, a unitary
+    change of ambient coordinates or the real-to-complex embedding."""
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("change", ["orthogonal", "unitary", "embedding"])
+    @pytest.mark.parametrize("kind", ["blocks", "local"])
+    def test_levels_bounds_and_verdict(self, rng, kind, change, scale):
+        d = 4 if kind == "blocks" else 3
+        u = (np.eye(d, dtype=complex) if change == "embedding"
+             else random_unitary(rng, d, complex_field=change == "unitary"))
+        if kind == "blocks":
+            ff = random_overcomplete_fusion_frame(rng, d, 4)
+            reports = [mse_optimal_dual(ff), mse_optimal_dual(moved_frame(ff, u, scale))]
+            m = ff.size
+        else:
+            ws = random_system(rng, d, 2, unit_norm=True)
+            reports = [local_mse_optimal_system(ws),
+                       local_mse_optimal_system(moved_system(ws, u, scale))]
+            m = ws.total_local
+        (levels, bounds, verdict), (levels_after, bounds_after, verdict_after) = (
+            _hierarchy_reading(hierarchical_optimal(replace(report, p=math.inf), m))
+            for report in reports)
+        assert verdict_after == verdict
+        for before, after in ((levels, levels_after), (bounds, bounds_after)):
+            assert before.keys() == after.keys() == set(range(1, m + 1))
+            for r, value in before.items():
+                assert abs(after[r] - value) <= 1e-10 * value
+
+
+def random_worst_case_report(seed, kind, complex_field):
+    """A worst-case report on a small random fusion frame or system."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 4))
+    if kind == "blocks":
+        return worst_case_optimal_dual(
+            random_overcomplete_fusion_frame(rng, d, int(rng.integers(2, 5)), complex_field))
+    return local_worst_case_optimal_system(random_system(rng, d, 2, complex_field))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["blocks", "local"]),
+       complex_field=st.booleans())
+@settings(max_examples=12)
+def test_worst_case_levels_are_at_least_their_bounds(seed, kind, complex_field):
+    """The bound holds for every left inverse, so a worst-case report lies on
+    or above it at every level below m (at r = m both read sqrt(d))."""
+    report = random_worst_case_report(seed, kind, complex_field)
+    m = len(report.per_pattern_errors)
+    chained = hierarchical_optimal(report, m)
+    bounds = _certificate_levels(chained.certificate, "lower bound")
+    for r in range(1, m):
+        assert chained.aggregate_by_r[r] >= bounds[r] - 1e-9

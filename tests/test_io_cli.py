@@ -20,6 +20,8 @@ from fusionframes.errors import InvalidSpec, ParseError
 from fusionframes.reproduce import fixture_path
 from fusionframes.specio import dumps_spec, load_spec, parse_spec
 
+from conftest import random_system
+
 
 FIXTURES = ["example_6_2.json", "example_6_3.json", "example_6_4.json",
             "orthonormal_basis.json"]
@@ -725,6 +727,7 @@ class TestCli:
         (["--p", "inf", "--step-scale", "0"], "--step-scale must be a finite number > 0, got 0.0"),
         (["--p", "inf", "--step-scale", "-0.1"],
          "--step-scale must be a finite number > 0, got -0.1"),
+        (["--p", "inf", "--r", "2", "--samples", "0"], "--samples must be an integer >= 1, got 0"),
     ])
     @pytest.mark.parametrize("command", ["optimal", "local-optimal"])
     def test_bad_solver_flag_exit_2_before_the_solve(self, capsys, monkeypatch, command,
@@ -770,17 +773,49 @@ class TestCli:
         payload = json.loads(out.read_text())["payload"]
         assert sorted(map(int, payload["aggregate_by_r"])) == list(range(1, 13))
 
-    @pytest.mark.parametrize("command, name", [("optimal", name) for name in FIXTURES]
-                             + [("local-optimal", "example_6_3.json")])
-    def test_p2_hierarchy_does_not_depend_on_samples(self, capsys, tmp_path, command, name):
+    @staticmethod
+    def _hierarchy_json_for_samples(tmp_path, command, name, p):
+        """The ``--json`` of ``--r 2`` at ``--samples`` 1 and 50, which must agree."""
         reports = []
         for samples in ("1", "50"):
             out = tmp_path / f"samples-{samples}.json"
-            assert main([command, fixture(name), "--p", "2", "--r", "2",
+            assert main([command, fixture(name), "--p", p, "--r", "2",
                          "--samples", samples, "--json", str(out)]) == 0
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
-        assert b"theorem-backed" in reports[0]
+        return reports[0]
+
+    @pytest.mark.parametrize("command, name", [("optimal", name) for name in FIXTURES]
+                             + [("local-optimal", "example_6_3.json")])
+    def test_p2_hierarchy_does_not_depend_on_samples(self, capsys, tmp_path, command, name):
+        report = self._hierarchy_json_for_samples(tmp_path, command, name, "2")
+        assert b"theorem-backed" in report
+
+    @pytest.mark.parametrize("command, name", [("optimal", name) for name in FIXTURES]
+                             + [("local-optimal", "example_6_3.json")])
+    def test_p_inf_hierarchy_does_not_depend_on_samples(self, capsys, tmp_path, command,
+                                                        name):
+        report = self._hierarchy_json_for_samples(tmp_path, command, name, "inf")
+        assert b"against the mean-square optimum" in report
+
+    def test_p_inf_hierarchy_exits_3_when_the_optimum_wins_in_hierarchy_order(
+            self, capsys, tmp_path):
+        # The mean-square optimum ties the worst-case dual system at levels 1
+        # and 2 and beats it at level 3.
+        ws = random_system(np.random.default_rng(34), 3, 3)
+        data = {"field": "real", "dimension": 3,
+                "subspaces": [{"spanning_vectors": s.basis.T.tolist()}
+                              for s in ws.ff.subspaces],
+                "weights": ws.ff.weights.tolist(),
+                "local_frames": [f.vectors.tolist() for f in ws.local_frames]}
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(data))
+        assert main(["local-optimal", str(path), "--p", "inf", "--r", "2"]) == 0
+        capsys.readouterr()
+        assert main(["local-optimal", str(path), "--p", "inf", "--r", "3"]) == 3
+        assert capsys.readouterr().err == (
+            "error: the mean-square optimum beat the optimizer at level 3; "
+            "hierarchy verification failed\n")
 
     def test_smallest_solver_flags_are_accepted(self, capsys):
         assert main(["optimal", fixture("example_6_3.json"), "--p", "2", "--r", "2",
