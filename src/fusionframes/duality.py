@@ -46,6 +46,7 @@ from .linalg import (
     matrix_rank,
     orth_complement_within,
     orthonormalize_many,
+    singular_values_many,
     span_union,
     spectral_norm,
 )
@@ -121,7 +122,7 @@ def classify_q(q: BlockOp, tol: float = DEFAULT_TOL) -> QKind:
         return QKind.GENERAL
     m = len(q.row_dims)
     off_diagonal = q.block_norms()[~np.eye(m, dtype=bool)]
-    svals = [np.linalg.svd(q.block(j, j), compute_uv=False) for j in range(m)]
+    svals = singular_values_many([q.block(j, j) for j in range(m)])
     # Without off-diagonal entries the largest singular value of Q is the
     # largest one of a diagonal block, and no dense SVD of Q is needed.
     if off_diagonal.any():

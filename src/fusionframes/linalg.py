@@ -51,10 +51,39 @@ def matrix_rank(mat, tol: float = RANK_TOL) -> int:
     mat = np.asarray(mat)
     if mat.size == 0:
         return 0
-    s = np.linalg.svd(mat, compute_uv=False)
+    return _rank_of(np.linalg.svd(mat, compute_uv=False), tol)
+
+
+def _rank_of(s, tol: float) -> int:
+    """The number of singular values ``s`` (descending) above ``tol * s[0]``."""
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > tol * s[0]))
+
+
+def singular_values_many(mats) -> list:
+    """``np.linalg.svd(mat, compute_uv=False)`` of each matrix in ``mats``.
+
+    Matrices of one shape and dtype share one stacked SVD; a matrix with
+    no entries has no singular values.
+    """
+    mats = [np.asarray(mat) for mat in mats]
+    out = [np.zeros(0)] * len(mats)
+    stacks = {}
+    for i, mat in enumerate(mats):
+        if mat.size:
+            stacks.setdefault((mat.shape, mat.dtype), []).append(i)
+    for index in stacks.values():
+        svals = np.linalg.svd(np.stack([mats[i] for i in index]), compute_uv=False)
+        for i, s in zip(index, svals):
+            out[i] = s
+    return out
+
+
+def matrix_ranks(mats, tol: float = RANK_TOL) -> list:
+    """``matrix_rank`` of each matrix in ``mats``, from one stacked SVD per
+    shape and dtype."""
+    return [_rank_of(s, tol) for s in singular_values_many(mats)]
 
 
 def _canonical_phases(basis):

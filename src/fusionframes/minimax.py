@@ -4,7 +4,7 @@ The problem is always of one shape: over the affine family
 ``A = A0 + Z @ P`` of left inverses, minimize the largest of a fixed
 list of weighted Frobenius norms of column groups of A.  This is convex
 (a max of norms of affine maps).  The solver runs subgradient descent
-with diminishing steps from Z = 0 and then, by default, polishes the
+with diminishing steps from A = A0 and then, by default, polishes the
 best iterate with an SLSQP pass on the equivalent smooth program
 ``min t  s.t.  c_i^2 ||A S_i||_F^2 <= t``, whose constraints are convex
 quadratics; the polish turns the slow O(1/sqrt(k)) subgradient tail into
@@ -13,9 +13,13 @@ The polish is the package's only use of scipy: ``scipy.optimize`` is
 imported when the first polish runs, not when this module is imported,
 so ``import fusionframes`` loads numpy only and a run that never polishes
 never loads scipy.
-An iteration forms A once, reads every group norm from one reduction
-(column sums of |A|^2 times a group-membership matrix) and multiplies
-only the active group's columns by the kernel projector.
+An iteration reads every group norm of A from one reduction (column sums
+of |A|^2 times a group-membership matrix) and moves A itself by the
+projected subgradient, built from the active group's columns and rows of
+P; as P^2 = P the step stays in the family, and the best iterate is
+projected back once to drop rounding drift.  The polish moves the d x k
+kernel coordinates W of ``A = A0 + W N*`` (N an orthonormal basis of the
+range of P, k = n - rank T) instead of a d x n matrix Z.
 Everything is deterministic: ties between active groups break toward the
 lowest index and no randomness is used.
 """
@@ -88,38 +92,34 @@ def _scipy_minimize(*args, **kwargs):
     return minimize(*args, **kwargs)
 
 
-def _polish(a0, proj, member, coeffs, z_start):
-    """SLSQP pass on min t s.t. c_i^2 ||(A0 + Z P) S_i||_F^2 <= t, with the
-    m constraints as one vector-valued constraint."""
-    d, n = a0.shape
-    cplx = np.iscomplexobj(a0) or np.iscomplexobj(z_start)
-    size = d * n
-    m = member.shape[1]
-    # Row i of the constraint Jacobian in Z is 2 c_i^2 (A masked to the
-    # columns of group i) P; all m masked copies go through one product.
+def _polish(a0, proj, member, coeffs, a_start):
+    """SLSQP pass on min t s.t. c_i^2 ||(A0 + W N*) S_i||_F^2 <= t over the
+    kernel coordinates W, with the m constraints as one vector-valued
+    constraint.  N is the orthonormal eigenbasis of P for eigenvalue 1;
+    a Riesz problem has P = 0 and no coordinates, only t."""
+    eigvals, eigvecs = np.linalg.eigh(proj)
+    basis = eigvecs[:, eigvals > 0.5]
+    basis_h = basis.conj().T
+    w_start = (a_start - a0) @ basis
+    (d, k), m = w_start.shape, member.shape[1]
+    cplx = np.iscomplexobj(w_start)
+    size = d * k
+    # Row i of the constraint Jacobian in W is 2 c_i^2 (A masked to the
+    # columns of group i) N; all m masked copies go through one product.
     mask = member.T[:, None, :]
     grad_scale = 2.0 * (coeffs * coeffs)[:, None]
 
     def unpack(x):
         if cplx:
-            return x[:size].reshape(d, n) + 1j * x[size:2 * size].reshape(d, n)
-        return x[:size].reshape(d, n)
-
-    def pack(z, t):
-        parts = [np.real(z).ravel()]
-        if cplx:
-            parts.append(np.imag(z).ravel())
-        parts.append([t])
-        return np.concatenate(parts)
+            return x[:size].reshape(d, k) + 1j * x[size:2 * size].reshape(d, k)
+        return x[:size].reshape(d, k)
 
     def fun(x):
-        a = a0 + unpack(x) @ proj
-        return x[-1] - _group_norms(a, member, coeffs) ** 2
+        return x[-1] - _group_norms(a0 + unpack(x) @ basis_h, member, coeffs) ** 2
 
     def jac(x):
-        a = a0 + unpack(x) @ proj
-        masked = (a * mask).reshape(m * d, n)
-        grads = grad_scale * (masked @ proj).reshape(m, size)
+        masked = ((a0 + unpack(x) @ basis_h) * mask).reshape(m * d, -1)
+        grads = grad_scale * (masked @ basis).reshape(m, size)
         out = np.empty((m, x.size))
         out[:, :size] = -grads.real
         if cplx:
@@ -127,18 +127,19 @@ def _polish(a0, proj, member, coeffs, z_start):
         out[:, -1] = 1.0
         return out
 
-    t0 = _group_norms(a0 + z_start @ proj, member, coeffs).max() ** 2
-    x0 = pack(z_start, t0)
+    t0 = _group_norms(a_start, member, coeffs).max() ** 2
+    parts = [w_start.real.ravel()] + ([w_start.imag.ravel()] if cplx else [])
+    x0 = np.concatenate(parts + [[t0]])
     objective_grad = np.zeros(x0.size)
     objective_grad[-1] = 1.0
     res = _scipy_minimize(
         lambda x: x[-1], x0, jac=lambda x: objective_grad,
         constraints=[{"type": "ineq", "fun": fun, "jac": jac}], method="SLSQP",
         options={"maxiter": 300, "ftol": 1e-14})
-    # Every Z is feasible (the affine family absorbs the constraint), so the
+    # Every W is feasible (the affine family absorbs the constraint), so the
     # returned point is usable whenever it actually lowers the exact
     # objective, regardless of the SLSQP status flag.
-    return unpack(res.x)
+    return a0 + unpack(res.x) @ basis_h
 
 
 def minimize_max_group_norms(a0, kernel_projector,
@@ -163,19 +164,17 @@ def minimize_max_group_norms(a0, kernel_projector,
         raise ValueError("one coefficient per column group is required")
     member = _membership(groups, a0.shape[1])
 
-    # Each iteration forms A once; its group norms give both the value of
-    # the previous step and the active group of the next one.
+    # Each iteration reads the group norms of A once; they give both the
+    # value of the previous step and the active group of the next one.
     norms = _group_norms(a0, member, coeffs)
     # np.argmax returns the first maximizer, which is the tie-break rule.
     i = int(norms.argmax())
     phi_start = float(norms[i])
     # The subgradient c_i A S_i / ||A S_i||_F, projected onto the kernel,
-    # touches only the rows of P in group i.
+    # touches only the rows of P in group i, and it lies in the range of P.
     proj_rows = [proj[g] for g in groups]
     coeffs_sq = coeffs * coeffs
-    z = np.zeros_like(a0)
-    a = a0
-    best_z = z
+    a = best_a = a0
     best_phi = phi_start
     step_base = config.step_scale * np.linalg.norm(a0, "fro")
     history = [best_phi]
@@ -190,14 +189,13 @@ def minimize_max_group_norms(a0, kernel_projector,
         if np.vdot(grad, grad) == 0.0:
             plateaued = True
             break
-        z = z - (step_base / math.sqrt(k)) * grad
-        a = a0 + z @ proj
+        a = a - (step_base / math.sqrt(k)) * grad
         norms = _group_norms(a, member, coeffs)
         i = int(norms.argmax())
         value = float(norms[i])
         if value < best_phi:
             best_phi = value
-            best_z = z
+            best_a = a
         history.append(best_phi)
         if k >= config.patience:
             old = history[k - config.patience]
@@ -205,17 +203,18 @@ def minimize_max_group_norms(a0, kernel_projector,
                 plateaued = True
                 break
 
-    phi_subgradient = best_phi
+    # The steps stay in the family only up to rounding; one projection puts
+    # the best iterate back, and its value is read again.
+    best_a = a0 + (best_a - a0) @ proj
+    best_phi = phi_subgradient = float(_group_norms(best_a, member, coeffs).max())
     polished = False
     if config.polish:
-        z_polished = _polish(a0, proj, member, coeffs, best_z)
-        value = float(_group_norms(a0 + z_polished @ proj, member, coeffs).max())
+        a_polished = _polish(a0, proj, member, coeffs, best_a)
+        value = float(_group_norms(a_polished, member, coeffs).max())
         if value <= best_phi:
-            best_phi = value
-            best_z = z_polished
-            polished = True
+            best_phi, best_a, polished = value, a_polished, True
 
-    result = MinimaxResult(a0 + best_z @ proj, best_phi, phi_start, phi_subgradient,
+    result = MinimaxResult(best_a, best_phi, phi_start, phi_subgradient,
                            iterations, converged=True, polished=polished)
     if not plateaued and not polished and iterations >= config.max_iters:
         raise NonConvergence(

@@ -33,7 +33,7 @@ from .linalg import (
     Subspace,
     adjoint,
     frobenius_norm,
-    matrix_rank,
+    matrix_ranks,
     spectral_norm,
 )
 
@@ -55,19 +55,29 @@ class FusionFrameSystem:
         locs = tuple(self.local_frames)
         if len(locs) != self.ff.size:
             raise InvalidSystem("one local frame per subspace is required")
+        # The span tests share one stacked SVD per shape, so a frame's other
+        # errors are held back until every earlier frame's span is known.
+        coords, bad = [], None
         for i, (sub, frame) in enumerate(zip(self.ff.subspaces, locs)):
-            if frame.ambient_dim != self.ff.ambient_dim:
-                raise InvalidSystem(f"local frame {i} has wrong ambient dimension")
             vecs = frame.vectors
-            if vecs.shape[0] == 0:
-                raise InvalidSystem(f"local frame {i} is empty")
-            residual = frobenius_norm(vecs.T - sub.project(vecs.T))
-            if not residual <= MEMBERSHIP_TOL * max(1.0, frobenius_norm(vecs)):
-                raise InvalidSystem(
-                    f"local frame {i} has vectors outside its subspace "
-                    f"(residual {residual:.3e})")
-            if matrix_rank(adjoint(sub.basis) @ vecs.T) != sub.dim:
+            if frame.ambient_dim != self.ff.ambient_dim:
+                bad = InvalidSystem(f"local frame {i} has wrong ambient dimension")
+            elif vecs.shape[0] == 0:
+                bad = InvalidSystem(f"local frame {i} is empty")
+            else:
+                residual = frobenius_norm(vecs.T - sub.project(vecs.T))
+                if not residual <= MEMBERSHIP_TOL * max(1.0, frobenius_norm(vecs)):
+                    bad = InvalidSystem(
+                        f"local frame {i} has vectors outside its subspace "
+                        f"(residual {residual:.3e})")
+            if bad is not None:
+                break
+            coords.append(adjoint(sub.basis) @ vecs.T)
+        for i, (sub, rank) in enumerate(zip(self.ff.subspaces, matrix_ranks(coords))):
+            if rank != sub.dim:
                 raise InvalidSystem(f"local frame {i} does not span its subspace")
+        if bad is not None:
+            raise bad
         object.__setattr__(self, "local_frames", locs)
 
     @property

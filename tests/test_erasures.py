@@ -964,6 +964,38 @@ class TestInfHierarchyInvariance:
                 assert abs(after[r] - value) <= 1e-10 * value
 
 
+class TestWorstCaseInvariance:
+    """The worst-case optimum of a fusion frame or a system, the reported
+    largest single-erasure error, does not depend on a unitary change of
+    ambient coordinates, the order of the blocks or the embedding of a real
+    problem in the complex field.  A common weight scale is left out: the
+    solver still depends on it, as the strict xfail
+    ``bench/test_bench.py::test_worst_case_solver_reaches_the_bound_at_a_large_weight_scale``
+    records."""
+
+    @pytest.mark.parametrize("change", ["orthogonal", "unitary", "permutation", "embedding"])
+    @pytest.mark.parametrize("kind", ["blocks", "local"])
+    def test_optimum(self, rng, kind, change):
+        d = 4 if kind == "blocks" else 3
+        if kind == "blocks":
+            ff = random_overcomplete_fusion_frame(rng, d, 4)
+            solve, problem = worst_case_optimal_dual, ff
+        else:
+            ws = random_system(rng, d, 3)
+            solve, problem, ff = local_worst_case_optimal_system, ws, ws.ff
+        if change == "permutation":
+            perm = np.roll(np.arange(ff.size), 1)
+            moved = FusionFrame(tuple(ff.subspaces[k] for k in perm), ff.weights[perm])
+            if kind == "local":
+                moved = FusionFrameSystem(moved, tuple(ws.local_frames[k] for k in perm))
+        else:
+            u = (np.eye(d, dtype=complex) if change == "embedding"
+                 else random_unitary(rng, d, complex_field=change == "unitary"))
+            moved = (moved_frame if kind == "blocks" else moved_system)(problem, u, 1.0)
+        before, after = solve(problem).aggregate, solve(moved).aggregate
+        assert abs(after - before) <= 1e-9 * before
+
+
 def random_worst_case_report(seed, kind, complex_field):
     """A worst-case report on a small random fusion frame or system."""
     rng = np.random.default_rng(seed)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -866,6 +867,21 @@ class TestCli:
                      "--r", "1", "--max-iters", "5", "--patience", "100000",
                      "--no-polish"])
         assert code == 4
+
+    @pytest.mark.parametrize("command, name, iterations", [
+        ("optimal", "example_6_2.json", 1),
+        ("optimal", "example_6_4.json", 8249),
+        ("optimal", "example_6_3.json", 50000),
+        ("local-optimal", "example_6_2.json", 500),
+        ("local-optimal", "example_6_4.json", 2583),
+        ("local-optimal", "example_6_3.json", 50000),
+    ])
+    def test_worst_case_subgradient_path_is_pinned(self, capsys, command, name, iterations):
+        # Iteration counts at the default solver settings: a change to the
+        # steps, the tie-break or the plateau test shows here.
+        assert main([command, fixture(name), "--p", "inf", "--r", "1"]) == 0
+        found = re.findall(r"after (\d+) subgradient iterations", capsys.readouterr().out)
+        assert found == [str(iterations)]
 
     def test_json_reports_deterministic(self, tmp_path):
         first = tmp_path / "a.json"

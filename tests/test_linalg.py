@@ -14,10 +14,13 @@ from fusionframes.linalg import (
     _canonical_phases,
     frobenius_norm,
     intersect,
+    matrix_rank,
+    matrix_ranks,
     orth_complement_within,
     orthonormalize,
     orthonormalize_many,
     pinv,
+    singular_values_many,
     span_union,
     spectral_norm,
 )
@@ -150,6 +153,26 @@ class TestOrthonormalizeMany:
         with pytest.raises(ZeroSubspace):
             orthonormalize(np.zeros((0, 2)))
         assert orthonormalize_many([np.zeros((0, 2))], allow_zero=True)[0].is_zero
+
+class TestStackedRanks:
+    def test_bit_identical_to_one_at_a_time(self, rng):
+        shapes = [(1, 1), (3, 2), (2, 3), (1, 1), (3, 2), (0, 2), (4, 1), (2, 0), (3, 2)]
+        mats = [random_matrix(rng, d, k, complex_field) for d, k in shapes
+                for complex_field in (False, True)]
+        mats[2][:, 1] = mats[2][:, 0]               # rank deficient, stacked with full rank
+        mats[8] = np.zeros((3, 2))                  # zero, stacked with full rank
+        many = singular_values_many(mats)
+        assert len(many) == len(mats)
+        for mat, svals in zip(mats, many):
+            one = np.linalg.svd(mat, compute_uv=False)
+            assert (svals.dtype, svals.shape) == (one.dtype, one.shape)
+            assert svals.tobytes() == one.tobytes()
+        assert matrix_ranks(mats) == [matrix_rank(mat) for mat in mats]
+        assert matrix_ranks(mats)[:10] == [1, 1, 1, 2, 2, 2, 1, 1, 0, 2]
+
+    def test_empty_list(self):
+        assert singular_values_many([]) == [] and matrix_ranks([]) == []
+
 
 class TestPinv:
     def test_identity(self):

@@ -1,5 +1,6 @@
 """Worst-case solver: convexity of the objective, closed-form agreement,
-stationarity at the start point, and the non-convergence contract."""
+stationarity at the start point, the non-convergence contract, and the
+kernel coordinates of the polish."""
 
 import numpy as np
 import pytest
@@ -15,11 +16,14 @@ from fusionframes.minimax import (
     _phi,
     minimize_max_group_norms,
 )
+from fusionframes.reproduce import fixture_path
+from fusionframes.specio import load_spec
 
 from conftest import (
     random_fusion_frame,
     random_overcomplete_fusion_frame,
     random_parseval_uniform_equidim,
+    random_riesz_basis,
 )
 
 
@@ -143,14 +147,7 @@ class TestSolver:
         ff = random_fusion_frame(rng, 5, 3)
         problem = _family_problem(ff)
         reference = minimize_max_group_norms(*problem, SolverConfig())
-        calls = []
-        original = minimax._scipy_minimize
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(minimax, "_scipy_minimize", counting)
+        calls = _capture_polish_sizes(monkeypatch)
         result = minimize_max_group_norms(*problem, SolverConfig())
         assert len(calls) == 1
         assert result.polished and reference.polished
@@ -159,3 +156,69 @@ class TestSolver:
         unpolished = minimize_max_group_norms(*problem, SolverConfig(polish=False))
         assert len(calls) == 1
         assert not unpolished.polished
+
+
+def _capture_polish_sizes(monkeypatch) -> list:
+    """Wrap minimax._scipy_minimize; the returned list collects the size of
+    every start vector handed to SLSQP."""
+    sizes = []
+    original = minimax._scipy_minimize
+
+    def capturing(fun, x0, *args, **kwargs):
+        sizes.append(x0.size)
+        return original(fun, x0, *args, **kwargs)
+
+    monkeypatch.setattr(minimax, "_scipy_minimize", capturing)
+    return sizes
+
+
+class TestKernelCoordinates:
+    """The polish moves W in A = A0 + W N*, with N an orthonormal basis of
+    ker T: d x k unknowns (twice that for a complex problem) plus the bound
+    t, where k = n - rank T.  Subgradient steps move A itself."""
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_polish_unknowns_are_the_kernel_coordinates(self, rng, monkeypatch,
+                                                        complex_field):
+        ff = random_overcomplete_fusion_frame(rng, 4, 3, complex_field)
+        a0, proj, groups, coeffs = _family_problem(ff)
+        d, n = a0.shape
+        k = n - d     # a fusion frame's synthesis matrix has rank d
+        assert k > 0
+        sizes = _capture_polish_sizes(monkeypatch)
+        result = minimize_max_group_norms(a0, proj, groups, coeffs)
+        assert sizes == [(2 if complex_field else 1) * d * k + 1]
+        assert result.polished
+        assert np.max(np.abs(result.a @ ff.analysis_matrix() - np.eye(d))) <= 1e-12
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_riesz_problem_polishes_the_bound_alone(self, rng, monkeypatch, complex_field):
+        # P = 0: the start point is the only left inverse, one iteration
+        # finds that out, and the polish has no coordinate but t.
+        ff = random_riesz_basis(rng, 4, 2, complex_field)
+        a0, proj, groups, coeffs = _family_problem(ff)
+        assert not proj.any()
+        sizes = _capture_polish_sizes(monkeypatch)
+        result = minimize_max_group_norms(a0, proj, groups, coeffs)
+        assert sizes == [1]
+        assert result.polished and result.converged
+        assert result.iterations == 1
+        np.testing.assert_array_equal(result.a, a0)
+
+    @pytest.mark.parametrize("polish", [False, True])
+    def test_example_6_3_stays_on_the_family(self, polish):
+        # 50000 in-place steps: without the final projection back onto the
+        # family, A T* - I drifts to about 1.3e-14 here.
+        ff = load_spec(str(fixture_path("example_6_3.json"))).fusion_frame()
+        problem = _family_problem(ff)
+        if polish:
+            result = minimize_max_group_norms(*problem, SolverConfig())
+            assert result.polished
+        else:
+            with pytest.raises(NonConvergence) as info:
+                minimize_max_group_norms(*problem, SolverConfig(polish=False))
+            result = info.value.result
+        assert result.iterations == 50000
+        residual = np.max(np.abs(result.a @ ff.analysis_matrix() - np.eye(ff.ambient_dim)))
+        assert residual <= 1e-12
+        assert residual <= 16 * np.finfo(float).eps

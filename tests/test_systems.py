@@ -93,6 +93,24 @@ class TestConstruction:
             FusionFrameSystem(ws.ff, (Frame(vecs), ws.local_frames[1]))
 
 
+    def test_errors_come_in_frame_order(self):
+        # The span tests run after the other checks, stacked, yet the first
+        # faulty frame is the one reported.
+        ff = two_plane_frame()
+        outside = Frame(np.array([[1.0, 0.0, 0.0]]))
+        short = Frame(np.array([[0.0, 1.0, 0.0]]))
+        wide = Frame(np.array([[1.0, 0.0, 0.0, 0.0]]))
+        with pytest.raises(InvalidSystem, match="^local frame 0 does not span its subspace$"):
+            FusionFrameSystem(ff, (short, outside))
+        with pytest.raises(InvalidSystem, match="^local frame 0 does not span its subspace$"):
+            FusionFrameSystem(ff, (short, wide))
+        with pytest.raises(InvalidSystem, match="^local frame 0 has wrong ambient dimension$"):
+            FusionFrameSystem(ff, (wide, short))
+        with pytest.raises(InvalidSystem, match="^local frame 1 does not span its subspace$"):
+            FusionFrameSystem(ff, (Frame(ff.subspaces[0].basis.T),
+                                   Frame(np.array([[0.0, 0.0, 1.0]]))))
+
+
 class TestCoupling:
     def test_basis_local_frames_give_identity_blocks(self, rng):
         ws = random_system(rng, 4, 2, extra=0)
