@@ -46,3 +46,31 @@ def test_an_escaped_exception_is_exit_1_without_a_traceback(tmp_path):
     line = cli_matrix.run(broken_main, tmp_path, ["reproduce", "6.4"], tmp_path / "run.json")
     stdout, stderr = sha("partial\n"), sha("RuntimeError: boom\n")
     assert line == f"reproduce 6.4  exit=1  json=-  stdout={stdout}  stderr={stderr}"
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_golden_names_are_distinct():
+    names = [cli_matrix.golden_name(argv) for argv in cli_matrix.matrix()]
+    assert len(set(names)) == len(names)
+
+
+def test_the_matrix_reproduces_the_golden_outputs(tmp_path, monkeypatch):
+    # Every row of the matrix against tests/golden/: exit code, stdout and
+    # stderr hashes, and the --json bytes, all exactly.  A row that moves is
+    # rewritten with ``tools/cli_matrix.py . --write tests/golden`` and
+    # listed in CHANGES.md.  The digits depend on numpy, so another numpy
+    # version fails here with its name rather than with a diff of hashes.
+    import numpy
+
+    first, *golden = (GOLDEN / "matrix.txt").read_text().splitlines()
+    assert first == cli_matrix.header(numpy.__version__), (
+        f"tests/golden/ was written with {first[2:]}, this is numpy {numpy.__version__}")
+    monkeypatch.delenv("FF_TOL", raising=False)
+    fixtures = Path(str(fixture_path("example_6_3.json"))).parent
+    assert cli_matrix.fingerprints(main, fixtures, tmp_path) == golden
+    written = sorted(path.name for path in tmp_path.glob("*.json"))
+    assert written == sorted(path.name for path in GOLDEN.glob("*.json"))
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name

@@ -2,6 +2,7 @@
 
 Usage:
     python tools/cli_matrix.py ROOT
+    python tools/cli_matrix.py ROOT --write DIR
 
 Imports ``fusionframes`` from ``ROOT/src`` and calls ``cli.main`` in
 process on 53 runs:
@@ -22,6 +23,17 @@ names paths.  Two checkouts behave the same on the matrix when their
 outputs are equal:
 
     diff <(python tools/cli_matrix.py A) <(python tools/cli_matrix.py B)
+
+With ``--write DIR`` the ``--json`` outputs go to DIR instead, one file
+per run named by ``golden_name``, and the fingerprint lines go to
+``DIR/matrix.txt`` under a header line that names the numpy version.
+``tests/golden/`` holds these files for this checkout, and
+``tests/test_cli_matrix.py`` reruns the matrix and compares with them
+byte for byte; regenerate them with
+
+    python tools/cli_matrix.py . --write tests/golden
+
+and list every changed row in CHANGES.md.
 
 FF_TOL is removed from the environment so every run uses the default
 tolerance.  Only the standard library and the checkout are needed.
@@ -74,21 +86,44 @@ def run(main, fixtures: Path, argv: list[str], json_path: Path) -> str:
             f"stdout={_sha(out.getvalue().encode())}  stderr={_sha(err.getvalue().encode())}")
 
 
+def golden_name(argv: list[str]) -> str:
+    """The file name of a run's ``--json`` output in a golden directory."""
+    return "_".join(arg.removesuffix(".json").lstrip("-") for arg in argv) + ".json"
+
+
+def header(numpy_version: str) -> str:
+    """The first line of ``matrix.txt``: the digits of a run depend on numpy."""
+    return f"# numpy {numpy_version}"
+
+
+def fingerprints(main, fixtures: Path, json_dir: Path) -> list[str]:
+    """Run the matrix, writing each ``--json`` to ``json_dir``; return the lines."""
+    return [run(main, fixtures, argv, json_dir / golden_name(argv)) for argv in matrix()]
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    if len(args) != 1:
-        print("usage: python tools/cli_matrix.py ROOT", file=sys.stderr)
+    if len(args) not in (1, 3) or (len(args) == 3 and args[1] != "--write"):
+        print("usage: python tools/cli_matrix.py ROOT [--write DIR]", file=sys.stderr)
         return 2
     root = Path(args[0]).resolve()
     sys.path.insert(0, str(root / "src"))
     os.environ.pop("FF_TOL", None)
+    import numpy
     from fusionframes import cli
 
     fixtures = root / "src" / "fusionframes" / "fixtures"
-    with tempfile.TemporaryDirectory() as tmp:
-        for i, argv_i in enumerate(matrix()):
-            print(run(cli.main, fixtures, argv_i, Path(tmp) / f"run{i}.json"),
-                  flush=True)
+    if len(args) == 3:
+        out = Path(args[2])
+        out.mkdir(parents=True, exist_ok=True)
+        for stale in out.glob("*.json"):
+            stale.unlink()
+        lines = fingerprints(cli.main, fixtures, out)
+        (out / "matrix.txt").write_text("\n".join([header(numpy.__version__)] + lines) + "\n")
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            lines = fingerprints(cli.main, fixtures, Path(tmp))
+    print("\n".join(lines))
     return 0
 
 
