@@ -180,6 +180,7 @@ def cmd_optimal(args) -> int:
             "objective": result.solver.phi,
             "start_objective": result.solver.phi_start,
             "polished": result.solver.polished,
+            "gap": result.solver.gap,
         }
     report.add(Check.leq("optimal dual residual",
                          result.optimal_dual.residual, args.tol))
@@ -207,12 +208,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also write a machine-readable report")
 
     def solver_flags(p):
-        p.add_argument("--max-iters", type=int, default=50000)
-        p.add_argument("--step-scale", type=float, default=0.1)
-        p.add_argument("--solver-tol", default="1e-10")
-        p.add_argument("--patience", type=int, default=500)
+        p.add_argument("--max-iters", type=int, default=50000,
+                       help="reweighting iteration budget; exit 4 if the gap is still open")
+        p.add_argument("--step-scale", type=float, default=0.1,
+                       help="accepted and checked (> 0) but without effect")
+        p.add_argument("--solver-tol", default="1e-10",
+                       help="largest certified relative gap of the worst-case optimum")
+        p.add_argument("--patience", type=int, default=500,
+                       help="accepted and checked (>= 1) but without effect")
         p.add_argument("--no-polish", action="store_true",
-                       help="skip the smooth polish after subgradient descent")
+                       help="skip the SLSQP polish and its KKT lower bound: the "
+                            "reweighting alone must close the gap")
         p.add_argument("--samples", type=int, default=10,
                        help="accepted and checked (>= 1) but without effect: the "
                             "hierarchy check compares with the mean-square "

@@ -204,8 +204,8 @@ class _GroupProblem:
         start_norms = _group_norms(a0, self.membership, self.coeffs)
         start_name, uniform_text = _START_WORDING[self.kind]
         lines = [
-            f"worst-case objective: {result.phi:.12e} after {result.iterations} "
-            f"subgradient iterations (polished: {result.polished})",
+            f"worst-case objective: {result.phi:.12e}, certified gap {result.gap:.3e} "
+            f"after {result.iterations} reweighting iterations (polished: {result.polished})",
             f"{start_name} objective: {result.phi_start:.12e} "
             f"(gap {result.gap_from_start:.3e})",
         ]

@@ -1,27 +1,26 @@
 """Minimax solver for worst-case erasure objectives.
 
-The problem is always of one shape: over the affine family
-``A = A0 + Z @ P`` of left inverses, minimize the largest of a fixed
-list of weighted Frobenius norms of column groups of A.  This is convex
-(a max of norms of affine maps).  The solver runs subgradient descent
-with diminishing steps from A = A0 and then, by default, polishes the
-best iterate with an SLSQP pass on the equivalent smooth program
-``min t  s.t.  c_i^2 ||A S_i||_F^2 <= t``, whose constraints are convex
-quadratics; the polish turns the slow O(1/sqrt(k)) subgradient tail into
-machine-precision agreement with the unique minimizer where one exists.
-The polish is the package's only use of scipy: ``scipy.optimize`` is
-imported when the first polish runs, not when this module is imported,
-so ``import fusionframes`` loads numpy only and a run that never polishes
-never loads scipy.
-An iteration reads every group norm of A from one reduction (column sums
-of |A|^2 times a group-membership matrix) and moves A itself by the
-projected subgradient, built from the active group's columns and rows of
-P; as P^2 = P the step stays in the family, and the best iterate is
-projected back once to drop rounding drift.  The polish moves the d x k
-kernel coordinates W of ``A = A0 + W N*`` (N an orthonormal basis of the
-range of P, k = n - rank T) instead of a d x n matrix Z.
-Everything is deterministic: ties between active groups break toward the
-lowest index and no randomness is used.
+Over the affine family ``A = A0 + W N*`` of left inverses (N an
+orthonormal basis of the range of the kernel projector P), minimize the
+largest of a fixed list of weighted Frobenius norms of column groups,
+v_i = c_i^2 ||A S_i||_F^2 squared.  By the minimax theorem the squared
+optimum is the maximum over the simplex of g(lam) = min_W lam @ v(W),
+whose gradient is v at the minimizer W_lam.  The solver runs the power-1/2
+optimal-design iteration lam <- lam sqrt(v) / <lam, sqrt(v)> (Silvey,
+Titterington and Torsney 1978; Yu, Ann. Statist. 2010).  W_lam solves
+least squares on D^(1/2) N itself, D the per-column lam_i c_i^2: the
+normal equations would square its conditioning and overstate g as some
+lam_i -> 0.  g(lam) is a lower bound on the squared optimum and max_i v_i
+at any W an upper bound, so the relative gap between the best of each is
+a certificate; ``SolverConfig.tol`` bounds it.  The iteration runs with
+max c = 1 and A scaled to match, the same numbers at any weight scale.
+
+By default an SLSQP pass on ``min t  s.t.  v_i <= t`` over W polishes
+the last places, and the KKT multipliers of the polished point give a
+lower bound that closes the gap also where the iteration is slow.  The
+polish is the package's only use of scipy, imported when the first
+polish runs, so ``import fusionframes`` loads numpy only.  Everything is
+deterministic.
 """
 
 from __future__ import annotations
@@ -37,7 +36,8 @@ from .errors import NonConvergence
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the worst-case solver, surfaced as CLI flags."""
+    """Knobs for the worst-case solver, surfaced as CLI flags.  ``step_scale``
+    and ``patience`` steered an earlier subgradient method and have no effect."""
 
     max_iters: int = 50000
     step_scale: float = 0.1
@@ -48,7 +48,9 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class MinimaxResult:
-    """Outcome of a worst-case minimization."""
+    """Outcome of a worst-case minimization.  ``phi_subgradient`` is the
+    objective before the polish; ``gap`` is the certified (upper - lower) /
+    upper on the squared objective at ``a``, a few ulps below 0 at worst."""
 
     a: np.ndarray = field(repr=False)
     phi: float
@@ -57,6 +59,7 @@ class MinimaxResult:
     iterations: int
     converged: bool
     polished: bool
+    gap: float
 
     @property
     def gap_from_start(self) -> float:
@@ -92,54 +95,54 @@ def _scipy_minimize(*args, **kwargs):
     return minimize(*args, **kwargs)
 
 
-def _polish(a0, proj, member, coeffs, a_start):
+def _gradients(a, basis, member, coeffs):
+    """The m x d x k gradients in W of c_i^2 ||(A0 + W N*) S_i||_F^2 at A:
+    2 c_i^2 (A masked to the columns of group i) N."""
+    return 2.0 * (coeffs * coeffs)[:, None, None] * ((a * member.T[:, None, :]) @ basis)
+
+
+def _polish(a0, basis, member, coeffs, w_start):
     """SLSQP pass on min t s.t. c_i^2 ||(A0 + W N*) S_i||_F^2 <= t over the
-    kernel coordinates W, with the m constraints as one vector-valued
-    constraint.  N is the orthonormal eigenbasis of P for eigenvalue 1;
-    a Riesz problem has P = 0 and no coordinates, only t."""
-    eigvals, eigvecs = np.linalg.eigh(proj)
-    basis = eigvecs[:, eigvals > 0.5]
+    kernel coordinates W (their real and imaginary parts) from ``w_start``,
+    with the m constraints as one vector-valued constraint; returns the
+    final W.  A Riesz problem has no coordinates, only t."""
     basis_h = basis.conj().T
-    w_start = (a_start - a0) @ basis
-    (d, k), m = w_start.shape, member.shape[1]
-    cplx = np.iscomplexobj(w_start)
-    size = d * k
-    # Row i of the constraint Jacobian in W is 2 c_i^2 (A masked to the
-    # columns of group i) N; all m masked copies go through one product.
-    mask = member.T[:, None, :]
-    grad_scale = 2.0 * (coeffs * coeffs)[:, None]
 
     def unpack(x):
-        if cplx:
-            return x[:size].reshape(d, k) + 1j * x[size:2 * size].reshape(d, k)
-        return x[:size].reshape(d, k)
+        return x[:-1].view(w_start.dtype).reshape(w_start.shape)
 
     def fun(x):
         return x[-1] - _group_norms(a0 + unpack(x) @ basis_h, member, coeffs) ** 2
 
     def jac(x):
-        masked = ((a0 + unpack(x) @ basis_h) * mask).reshape(m * d, -1)
-        grads = grad_scale * (masked @ basis).reshape(m, size)
-        out = np.empty((m, x.size))
-        out[:, :size] = -grads.real
-        if cplx:
-            out[:, size:2 * size] = -grads.imag
-        out[:, -1] = 1.0
-        return out
+        grads = _gradients(a0 + unpack(x) @ basis_h, basis, member, coeffs)
+        flat = grads.reshape(len(grads), -1).view(float)
+        return np.hstack([-flat, np.ones((len(grads), 1))])
 
-    t0 = _group_norms(a_start, member, coeffs).max() ** 2
-    parts = [w_start.real.ravel()] + ([w_start.imag.ravel()] if cplx else [])
-    x0 = np.concatenate(parts + [[t0]])
-    objective_grad = np.zeros(x0.size)
-    objective_grad[-1] = 1.0
+    t0 = _group_norms(a0 + w_start @ basis_h, member, coeffs).max() ** 2
+    x0 = np.append(w_start.ravel().view(float), t0)
+    objective_grad = np.append(np.zeros(x0.size - 1), 1.0)
     res = _scipy_minimize(
         lambda x: x[-1], x0, jac=lambda x: objective_grad,
         constraints=[{"type": "ineq", "fun": fun, "jac": jac}], method="SLSQP",
         options={"maxiter": 300, "ftol": 1e-14})
     # Every W is feasible (the affine family absorbs the constraint), so the
-    # returned point is usable whenever it actually lowers the exact
+    # caller keeps the returned point whenever it does not raise the exact
     # objective, regardless of the SLSQP status flag.
-    return a0 + unpack(res.x) @ basis_h
+    return unpack(res.x)
+
+
+def _kkt_weights(a, basis, member, coeffs, candidates):
+    """The lam on the simplex, zero outside ``candidates``, that makes
+    sum_i lam_i grad v_i(A) least: at an optimal A, its KKT multipliers.
+    Any lam on the simplex gives a lower bound, so negative entries are cut."""
+    flat = _gradients(a, basis, member, coeffs)[candidates].reshape(candidates.sum(), -1)
+    ones = np.ones((flat.shape[0], 1))
+    kkt = np.block([[np.real(flat.conj() @ flat.T), ones], [ones.T, np.zeros((1, 1))]])
+    lam = np.zeros(member.shape[1])
+    lam[candidates] = np.linalg.lstsq(kkt, np.eye(kkt.shape[0])[-1], rcond=None)[0][:-1]
+    lam = np.clip(lam, 0.0, None)
+    return lam / lam.sum()
 
 
 def minimize_max_group_norms(a0, kernel_projector,
@@ -147,77 +150,71 @@ def minimize_max_group_norms(a0, kernel_projector,
                              coeffs: Sequence[float],
                              config: SolverConfig | None = None) -> MinimaxResult:
     """Minimize ``max_i coeffs[i] * ||A[:, groups[i]]||_F`` over the affine
-    family A = a0 + Z @ kernel_projector.
-
-    Raises:
-        NonConvergence: the iteration budget ran out while the objective
-            was still improving faster than ``config.tol`` per
-            ``config.patience`` iterations, and the polish pass is
-            disabled or failed.
-    """
+    family A = a0 + Z @ kernel_projector.  Raises NonConvergence when the
+    certified gap is above ``config.tol`` after ``config.max_iters``
+    iterations (and the polish, if enabled)."""
     config = config or SolverConfig()
     a0 = np.asarray(a0, dtype=np.result_type(a0, 1.0))
-    proj = np.asarray(kernel_projector, dtype=np.result_type(kernel_projector, 1.0))
     groups = [np.asarray(g, dtype=int) for g in groups]
     coeffs = np.asarray(coeffs, dtype=float).ravel()
     if len(groups) != coeffs.size:
         raise ValueError("one coefficient per column group is required")
     member = _membership(groups, a0.shape[1])
+    eigvals, eigvecs = np.linalg.eigh(np.asarray(kernel_projector))
+    basis = eigvecs[:, eigvals > 0.5]
+    basis_h = basis.conj().T
+    # c_i ||A S_i|| = (c_i / s) ||s A S_i||: iterate with max c = 1 on s A.
+    scale = float(coeffs.max())
+    unit, a0_unit = coeffs / scale, scale * a0
+    col_weights = member * (unit * unit)
+    rhs = -a0_unit.conj().T
 
-    # Each iteration reads the group norms of A once; they give both the
-    # value of the previous step and the active group of the next one.
-    norms = _group_norms(a0, member, coeffs)
-    # np.argmax returns the first maximizer, which is the tie-break rule.
-    i = int(norms.argmax())
-    phi_start = float(norms[i])
-    # The subgradient c_i A S_i / ||A S_i||_F, projected onto the kernel,
-    # touches only the rows of P in group i, and it lies in the range of P.
-    proj_rows = [proj[g] for g in groups]
-    coeffs_sq = coeffs * coeffs
-    a = best_a = a0
-    best_phi = phi_start
-    step_base = config.step_scale * np.linalg.norm(a0, "fro")
-    history = [best_phi]
-    plateaued = False
+    def errors(w):  # v at A = A0 + W N*
+        return _group_norms(a0_unit + w @ basis_h, member, unit) ** 2
+
+    def evaluate(lam):  # W_lam and v(W_lam): g(lam) = lam @ v
+        root = np.sqrt(col_weights @ lam)[:, None]
+        w = np.linalg.lstsq(root * basis, root * rhs, rcond=None)[0].conj().T
+        return w, errors(w)
+
+    best_w = np.zeros((a0.shape[0], basis.shape[1]), dtype=np.result_type(a0, basis))
+    v = errors(best_w)
+    best_upper, lower = float(v.max()), 0.0
+    phi_start, phi_subgradient, polished = math.sqrt(best_upper), None, False
+    # With no kernel A0 is the only point, and lam on its largest group
+    # makes g(lam) = max_i v_i at once.
+    lam = np.full(v.size, 1.0 / v.size) if basis.shape[1] else np.eye(v.size)[v.argmax()]
     iterations = 0
-    for k in range(1, config.max_iters + 1):
-        iterations = k
-        if norms[i] == 0.0:
-            plateaued = True
+    # With the polish, the loop hands over at gap sqrt(tol); if the polished
+    # point's KKT weights do not close the gap, it resumes to tol.
+    for target in ([math.sqrt(config.tol)] if config.polish else []) + [config.tol]:
+        while best_upper - lower > target * best_upper and iterations < config.max_iters:
+            iterations += 1
+            w, v = evaluate(lam)
+            if v.max() < best_upper:
+                best_w, best_upper = w, float(v.max())
+            lower = max(lower, float(lam @ v))
+            lam = lam * np.sqrt(v)
+            lam /= lam.sum()
+        if config.polish:
+            phi_subgradient = phi_subgradient or math.sqrt(best_upper)
+            w = _polish(a0_unit, basis, member, unit, best_w)
+            v = errors(w)
+            if v.max() <= best_upper:
+                best_w, best_upper, polished = w, float(v.max()), True
+            if best_upper - lower > config.tol * best_upper:
+                kkt = _kkt_weights(a0_unit + best_w @ basis_h, basis, member, unit,
+                                   errors(best_w) >= lower)
+                lower = max(lower, float(kkt @ evaluate(kkt)[1]))
+        if best_upper - lower <= config.tol * best_upper:
             break
-        grad = (coeffs_sq[i] / norms[i]) * (a[:, groups[i]] @ proj_rows[i])
-        if np.vdot(grad, grad) == 0.0:
-            plateaued = True
-            break
-        a = a - (step_base / math.sqrt(k)) * grad
-        norms = _group_norms(a, member, coeffs)
-        i = int(norms.argmax())
-        value = float(norms[i])
-        if value < best_phi:
-            best_phi = value
-            best_a = a
-        history.append(best_phi)
-        if k >= config.patience:
-            old = history[k - config.patience]
-            if (old - best_phi) <= config.tol * max(best_phi, 1e-30):
-                plateaued = True
-                break
 
-    # The steps stay in the family only up to rounding; one projection puts
-    # the best iterate back, and its value is read again.
-    best_a = a0 + (best_a - a0) @ proj
-    best_phi = phi_subgradient = float(_group_norms(best_a, member, coeffs).max())
-    polished = False
-    if config.polish:
-        a_polished = _polish(a0, proj, member, coeffs, best_a)
-        value = float(_group_norms(a_polished, member, coeffs).max())
-        if value <= best_phi:
-            best_phi, best_a, polished = value, a_polished, True
-
-    result = MinimaxResult(best_a, best_phi, phi_start, phi_subgradient,
-                           iterations, converged=True, polished=polished)
-    if not plateaued and not polished and iterations >= config.max_iters:
+    result = MinimaxResult(a0 + (best_w / scale) @ basis_h, math.sqrt(best_upper),
+                           phi_start, phi_subgradient or math.sqrt(best_upper),
+                           iterations, converged=True, polished=polished,
+                           gap=(best_upper - lower) / best_upper)
+    if result.gap > config.tol:
         raise NonConvergence(
-            f"objective still improving after {config.max_iters} iterations",
-            result=replace(result, converged=False))
+            f"certified gap {result.gap:.3e} above tol {config.tol:.3e} "
+            f"after {iterations} iterations", result=replace(result, converged=False))
     return result

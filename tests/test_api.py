@@ -40,7 +40,7 @@ SIGNATURES = {
     "MinimaxResult":
         "(a: 'np.ndarray', phi: 'float', phi_start: 'float', "
         "phi_subgradient: 'float', iterations: 'int', converged: 'bool', "
-        "polished: 'bool') -> None",
+        "polished: 'bool', gap: 'float') -> None",
     "ProjectiveRS":
         "(ops: 'tuple', tol: 'float' = 1e-08) -> None",
     "QDualPair":

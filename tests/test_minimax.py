@@ -1,10 +1,10 @@
 """Worst-case solver: convexity of the objective, closed-form agreement,
-stationarity at the start point, the non-convergence contract, and the
-kernel coordinates of the polish."""
+stationarity at the start point, the certified gap and the
+non-convergence contract, and the kernel coordinates of the polish."""
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fusionframes import minimax
 from fusionframes.duality import left_inverses_parametrization
@@ -139,6 +139,7 @@ class TestSolver:
             minimize_max_group_norms(a0, proj, groups, coeffs, config)
         assert info.value.result.converged is False
         assert info.value.result.iterations == 3
+        assert info.value.result.gap > config.tol
 
     def test_polish_calls_the_module_level_minimize(self, rng, monkeypatch):
         # The polish reaches SLSQP only through minimax._scipy_minimize, the
@@ -172,10 +173,54 @@ def _capture_polish_sizes(monkeypatch) -> list:
     return sizes
 
 
+class TestCertificate:
+    """``gap`` is (upper - lower) / upper on the squared objective, with
+    lower = g(lam) for some lam on the simplex.  Every left inverse lies on
+    or above that lower bound, and ``converged`` is never reported with a
+    gap above tol."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), complex_field=st.booleans(),
+           polish=st.booleans())
+    @settings(max_examples=20)
+    def test_no_left_inverse_beats_the_lower_bound(self, seed, complex_field, polish):
+        rng = np.random.default_rng(seed)
+        ff = random_overcomplete_fusion_frame(rng, int(rng.integers(2, 5)),
+                                              int(rng.integers(2, 5)), complex_field)
+        a0, proj, groups, coeffs = _family_problem(ff)
+        config = SolverConfig(max_iters=3000, polish=polish)
+        try:
+            result = minimize_max_group_norms(a0, proj, groups, coeffs, config)
+            assert result.converged and result.gap <= config.tol
+        except NonConvergence as exc:
+            result = exc.result
+            assert not result.converged and result.gap > config.tol
+        lower = result.phi * np.sqrt(1.0 - result.gap)
+        assert lower <= result.phi <= result.phi_start
+        for _ in range(20):
+            z = rng.normal(size=a0.shape) * rng.uniform(0.0, 2.0)
+            assert _phi(a0 + z @ proj, groups, coeffs) >= lower * (1 - 1e-13)
+
+    def test_a_group_active_at_zero_weight_is_certified_by_the_polish(self, rng):
+        # The second group's norm reaches the optimum (to 1e-8), but the
+        # optimal weights are (1, 0): the reweighting closes such a gap like
+        # 1/t^2 (2.2e-7 after 5000 iterations here).  The polished point's
+        # KKT weights close it at once.
+        ff = random_overcomplete_fusion_frame(rng, 4, 2)
+        problem = _family_problem(ff)
+        result = minimize_max_group_norms(*problem, SolverConfig())
+        assert result.converged and abs(result.gap) <= 1e-15
+        assert result.iterations < 1000
+        norms = _group_norms(result.a, _membership(problem[2], 5), np.array(problem[3]))
+        assert abs(norms[0] - norms[1]) <= 1e-8 * result.phi
+        with pytest.raises(NonConvergence) as info:
+            minimize_max_group_norms(*problem, SolverConfig(max_iters=5000, polish=False))
+        assert info.value.result.gap > 1e-7
+
+
 class TestKernelCoordinates:
-    """The polish moves W in A = A0 + W N*, with N an orthonormal basis of
-    ker T: d x k unknowns (twice that for a complex problem) plus the bound
-    t, where k = n - rank T.  Subgradient steps move A itself."""
+    """The solver moves W in A = A0 + W N*, with N an orthonormal basis of
+    ker T: the polish has d x k unknowns (twice that for a complex problem)
+    plus the bound t, where k = n - rank T."""
 
     @pytest.mark.parametrize("complex_field", [False, True])
     def test_polish_unknowns_are_the_kernel_coordinates(self, rng, monkeypatch,
@@ -207,18 +252,13 @@ class TestKernelCoordinates:
 
     @pytest.mark.parametrize("polish", [False, True])
     def test_example_6_3_stays_on_the_family(self, polish):
-        # 50000 in-place steps: without the final projection back onto the
-        # family, A T* - I drifts to about 1.3e-14 here.
+        # Uniform weights are optimal here, so both paths are certified at
+        # the first iteration, and A = A0 + W N* is a left inverse to rounding.
         ff = load_spec(str(fixture_path("example_6_3.json"))).fusion_frame()
         problem = _family_problem(ff)
-        if polish:
-            result = minimize_max_group_norms(*problem, SolverConfig())
-            assert result.polished
-        else:
-            with pytest.raises(NonConvergence) as info:
-                minimize_max_group_norms(*problem, SolverConfig(polish=False))
-            result = info.value.result
-        assert result.iterations == 50000
+        result = minimize_max_group_norms(*problem, SolverConfig(polish=polish))
+        assert result.polished is polish and result.converged
+        assert result.iterations == 1 and abs(result.gap) <= 1e-15
         residual = np.max(np.abs(result.a @ ff.analysis_matrix() - np.eye(ff.ambient_dim)))
         assert residual <= 1e-12
         assert residual <= 16 * np.finfo(float).eps
