@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--patience", type=int, default=500,
                        help="accepted and checked (>= 1) but without effect")
         p.add_argument("--no-polish", action="store_true",
-                       help="skip the SLSQP polish and its KKT lower bound: the "
+                       help="skips the Newton step and the SLSQP fallback: the "
                             "reweighting alone must close the gap")
         p.add_argument("--samples", type=int, default=10,
                        help="accepted and checked (>= 1) but without effect: the "

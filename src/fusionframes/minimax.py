@@ -5,22 +5,33 @@ orthonormal basis of the range of the kernel projector P), minimize the
 largest of a fixed list of weighted Frobenius norms of column groups,
 v_i = c_i^2 ||A S_i||_F^2 squared.  By the minimax theorem the squared
 optimum is the maximum over the simplex of g(lam) = min_W lam @ v(W),
-whose gradient is v at the minimizer W_lam.  The solver runs the power-1/2
-optimal-design iteration lam <- lam sqrt(v) / <lam, sqrt(v)> (Silvey,
-Titterington and Torsney 1978; Yu, Ann. Statist. 2010).  W_lam solves
-least squares on D^(1/2) N itself, D the per-column lam_i c_i^2: the
-normal equations would square its conditioning and overstate g as some
-lam_i -> 0.  g(lam) is a lower bound on the squared optimum and max_i v_i
-at any W an upper bound, so the relative gap between the best of each is
-a certificate; ``SolverConfig.tol`` bounds it.  The iteration runs with
-max c = 1 and A scaled to match, the same numbers at any weight scale.
+whose gradient is v at the minimizer W_lam.  W_lam solves least squares
+on D^(1/2) N itself, D the per-column lam_i c_i^2: the normal equations
+would square its conditioning and overstate g as some lam_i -> 0.
+g(lam) is a lower bound on the squared optimum and max_i v_i at any W an
+upper bound, so the relative gap between the best of each is a
+certificate; ``SolverConfig.tol`` bounds it.  The solve runs with max
+c = 1 and A scaled to match, the same numbers at any weight scale.
 
-By default an SLSQP pass on ``min t  s.t.  v_i <= t`` over W polishes
-the last places, and the KKT multipliers of the polished point give a
-lower bound that closes the gap also where the iteration is slow.  The
-polish is the package's only use of scipy, imported when the first
-polish runs, so ``import fusionframes`` loads numpy only.  Everything is
-deterministic.
+The power-1/2 optimal-design iteration lam <- lam sqrt(v) / <lam,
+sqrt(v)> (Silvey, Titterington and Torsney 1978; Yu, Ann. Statist. 2010)
+runs until the gap is at most ``HANDOVER_GAP`` (without the polish: at
+most tol).  Newton's method on g then polishes the last places, on the
+face of the simplex spanned by the groups of positive weight: an index
+whose weight reaches 0 leaves the face, and one whose v_i exceeds g(lam)
+joins it.  The Hessian of g is -2 Re tr(G_i B^+ G_j*), with G_i half of
+group i's gradient and B = N* D N, so the KKT system reduces to the m
+weights.  Where the face leaves W_lam not unique, the same problem over
+those W gives the primal point, and its weights an ascent direction.
+Newton only proposes lam: both bounds are the evaluated ones.  It closes
+in a few steps also the gap of a group that is active at zero weight,
+where the iteration alone is slow (like 1/t^2).
+
+If Newton gives up with the gap open, the iteration resumes to tol and
+an SLSQP pass on ``min t  s.t.  v_i <= t`` over W tries the upper bound.
+That fallback is the package's only use of scipy, imported on its first
+call, so ``import fusionframes`` and every solve that Newton certifies
+load numpy only.  Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -49,8 +60,10 @@ class SolverConfig:
 @dataclass(frozen=True)
 class MinimaxResult:
     """Outcome of a worst-case minimization.  ``phi_subgradient`` is the
-    objective before the polish; ``gap`` is the certified (upper - lower) /
-    upper on the squared objective at ``a``, a few ulps below 0 at worst."""
+    objective before the polish, and ``polished`` says whether ``a`` came
+    from Newton's method or the SLSQP fallback; ``gap`` is the certified
+    (upper - lower) / upper on the squared objective at ``a``, a few ulps
+    below 0 at worst."""
 
     a: np.ndarray = field(repr=False)
     phi: float
@@ -64,6 +77,25 @@ class MinimaxResult:
     @property
     def gap_from_start(self) -> float:
         return self.phi_start - self.phi
+
+
+#: The certified gap at which the reweighting hands over to Newton: the
+#: largest of 1e-1 ... 1e-6 at which no problem of a sweep over random
+#: frames and systems fell back to SLSQP.
+HANDOVER_GAP = 1e-2
+#: Newton steps, and step halvings in each, before the fallback.
+_NEWTON_STEPS = 30
+_HALVINGS = 8
+#: Singular values of D^(1/2) N below this times the largest weight root
+#: are 0 (N is orthonormal, so that is the scale of D^(1/2) N).
+_SINGULAR = 1e-12
+#: Newton sets a weight below this to 0: a group on its way out would
+#: leave B near singular and the Newton model poor.
+_TINY = 1e-6
+#: Curvature below this share of the largest is none; a slope along such a
+#: direction counts above this share of the largest v_i.
+_FLAT = 1e-10
+_FLAT_SLOPE = 1e-13
 
 
 def _membership(groups, n: int) -> np.ndarray:
@@ -132,17 +164,200 @@ def _polish(a0, basis, member, coeffs, w_start):
     return unpack(res.x)
 
 
-def _kkt_weights(a, basis, member, coeffs, candidates):
-    """The lam on the simplex, zero outside ``candidates``, that makes
-    sum_i lam_i grad v_i(A) least: at an optimal A, its KKT multipliers.
-    Any lam on the simplex gives a lower bound, so negative entries are cut."""
-    flat = _gradients(a, basis, member, coeffs)[candidates].reshape(candidates.sum(), -1)
-    ones = np.ones((flat.shape[0], 1))
-    kkt = np.block([[np.real(flat.conj() @ flat.T), ones], [ones.T, np.zeros((1, 1))]])
-    lam = np.zeros(member.shape[1])
-    lam[candidates] = np.linalg.lstsq(kkt, np.eye(kkt.shape[0])[-1], rcond=None)[0][:-1]
-    lam = np.clip(lam, 0.0, None)
-    return lam / lam.sum()
+def _curvature(a, basis, member, coeffs, sing, vh):
+    """The Hessian of g at lam, -2 Re tr(G_i B^+ G_j*), with G_i half of
+    group i's gradient at the minimizer A and B = N* D N, through the SVD
+    U S V* of D^(1/2) N cut to its nonzero ``sing``: G_i B^+ G_j* is
+    (G_i V S^-1)(G_j V S^-1)*."""
+    scaled = vh.conj().T / sing
+    f = (0.5 * _gradients(a, basis, member, coeffs) @ scaled).reshape(len(member.T), -1)
+    return -2.0 * np.real(f.conj() @ f.T)
+
+
+def _newton_step(lam, v, hess, face):
+    """The next lam of Newton's method for g on the face of the simplex
+    spanned by ``face``, in the directions of that face (sums 0): the
+    model's maximizer along every direction of negative curvature, or, when
+    the model rises along a direction of none, the ray along that ascent.
+    The step is cut where the first weight reaches 0: that index leaves the
+    face.  An index at weight 0 that the step would make negative leaves the
+    face before the step."""
+    while True:
+        j = np.flatnonzero(face)
+        sums_zero = np.linalg.eigh(np.eye(j.size) - 1.0 / j.size)[1][:, 1:]
+        curv, axes = np.linalg.eigh(sums_zero.T @ hess[np.ix_(j, j)] @ sums_zero)
+        slope = axes.T @ (sums_zero.T @ v[j])
+        flat = curv >= -_FLAT * max(-curv.min(initial=0.0), np.finfo(float).tiny)
+        ray = flat & (np.abs(slope) > _FLAT_SLOPE * np.abs(v[j]).max())
+        if ray.any():
+            coords = np.where(ray, slope, 0.0)
+        else:
+            coords = np.where(flat, 0.0, -slope / np.where(flat, 1.0, curv))
+        step = sums_zero @ (axes @ coords)
+        leaving = (lam[j] == 0.0) & (step < 0.0)
+        if not leaving.any():
+            break
+        face[j[leaving]] = False
+    direction = np.zeros_like(lam)
+    direction[j] = step
+    shrinking = direction < 0.0
+    reach = np.min(lam[shrinking] / -direction[shrinking], initial=np.inf)
+    new = lam + min(reach, np.inf if ray.any() else 1.0) * direction
+    new[new < _TINY] = 0.0
+    return new / new.sum()
+
+
+class _Solve:
+    """One solve in coordinates where max c = 1: the bounds found so far,
+    the W that attains the upper one and the lam that attains the lower."""
+
+    def __init__(self, a0, basis, member, coeffs):
+        self.a0, self.basis, self.member, self.coeffs = a0, basis, member, coeffs
+        self.basis_h = basis.conj().T
+        self.col_weights = member * (coeffs * coeffs)
+        self.w = np.zeros((a0.shape[0], basis.shape[1]), dtype=np.result_type(a0, basis))
+        self.shift = self.w
+        self.upper, self.lower = float(self.errors(self.w).max()), 0.0
+        self.dual = np.zeros(member.shape[1])
+        self.iterations, self.polished = 0, False
+
+    def errors(self, w):  # v at A = A0 + W N*
+        return _group_norms(self.a0 + w @ self.basis_h, self.member, self.coeffs) ** 2
+
+    def gap(self) -> float:
+        return (self.upper - self.lower) / self.upper
+
+    def keep(self, w, v, polished=False):
+        """Keep W if it lowers the upper bound; a polished W also on a tie."""
+        if v.max() < self.upper or (polished and v.max() <= self.upper):
+            self.w, self.upper, self.polished = w, float(v.max()), polished
+
+    def weighted(self, lam):
+        """D^(1/2) N and the lstsq cut-off that drops its singular values
+        below _SINGULAR times the largest weight root: N is orthonormal, so
+        that is the scale of D^(1/2) N even when the weighted rows of N are
+        all 0, and a direction that only zero weights fix is cut."""
+        root = np.sqrt(self.col_weights @ lam)[:, None]
+        scaled = root * self.basis
+        size = np.linalg.norm(scaled)
+        return root, scaled, _SINGULAR * root.max() / size if size > 0.0 else 1.0
+
+    def evaluate(self, lam, polished=False):
+        """W_lam and v(W_lam), both bounds updated: g(lam) = lam @ v."""
+        root, scaled, rcond = self.weighted(lam)
+        w = np.linalg.lstsq(scaled, -root * self.a0.conj().T, rcond=rcond)[0].conj().T
+        v = self.errors(w)
+        self.keep(w, v, polished)
+        g = float(lam @ v)
+        if g > self.lower:
+            self.lower, self.dual = g, lam
+        return w, v
+
+    def run(self, config: SolverConfig) -> None:
+        # With no kernel A0 is the only point, and lam on its largest group
+        # makes g(lam) = max_i v_i at once.
+        m = self.member.shape[1]
+        lam = (np.full(m, 1.0 / m) if self.basis.shape[1]
+               else np.eye(m)[self.errors(self.w).argmax()])
+        handover = max(HANDOVER_GAP, config.tol) if config.polish else config.tol
+        lam, w, v = self.reweight(lam, handover, config.max_iters)
+        self.phi_reweighted = math.sqrt(self.upper)
+        if not config.polish or self.gap() <= config.tol:
+            return
+        if self.iterations:
+            self.newton(lam, w, v, config)
+        if self.gap() > config.tol:  # Newton gave up: the fallback
+            self.reweight(lam, config.tol, config.max_iters)
+            w = _polish(self.a0, self.basis, self.member, self.coeffs, self.w)
+            self.keep(w, self.errors(w), polished=True)
+
+    def reweight(self, lam, target, max_iters):
+        """Power-1/2 from lam until the gap is at most ``target`` or the
+        iterations reach ``max_iters``; returns the last lam evaluated, with
+        its W_lam and v."""
+        evaluated = w = v = None
+        while self.iterations < max_iters:
+            self.iterations += 1
+            evaluated, (w, v) = lam, self.evaluate(lam)
+            if self.gap() <= target:
+                break
+            lam = lam * np.sqrt(v)
+            lam /= lam.sum()
+        return evaluated, w, v
+
+    def newton(self, lam, w, v, config):
+        """Newton's method on g from lam (W_lam and v evaluated), on the face
+        of the simplex where lam is positive or v_i exceeds g(lam), until the
+        gap is at most tol and stops shrinking.  It only proposes lam."""
+        previous = math.inf
+        for _ in range(_NEWTON_STEPS):
+            tiny = (lam > 0.0) & (lam < _TINY)
+            if tiny.any():
+                lam = np.where(tiny, 0.0, lam) / lam[~tiny].sum()
+                w, v = self.evaluate(lam, polished=True)
+            g = float(lam @ v)
+            _, scaled, rcond = self.weighted(lam)
+            _, sing, vh = np.linalg.svd(scaled)
+            rank = int(np.sum(sing > rcond * sing[0]))
+            w, v, target = self.off_face(lam, g, w, v, vh[rank:].conj().T, config)
+            if target is None:
+                hess = _curvature(self.a0 + w @ self.basis_h, self.basis, self.member,
+                                  self.coeffs, sing[:rank], vh[:rank])
+                target = _newton_step(lam, v, hess, (lam > 0.0) | (v > g))
+            found = self.line_search(lam, g, target, config.tol)
+            if found is None:
+                break
+            lam, w, v = found
+            if self.gap() <= config.tol and (self.gap() <= 0.0 or self.gap() > 0.5 * previous):
+                break
+            previous = self.gap()
+
+    def off_face(self, lam, g, w, v, null, config):
+        """Where W_lam is not unique (W_lam + Z (N V0)* all minimize the
+        Lagrangian), the min-norm one may let a group off the face whose
+        columns N V0 moves exceed g.  The same problem over those W gives
+        the best of them.  If a group still exceeds g, that problem's
+        weights mu are an ascent direction, at slope mu @ v - g: returns the
+        best W, its v and the first trial along mu - lam, placed by a
+        quadratic through g(mu); else None for the trial."""
+        loose = (lam == 0.0) & (np.sum(np.abs(self.basis @ null) ** 2, axis=1)
+                                @ self.member > _SINGULAR)
+        if not v[loose].max(initial=-np.inf) > g:
+            return w, v, None
+        sub = _Solve(self.a0 + w @ self.basis_h, self.basis @ null,
+                     self.member[:, loose], self.coeffs[loose])
+        sub.run(config)
+        w = w + sub.w @ null.conj().T
+        # The min-norm W_lam has no component along N V0: this is the move.
+        self.shift = (w @ null) @ null.conj().T
+        v = self.errors(w)
+        self.keep(w, v, polished=True)
+        if not v[loose].max() > g:
+            return w, v, None
+        mu = np.zeros(lam.size)
+        mu[loose] = sub.dual
+        slope = float(mu @ v) - g
+        drop = g + slope - float(mu @ self.evaluate(mu, polished=True)[1])
+        reach = min(1.0, 0.5 * slope / drop) if drop > 0.0 else 1.0
+        return w, v, lam + reach * (mu - lam)
+
+    def line_search(self, lam, g, target, tol):
+        """The first of lam + 2^-s (target - lam), s = 0, 1, ..., at which g
+        rises or the gap closes, with its W and v; None if there is none.
+        The last move off the face applies to each W as well."""
+        if np.array_equal(target, lam):
+            return None
+        for shrink in range(_HALVINGS):
+            trial = lam + 0.5 ** shrink * (target - lam)
+            w, v = self.evaluate(trial, polished=True)
+            if self.shift.any():
+                shifted = self.errors(w + self.shift)
+                self.keep(w + self.shift, shifted, polished=True)
+                if shifted.max() <= v.max():
+                    w, v = w + self.shift, shifted
+            if float(trial @ v) > g or self.gap() <= tol:
+                return trial, w, v
+        return None
 
 
 def minimize_max_group_norms(a0, kernel_projector,
@@ -159,62 +374,18 @@ def minimize_max_group_norms(a0, kernel_projector,
     coeffs = np.asarray(coeffs, dtype=float).ravel()
     if len(groups) != coeffs.size:
         raise ValueError("one coefficient per column group is required")
-    member = _membership(groups, a0.shape[1])
     eigvals, eigvecs = np.linalg.eigh(np.asarray(kernel_projector))
     basis = eigvecs[:, eigvals > 0.5]
-    basis_h = basis.conj().T
-    # c_i ||A S_i|| = (c_i / s) ||s A S_i||: iterate with max c = 1 on s A.
+    # c_i ||A S_i|| = (c_i / s) ||s A S_i||: solve with max c = 1 on s A.
     scale = float(coeffs.max())
-    unit, a0_unit = coeffs / scale, scale * a0
-    col_weights = member * (unit * unit)
-    rhs = -a0_unit.conj().T
-
-    def errors(w):  # v at A = A0 + W N*
-        return _group_norms(a0_unit + w @ basis_h, member, unit) ** 2
-
-    def evaluate(lam):  # W_lam and v(W_lam): g(lam) = lam @ v
-        root = np.sqrt(col_weights @ lam)[:, None]
-        w = np.linalg.lstsq(root * basis, root * rhs, rcond=None)[0].conj().T
-        return w, errors(w)
-
-    best_w = np.zeros((a0.shape[0], basis.shape[1]), dtype=np.result_type(a0, basis))
-    v = errors(best_w)
-    best_upper, lower = float(v.max()), 0.0
-    phi_start, phi_subgradient, polished = math.sqrt(best_upper), None, False
-    # With no kernel A0 is the only point, and lam on its largest group
-    # makes g(lam) = max_i v_i at once.
-    lam = np.full(v.size, 1.0 / v.size) if basis.shape[1] else np.eye(v.size)[v.argmax()]
-    iterations = 0
-    # With the polish, the loop hands over at gap sqrt(tol); if the polished
-    # point's KKT weights do not close the gap, it resumes to tol.
-    for target in ([math.sqrt(config.tol)] if config.polish else []) + [config.tol]:
-        while best_upper - lower > target * best_upper and iterations < config.max_iters:
-            iterations += 1
-            w, v = evaluate(lam)
-            if v.max() < best_upper:
-                best_w, best_upper = w, float(v.max())
-            lower = max(lower, float(lam @ v))
-            lam = lam * np.sqrt(v)
-            lam /= lam.sum()
-        if config.polish:
-            phi_subgradient = phi_subgradient or math.sqrt(best_upper)
-            w = _polish(a0_unit, basis, member, unit, best_w)
-            v = errors(w)
-            if v.max() <= best_upper:
-                best_w, best_upper, polished = w, float(v.max()), True
-            if best_upper - lower > config.tol * best_upper:
-                kkt = _kkt_weights(a0_unit + best_w @ basis_h, basis, member, unit,
-                                   errors(best_w) >= lower)
-                lower = max(lower, float(kkt @ evaluate(kkt)[1]))
-        if best_upper - lower <= config.tol * best_upper:
-            break
-
-    result = MinimaxResult(a0 + (best_w / scale) @ basis_h, math.sqrt(best_upper),
-                           phi_start, phi_subgradient or math.sqrt(best_upper),
-                           iterations, converged=True, polished=polished,
-                           gap=(best_upper - lower) / best_upper)
+    solve = _Solve(scale * a0, basis, _membership(groups, a0.shape[1]), coeffs / scale)
+    phi_start = math.sqrt(solve.upper)
+    solve.run(config)
+    result = MinimaxResult(a0 + (solve.w / scale) @ basis.conj().T, math.sqrt(solve.upper),
+                           phi_start, solve.phi_reweighted, solve.iterations,
+                           converged=True, polished=solve.polished, gap=solve.gap())
     if result.gap > config.tol:
         raise NonConvergence(
             f"certified gap {result.gap:.3e} above tol {config.tol:.3e} "
-            f"after {iterations} iterations", result=replace(result, converged=False))
+            f"after {result.iterations} iterations", result=replace(result, converged=False))
     return result

@@ -702,9 +702,9 @@ class TestHierarchical:
 
     def test_p_inf_optimum_tied_below_and_lower_above_raises(self):
         # The MSE optimum ties the worst-case report at levels 1 and 2, so it
-        # is a stage-3 competitor, and it beats the report there: 1.57792
-        # against 1.79291.
-        ws = random_system(np.random.default_rng(36), 3, 3)
+        # is a stage-3 competitor, and it beats the report there: 8.66270
+        # against 9.59393.
+        ws = random_system(np.random.default_rng(207), 3, 3)
         base = local_worst_case_optimal_system(ws)
         with pytest.raises(BadR, match="the mean-square optimum beat the optimizer at level 3"):
             hierarchical_optimal(base, 3)

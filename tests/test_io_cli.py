@@ -536,10 +536,12 @@ class TestCli:
         flags = json.loads(out_path.read_text())["payload"]["classification"]
         assert flags["is_orthonormal_basis"] is True
         assert flags["is_overcomplete"] is False
-        out_path = tmp_path / "optimal.json"
-        assert main(["optimal", fixture("example_6_2.json"), "--p", "inf",
-                     "--json", str(out_path)]) == 0
-        assert json.loads(out_path.read_text())["payload"]["solver"]["polished"] is True
+        # Example 6.2 is certified at the first iteration, Example 6.4 by Newton.
+        for name, polished in [("example_6_2.json", False), ("example_6_4.json", True)]:
+            out_path = tmp_path / "optimal.json"
+            assert main(["optimal", fixture(name), "--p", "inf",
+                         "--json", str(out_path)]) == 0
+            assert json.loads(out_path.read_text())["payload"]["solver"]["polished"] is polished
 
     @pytest.mark.parametrize("complex_field", [False, True])
     def test_verify_dual_fusion_frame_mode(self, capsys, tmp_path, complex_field):
@@ -662,13 +664,13 @@ class TestCli:
 
     def test_local_optimal_worst_case_trajectory(self, capsys, tmp_path):
         # Pins the solver's path: a change that moves the reweighting
-        # iterates on Example 6.4 changes the iteration count.  The polished
-        # point's KKT weights close the gap to rounding.
+        # iterates on Example 6.4 changes the iteration count.  Newton's
+        # method closes the gap to rounding from the hand-over.
         out_path = tmp_path / "r.json"
         assert main(["local-optimal", fixture("example_6_4.json"), "--p", "inf",
                      "--r", "1", "--json", str(out_path)]) == 0
         solver = json.loads(out_path.read_text())["payload"]["solver"]
-        assert solver["iterations"] == 48
+        assert solver["iterations"] == 13 and solver["polished"] is True
         assert abs(solver["gap"]) <= 1e-15
         expected = 1.6756255452680608
         assert abs(solver["objective"] - expected) <= 1e-12 * expected
@@ -805,7 +807,7 @@ class TestCli:
             self, capsys, tmp_path):
         # The mean-square optimum ties the worst-case dual system at levels 1
         # and 2 and beats it at level 3.
-        ws = random_system(np.random.default_rng(36), 3, 3)
+        ws = random_system(np.random.default_rng(207), 3, 3)
         data = {"field": "real", "dimension": 3,
                 "subspaces": [{"spanning_vectors": s.basis.T.tolist()}
                               for s in ws.ff.subspaces],
@@ -884,15 +886,15 @@ class TestCli:
 
     @pytest.mark.parametrize("command, name, iterations", [
         ("optimal", "example_6_2.json", 1),
-        ("optimal", "example_6_4.json", 28),
+        ("optimal", "example_6_4.json", 9),
         ("optimal", "example_6_3.json", 1),
-        ("local-optimal", "example_6_2.json", 13),
-        ("local-optimal", "example_6_4.json", 48),
-        ("local-optimal", "example_6_3.json", 56),
+        ("local-optimal", "example_6_2.json", 6),
+        ("local-optimal", "example_6_4.json", 13),
+        ("local-optimal", "example_6_3.json", 11),
     ])
     def test_worst_case_subgradient_path_is_pinned(self, capsys, command, name, iterations):
         # Reweighting iterations and certified gap at the default solver
-        # settings: a change to the iteration or the hand-over to the polish
+        # settings: a change to the iteration or the hand-over to Newton
         # shows here.
         assert main([command, fixture(name), "--p", "inf", "--r", "1"]) == 0
         found = re.findall(r"certified gap (\S+) after (\d+) reweighting iterations",
@@ -921,8 +923,9 @@ class TestCli:
         assert "result: ok" in proc.stdout
 
     def test_no_scipy_until_a_polish(self):
-        # Importing the package and every run that never polishes load
-        # numpy only; scipy is imported by the worst-case polish alone.
+        # Importing the package and every run that never reaches the SLSQP
+        # fallback load numpy only: the default worst-case runs included,
+        # which Newton's method certifies.
         src = os.path.dirname(os.path.dirname(fusionframes.__file__))
         script = f"""
 import contextlib, io, json, sys
@@ -937,7 +940,9 @@ runs = [[command, name] + flags
         for name in {FIXTURES!r}
         for command, flags in [("analyze", []), ("canonical-dual", []),
                                ("optimal", ["--p", "2", "--r", "1"]),
-                               ("optimal", ["--p", "inf", "--r", "1", "--no-polish"])]]
+                               ("optimal", ["--p", "inf", "--r", "1", "--no-polish"]),
+                               ("optimal", ["--p", "inf", "--r", "1"]),
+                               ("local-optimal", ["--p", "inf", "--r", "1"])]]
 runs.append(["verify-dual", "example_6_2.json"])
 rows = [["import", 0, scipy_modules()]]
 for argv in runs:
@@ -950,10 +955,11 @@ print(json.dumps(rows))
                               text=True, env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
         rows = json.loads(proc.stdout)
-        assert len(rows) == 2 + 4 * len(FIXTURES)
-        # Rows are [run, exit code, scipy modules]: every run succeeds, the
-        # worst-case runs without the polish included.
-        assert [row for row in rows if row[1] or row[2]] == []
+        assert len(rows) == 2 + 6 * len(FIXTURES)
+        # Rows are [run, exit code, scipy modules]: every run succeeds but
+        # the local one on the orthonormal basis, which has no local frames.
+        no_local_frames = "local-optimal orthonormal_basis.json --p inf --r 1"
+        assert [row for row in rows if row[1] or row[2]] == [[no_local_frames, 2, []]]
 
     @pytest.fixture
     def bad_dual(self, tmp_path) -> str:

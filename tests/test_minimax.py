@@ -1,13 +1,15 @@
 """Worst-case solver: convexity of the objective, closed-form agreement,
 stationarity at the start point, the certified gap and the
-non-convergence contract, and the kernel coordinates of the polish."""
+non-convergence contract, Newton's polish against the SLSQP fallback, and
+the kernel coordinates of that fallback."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fusionframes import minimax
-from fusionframes.duality import left_inverses_parametrization
+from fusionframes.duality import _left_inverse_family, left_inverses_parametrization
+from fusionframes.erasures import _GroupProblem
 from fusionframes.errors import NonConvergence
 from fusionframes.minimax import (
     SolverConfig,
@@ -24,6 +26,7 @@ from conftest import (
     random_overcomplete_fusion_frame,
     random_parseval_uniform_equidim,
     random_riesz_basis,
+    random_system,
 )
 
 
@@ -31,6 +34,32 @@ def _family_problem(ff):
     family = left_inverses_parametrization(ff)
     groups = [np.arange(sl.start, sl.stop) for sl in ff.block_slices()]
     return family.pinv_member, family.kernel_projector, groups, list(ff.weights)
+
+
+def _local_problem(ws):
+    """The local-vector problem of a fusion frame system, as the erasure
+    layer hands it to the solver."""
+    problem = _GroupProblem.of_local_vectors(ws)
+    family = _left_inverse_family(problem.synth)
+    return family.pinv_member, family.kernel_projector, problem.groups, problem.coeffs
+
+
+def _newton_gives_up(monkeypatch):
+    """Newton's method gives up at once, so the SLSQP fallback runs."""
+    monkeypatch.setattr(minimax._Solve, "newton", lambda self, *args: None)
+
+
+def _count_newton_steps(monkeypatch) -> list:
+    """Wrap minimax._newton_step; the returned list gets one entry per step."""
+    steps = []
+    original = minimax._newton_step
+
+    def counting(*args):
+        steps.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(minimax, "_newton_step", counting)
+    return steps
 
 
 def _check_two_group_closed_form(unitary):
@@ -142,10 +171,11 @@ class TestSolver:
         assert info.value.result.gap > config.tol
 
     def test_polish_calls_the_module_level_minimize(self, rng, monkeypatch):
-        # The polish reaches SLSQP only through minimax._scipy_minimize, the
-        # name that loads scipy and that profilers wrap; a call that bypassed
-        # it would leave the wrapper silently counting nothing.
-        ff = random_fusion_frame(rng, 5, 3)
+        # The SLSQP fallback reaches scipy only through minimax._scipy_minimize,
+        # the name that loads scipy and that profilers wrap; a call that
+        # bypassed it would leave the wrapper silently counting nothing.
+        _newton_gives_up(monkeypatch)
+        ff = random_overcomplete_fusion_frame(rng, 5, 3)
         problem = _family_problem(ff)
         reference = minimize_max_group_norms(*problem, SolverConfig())
         calls = _capture_polish_sizes(monkeypatch)
@@ -203,8 +233,8 @@ class TestCertificate:
     def test_a_group_active_at_zero_weight_is_certified_by_the_polish(self, rng):
         # The second group's norm reaches the optimum (to 1e-8), but the
         # optimal weights are (1, 0): the reweighting closes such a gap like
-        # 1/t^2 (2.2e-7 after 5000 iterations here).  The polished point's
-        # KKT weights close it at once.
+        # 1/t^2 (2.2e-7 after 5000 iterations here).  Newton drops the
+        # second group from the face and closes it at once.
         ff = random_overcomplete_fusion_frame(rng, 4, 2)
         problem = _family_problem(ff)
         result = minimize_max_group_norms(*problem, SolverConfig())
@@ -216,15 +246,50 @@ class TestCertificate:
             minimize_max_group_norms(*problem, SolverConfig(max_iters=5000, polish=False))
         assert info.value.result.gap > 1e-7
 
+    def test_the_slow_frame_is_certified_by_newton_without_scipy(self, monkeypatch):
+        # The same frame, built here from its seed: Newton alone certifies
+        # it to rounding, so the SLSQP fallback and scipy stay out.
+        ff = random_overcomplete_fusion_frame(np.random.default_rng(20240811), 4, 2)
+        calls = _capture_polish_sizes(monkeypatch)
+        steps = _count_newton_steps(monkeypatch)
+        result = minimize_max_group_norms(*_family_problem(ff))
+        assert result.converged and result.polished and abs(result.gap) <= 1e-15
+        assert calls == [] and 0 < len(steps) <= 5
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), complex_field=st.booleans(),
+           system=st.booleans())
+    @settings(max_examples=20)
+    def test_newton_matches_the_slsqp_fallback(self, seed, complex_field, system):
+        # The default solve against the one whose Newton gives up, so that
+        # the fallback (the reweighting to tol, then SLSQP) decides: the same
+        # optimum, and neither point below the other's certified lower bound.
+        rng = np.random.default_rng(seed)
+        d, m = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        problem = (_local_problem(random_system(rng, d, m, complex_field)) if system
+                   else _family_problem(random_overcomplete_fusion_frame(rng, d, m, complex_field)))
+        config = SolverConfig(max_iters=3000)
+        default = minimize_max_group_norms(*problem, config)
+        assert default.converged and default.gap <= config.tol
+        with pytest.MonkeyPatch.context() as patch:
+            _newton_gives_up(patch)
+            try:
+                fallback = minimize_max_group_norms(*problem, config)
+            except NonConvergence as exc:
+                fallback = exc.result
+        assert abs(default.phi - fallback.phi) <= 1e-9 * fallback.phi
+        for one, other in ((default, fallback), (fallback, default)):
+            assert one.phi >= other.phi * np.sqrt(1.0 - other.gap) * (1 - 1e-13)
+
 
 class TestKernelCoordinates:
     """The solver moves W in A = A0 + W N*, with N an orthonormal basis of
-    ker T: the polish has d x k unknowns (twice that for a complex problem)
-    plus the bound t, where k = n - rank T."""
+    ker T: the SLSQP fallback has d x k unknowns (twice that for a complex
+    problem) plus the bound t, where k = n - rank T."""
 
     @pytest.mark.parametrize("complex_field", [False, True])
     def test_polish_unknowns_are_the_kernel_coordinates(self, rng, monkeypatch,
                                                         complex_field):
+        _newton_gives_up(monkeypatch)
         ff = random_overcomplete_fusion_frame(rng, 4, 3, complex_field)
         a0, proj, groups, coeffs = _family_problem(ff)
         d, n = a0.shape
@@ -238,26 +303,29 @@ class TestKernelCoordinates:
 
     @pytest.mark.parametrize("complex_field", [False, True])
     def test_riesz_problem_polishes_the_bound_alone(self, rng, monkeypatch, complex_field):
-        # P = 0: the start point is the only left inverse, one iteration
-        # finds that out, and the polish has no coordinate but t.
+        # P = 0: the start point is the only left inverse, and the first
+        # iteration, with all weight on the largest group, certifies it
+        # exactly; neither Newton nor the SLSQP fallback runs.
         ff = random_riesz_basis(rng, 4, 2, complex_field)
         a0, proj, groups, coeffs = _family_problem(ff)
         assert not proj.any()
         sizes = _capture_polish_sizes(monkeypatch)
+        steps = _count_newton_steps(monkeypatch)
         result = minimize_max_group_norms(a0, proj, groups, coeffs)
-        assert sizes == [1]
-        assert result.polished and result.converged
-        assert result.iterations == 1
+        assert sizes == [] and steps == []
+        assert result.converged and not result.polished
+        assert result.iterations == 1 and result.gap == 0.0
         np.testing.assert_array_equal(result.a, a0)
 
     @pytest.mark.parametrize("polish", [False, True])
     def test_example_6_3_stays_on_the_family(self, polish):
         # Uniform weights are optimal here, so both paths are certified at
-        # the first iteration, and A = A0 + W N* is a left inverse to rounding.
+        # the first iteration, before any polish, and A = A0 + W N* is a
+        # left inverse to rounding.
         ff = load_spec(str(fixture_path("example_6_3.json"))).fusion_frame()
         problem = _family_problem(ff)
         result = minimize_max_group_norms(*problem, SolverConfig(polish=polish))
-        assert result.polished is polish and result.converged
+        assert result.converged and not result.polished
         assert result.iterations == 1 and abs(result.gap) <= 1e-15
         residual = np.max(np.abs(result.a @ ff.analysis_matrix() - np.eye(ff.ambient_dim)))
         assert residual <= 1e-12
