@@ -12,9 +12,8 @@ Exit codes: 0 pass, 2 parse error or invalid input, 3 certification
 failure, 4 solver non-convergence.  A file that is not UTF-8 JSON exits
 2.  FF_TOL overrides the default tolerance 1e-9; a ``--tol``,
 ``--solver-tol`` or FF_TOL that is not a finite number >= 0 exits 2, and
-so does a ``--max-iters``, ``--patience`` or ``--samples`` below 1, a
-``--step-scale`` that is not a finite number > 0, and at ``--p inf`` an
-``--r`` with a level of more than MAX_PATTERNS erasure patterns.
+so does a ``--max-iters`` below 1 and, at ``--p inf``, an ``--r`` with a
+level of more than MAX_PATTERNS erasure patterns.
 Reports go to stdout; ``--json PATH`` additionally writes the
 machine-readable report, byte-identical for identical inputs and flags.
 """
@@ -66,14 +65,6 @@ def _tolerance(text: str, source: str) -> float:
     if not (math.isfinite(value) and value >= 0.0):
         raise InvalidSpec(f"{source} must be a finite number >= 0, got {text!r}")
     return value
-
-
-def _positive(value, source: str) -> None:
-    """Check a solver flag read from ``source``: finite and > 0, so an
-    integer flag is >= 1."""
-    if not 0 < value < math.inf:
-        rule = "an integer >= 1" if isinstance(value, int) else "a finite number > 0"
-        raise InvalidSpec(f"{source} must be {rule}, got {value!r}")
 
 
 def _emit(report: Report, json_path: str | None) -> int:
@@ -161,12 +152,10 @@ def cmd_optimal(args) -> int:
     if args.p == "2":
         result = mse(primal, tol=args.tol)
     else:
-        solver = SolverConfig(max_iters=args.max_iters, step_scale=args.step_scale,
-                              tol=args.solver_tol, patience=args.patience,
-                              polish=not args.no_polish)
+        solver = SolverConfig(max_iters=args.max_iters, tol=args.solver_tol)
         result = worst(primal, solver=solver, tol=args.tol)
     if args.r > 1:
-        result = hierarchical_optimal(result, args.r, samples=args.samples)
+        result = hierarchical_optimal(result, args.r)
     report.payload["p"] = "inf" if result.p == math.inf else result.p
     report.payload["aggregate_r1"] = result.aggregate
     report.payload["aggregate_by_r"] = {str(k): v
@@ -207,23 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", metavar="PATH", default=None,
                        help="also write a machine-readable report")
 
-    def solver_flags(p):
-        p.add_argument("--max-iters", type=int, default=50000,
-                       help="reweighting iteration budget; exit 4 if the gap is still open")
-        p.add_argument("--step-scale", type=float, default=0.1,
-                       help="accepted and checked (> 0) but without effect")
-        p.add_argument("--solver-tol", default="1e-10",
-                       help="largest certified relative gap of the worst-case optimum")
-        p.add_argument("--patience", type=int, default=500,
-                       help="accepted and checked (>= 1) but without effect")
-        p.add_argument("--no-polish", action="store_true",
-                       help="skips the Newton step and the SLSQP fallback: the "
-                            "reweighting alone must close the gap")
-        p.add_argument("--samples", type=int, default=10,
-                       help="accepted and checked (>= 1) but without effect: the "
-                            "hierarchy check compares with the mean-square "
-                            "optimum at every --p")
-
     p = sub.add_parser("analyze", help="classification and bounds")
     common(p)
     p.set_defaults(handler="cmd_analyze")
@@ -245,7 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
         common(p)
         p.add_argument("--p", choices=["2", "inf"], required=True)
         p.add_argument("--r", type=int, default=1)
-        solver_flags(p)
+        p.add_argument("--max-iters", type=int, default=50000,
+                       help="reweighting iteration budget; exit 4 if the gap is still open")
+        p.add_argument("--solver-tol", default="1e-10",
+                       help="largest certified relative gap of the worst-case optimum")
         p.set_defaults(handler="cmd_optimal")
 
     p = sub.add_parser("reproduce", help="rerun a bundled worked example")
@@ -272,8 +247,8 @@ def main(argv=None) -> int:
             args.tol = _tolerance(args.tol, "--tol")
         if "solver_tol" in args:
             args.solver_tol = _tolerance(args.solver_tol, "--solver-tol")
-            for flag in ("--max-iters", "--step-scale", "--patience", "--samples"):
-                _positive(getattr(args, flag[2:].replace("-", "_")), flag)
+            if args.max_iters < 1:
+                raise InvalidSpec(f"--max-iters must be an integer >= 1, got {args.max_iters}")
         # The handler is looked up by name at each call, so a wrapper put on
         # it after the parser was built still runs.
         return globals()[args.handler](args)

@@ -45,6 +45,9 @@ from .systems import FusionFrameSystem, _certified_system_from_left_inverse_of_f
 #: Hard cap on exact pattern enumeration.
 MAX_PATTERNS = 1_000_000
 
+#: Level aggregates of ``hierarchical_optimal`` this close are equal.
+HIERARCHY_MARGIN = 1e-9
+
 #: Patterns gathered from the Gram matrix at once; bounds the memory of
 #: an enumeration.
 _CHUNK = 512
@@ -450,8 +453,8 @@ def _identity_line(engine: _GroupErasures, residual: float) -> str:
     return f"identity 1'G1 = d holds: |1'G1 - d| = {gap:.3e} (bound {bound:.3e})"
 
 
-def hierarchical_optimal(base: ErasureReport, max_r: int, samples: int = 10,
-                         seed: int = 0, margin: float = 1e-9) -> ErasureReport:
+def hierarchical_optimal(base: ErasureReport, max_r: int,
+                         samples: int = 10) -> ErasureReport:
     """Verify the report's dual level by level, in hierarchy order.
 
     Stage r of the hierarchy minimizes the level-r aggregate over the duals
@@ -467,15 +470,16 @@ def hierarchical_optimal(base: ErasureReport, max_r: int, samples: int = 10,
     the optimum's level-r 2-norm; at p = 2 that is the optimum's aggregate.
 
     Levels 1..max_r are compared in order: BadR is raised at the first
-    level where the report and the optimum differ by more than ``margin``,
-    if the optimum is lower there.  An optimum that is higher at a lower
-    level is no competitor at later stages.  A level is certified when the
-    report is within ``margin`` of its bound, and "chain constant" is
-    claimed only when every level is.  At p != 2 every level is enumerated,
-    so BadR is raised if one has more than MAX_PATTERNS patterns.
+    level where the report and the optimum differ by more than
+    HIERARCHY_MARGIN, if the optimum is lower there.  An optimum that is
+    higher at a lower level is no competitor at later stages.  A level is
+    certified when the report is within that margin of its bound, and
+    "chain constant" is claimed only when every level is.  At p != 2 every
+    level is enumerated, so BadR is raised if one has more than
+    MAX_PATTERNS patterns.
 
-    Two engines are built and no random numbers drawn: ``samples`` and
-    ``seed`` have no effect.  ValueError unless ``samples`` is at least 1.
+    Two engines are built and no random numbers drawn: ``samples`` has no
+    effect.  ValueError unless ``samples`` is at least 1.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -504,13 +508,13 @@ def hierarchical_optimal(base: ErasureReport, max_r: int, samples: int = 10,
     bound = best if p == 2 else {
         r: min(1.0, math.comb(total, r) ** (1.0 / p - 0.5)) * rival.level(r, 2)
         for r in levels}
-    first = next((r for r in levels if abs(own[r] - best[r]) > margin), None)
+    first = next((r for r in levels if abs(own[r] - best[r]) > HIERARCHY_MARGIN), None)
     if first is not None and best[first] < own[first]:
         raise BadR(f"the mean-square optimum beat the optimizer at level {first}; "
                    "hierarchy verification failed")
     lines += [f"r={r}: optimizer {own[r]:.12e}, mean-square optimum {best[r]:.12e}"
               + ("" if p == 2 else f", lower bound {bound[r]:.12e}") for r in levels]
-    open_levels = [r for r in levels if own[r] > bound[r] + margin]
+    open_levels = [r for r in levels if own[r] > bound[r] + HIERARCHY_MARGIN]
     if not open_levels:
         lines.append(
             "chain constant: with 1'G1 = d the level-r sum of squares is "

@@ -15,11 +15,10 @@ c = 1 and A scaled to match, the same numbers at any weight scale.
 
 The power-1/2 optimal-design iteration lam <- lam sqrt(v) / <lam,
 sqrt(v)> (Silvey, Titterington and Torsney 1978; Yu, Ann. Statist. 2010)
-runs until the gap is at most ``HANDOVER_GAP`` (without the polish: at
-most tol).  Newton's method on g then polishes the last places, on the
-face of the simplex spanned by the groups of positive weight: an index
-whose weight reaches 0 leaves the face, and one whose v_i exceeds g(lam)
-joins it.  The Hessian of g is -2 Re tr(G_i B^+ G_j*), with G_i half of
+runs until the gap is at most ``HANDOVER_GAP`` (or tol, if larger).
+Newton's method on g then polishes the last places, on the face of the
+simplex spanned by the groups of positive weight: an index whose weight
+reaches 0 leaves the face, and one whose v_i exceeds g(lam) joins it.  The Hessian of g is -2 Re tr(G_i B^+ G_j*), with G_i half of
 group i's gradient and B = N* D N, so the KKT system reduces to the m
 weights.  Where the face leaves W_lam not unique, the same problem over
 those W gives the primal point, and its weights an ascent direction.
@@ -47,28 +46,25 @@ from .errors import NonConvergence
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the worst-case solver, surfaced as CLI flags.  ``step_scale``
-    and ``patience`` steered an earlier subgradient method and have no effect."""
+    """The worst-case solver's budget, surfaced as the CLI flags
+    ``--max-iters`` and ``--solver-tol``: at most ``max_iters`` reweighting
+    iterations to bring the certified gap to ``tol``."""
 
     max_iters: int = 50000
-    step_scale: float = 0.1
     tol: float = 1e-10
-    patience: int = 500
-    polish: bool = True
 
 
 @dataclass(frozen=True)
 class MinimaxResult:
-    """Outcome of a worst-case minimization.  ``phi_subgradient`` is the
-    objective before the polish, and ``polished`` says whether ``a`` came
-    from Newton's method or the SLSQP fallback; ``gap`` is the certified
+    """Outcome of a worst-case minimization.  ``iterations`` counts the
+    reweighting iterations, and ``polished`` says whether ``a`` came from
+    Newton's method or the SLSQP fallback; ``gap`` is the certified
     (upper - lower) / upper on the squared objective at ``a``, a few ulps
     below 0 at worst."""
 
     a: np.ndarray = field(repr=False)
     phi: float
     phi_start: float
-    phi_subgradient: float
     iterations: int
     converged: bool
     polished: bool
@@ -259,10 +255,8 @@ class _Solve:
         m = self.member.shape[1]
         lam = (np.full(m, 1.0 / m) if self.basis.shape[1]
                else np.eye(m)[self.errors(self.w).argmax()])
-        handover = max(HANDOVER_GAP, config.tol) if config.polish else config.tol
-        lam, w, v = self.reweight(lam, handover, config.max_iters)
-        self.phi_reweighted = math.sqrt(self.upper)
-        if not config.polish or self.gap() <= config.tol:
+        lam, w, v = self.reweight(lam, max(HANDOVER_GAP, config.tol), config.max_iters)
+        if self.gap() <= config.tol:
             return
         if self.iterations:
             self.newton(lam, w, v, config)
@@ -367,7 +361,7 @@ def minimize_max_group_norms(a0, kernel_projector,
     """Minimize ``max_i coeffs[i] * ||A[:, groups[i]]||_F`` over the affine
     family A = a0 + Z @ kernel_projector.  Raises NonConvergence when the
     certified gap is above ``config.tol`` after ``config.max_iters``
-    iterations (and the polish, if enabled)."""
+    iterations and the polish."""
     config = config or SolverConfig()
     a0 = np.asarray(a0, dtype=np.result_type(a0, 1.0))
     groups = [np.asarray(g, dtype=int) for g in groups]
@@ -382,7 +376,7 @@ def minimize_max_group_norms(a0, kernel_projector,
     phi_start = math.sqrt(solve.upper)
     solve.run(config)
     result = MinimaxResult(a0 + (solve.w / scale) @ basis.conj().T, math.sqrt(solve.upper),
-                           phi_start, solve.phi_reweighted, solve.iterations,
+                           phi_start, solve.iterations,
                            converged=True, polished=solve.polished, gap=solve.gap())
     if result.gap > config.tol:
         raise NonConvergence(

@@ -31,7 +31,6 @@ from .erasures import (
 )
 from .fusion import FusionFrame
 from .linalg import Subspace, adjoint, frobenius_norm, orthonormalize
-from .minimax import SolverConfig
 from .specio import Check, Report, load_spec
 from .systems import (
     FusionFrameSystem,
@@ -54,8 +53,7 @@ def _load(name: str):
     return spec, spec.digest
 
 
-def reproduce(example_id: str, tol: float = 1e-9,
-              solver: SolverConfig | None = None) -> Report:
+def reproduce(example_id: str, tol: float = 1e-9) -> Report:
     """Dispatch to one example by id ('6.2a', '6.2b', '6.3a'..'6.3d', '6.4')."""
     example_id = _ALIASES.get(example_id, example_id)
     handlers = {
@@ -70,8 +68,6 @@ def reproduce(example_id: str, tol: float = 1e-9,
     if example_id not in handlers:
         raise ParseError(f"unknown example id {example_id!r}; "
                          f"choose from {', '.join(EXAMPLE_IDS)}")
-    if example_id in ("6.3b", "6.4"):
-        return handlers[example_id](tol=tol, solver=solver)
     return handlers[example_id](tol=tol)
 
 
@@ -222,8 +218,7 @@ def reproduce_6_3a(tol: float = 1e-9,
     return report
 
 
-def reproduce_6_3b(tol: float = 1e-9, solver: SolverConfig | None = None,
-                   w1: float = 1.0, w2: float = 2.0) -> Report:
+def reproduce_6_3b(tol: float = 1e-9, w1: float = 1.0, w2: float = 2.0) -> Report:
     spec, digest = _load("example_6_3.json")
     report = Report("reproduce 6.3b", digest)
     ff = _example_6_3_frame(w1, w2)
@@ -245,7 +240,7 @@ def reproduce_6_3b(tol: float = 1e-9, solver: SolverConfig | None = None,
     report.add(Check.leq("optimal coupling halves the shared coordinate (block 2)",
                          float(np.max(np.abs(blocks[1] - expected2))), 1e-12))
 
-    wc = worst_case_optimal_dual(ff, v, solver=solver)
+    wc = worst_case_optimal_dual(ff, v)
     a_blocks = _ambient_block_maps(ff, wc.solver.a)
     paper1 = np.array([[0.0, 0.0, 0.0],
                        [0.0, 1.0 / w1, 0.0],
@@ -326,11 +321,11 @@ def reproduce_6_3d(tol: float = 1e-9) -> Report:
 
 # -- a full-space block plus a line: worst-case local optimizer ----------------
 
-def reproduce_6_4(tol: float = 1e-9, solver: SolverConfig | None = None) -> Report:
+def reproduce_6_4(tol: float = 1e-9) -> Report:
     spec, digest = _load("example_6_4.json")
     report = Report("reproduce 6.4", digest)
     ws = spec.system()
-    result = local_worst_case_optimal_system(ws, solver=solver)
+    result = local_worst_case_optimal_system(ws)
 
     d = ws.ff.ambient_dim
     s_op = ws.ff.fusion_operator()

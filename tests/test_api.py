@@ -38,18 +38,15 @@ SIGNATURES = {
     "FusionFrameSystem":
         "(ff: 'FusionFrame', local_frames: 'tuple[Frame, ...]') -> None",
     "MinimaxResult":
-        "(a: 'np.ndarray', phi: 'float', phi_start: 'float', "
-        "phi_subgradient: 'float', iterations: 'int', converged: 'bool', "
-        "polished: 'bool', gap: 'float') -> None",
+        "(a: 'np.ndarray', phi: 'float', phi_start: 'float', iterations: 'int', "
+        "converged: 'bool', polished: 'bool', gap: 'float') -> None",
     "ProjectiveRS":
         "(ops: 'tuple', tol: 'float' = 1e-08) -> None",
     "QDualPair":
         "(primal: 'FusionFrame', dual: 'FusionFrame', q: 'BlockOp', "
         "residual: 'float') -> None",
     "SolverConfig":
-        "(max_iters: 'int' = 50000, step_scale: 'float' = 0.1, "
-        "tol: 'float' = 1e-10, patience: 'int' = 500, "
-        "polish: 'bool' = True) -> None",
+        "(max_iters: 'int' = 50000, tol: 'float' = 1e-10) -> None",
     "Subspace":
         "(basis: 'np.ndarray') -> None",
     "alternate_dual_to_q_dual":
@@ -81,8 +78,8 @@ SIGNATURES = {
     "frobenius_norm":
         "(mat) -> 'float'",
     "hierarchical_optimal":
-        "(base: 'ErasureReport', max_r: 'int', samples: 'int' = 10, "
-        "seed: 'int' = 0, margin: 'float' = 1e-09) -> 'ErasureReport'",
+        "(base: 'ErasureReport', max_r: 'int', "
+        "samples: 'int' = 10) -> 'ErasureReport'",
     "intersect":
         "(u: 'Subspace', v: 'Subspace', tol: 'float' = 1e-08) -> 'Subspace'",
     "is_dual_frame":

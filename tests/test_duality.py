@@ -419,7 +419,8 @@ def _moved(ff, u, scale):
 class TestMetamorphicInvariance:
     """A common weight scale, a unitary change of ambient coordinates and
     the real-to-complex embedding must not change a dual construction
-    beyond mapping its dual subspaces by the same unitary.  The subspace
+    beyond mapping its dual subspaces by the same unitary; a block
+    permutation only permutes them.  The subspace
     tests inside (principal angles, orth_complement_within) read only
     orthonormal bases, so no threshold depends on the scale."""
 
@@ -430,12 +431,34 @@ class TestMetamorphicInvariance:
         return random_unitary(rng, d, complex_field=change == "unitary")
 
     @staticmethod
-    def _assert_moved_by(base, moved, u):
-        assert moved.dual.dims == base.dual.dims
-        for before, after in zip(base.dual.subspaces, moved.dual.subspaces):
+    def _assert_moved_by(base, moved, u, perm=None):
+        """``moved``'s dual subspaces are ``base``'s, in the order ``perm``,
+        mapped by ``u``."""
+        before_all = (base.dual.subspaces if perm is None
+                      else [base.dual.subspaces[k] for k in perm])
+        assert moved.dual.dims == tuple(s.dim for s in before_all)
+        for before, after in zip(before_all, moved.dual.subspaces):
             expected = u @ before.projector() @ u.conj().T
             assert frobenius_norm(after.projector() - expected) <= 1e-8
         assert moved.residual <= 1e-9
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("change", ["orthogonal", "unitary", "embedding", "permutation"])
+    def test_canonical_dual(self, rng, scale, change):
+        # A block permutation permutes the dual subspaces; Q keeps its class.
+        for _ in range(5):
+            ff = random_overcomplete_fusion_frame(rng, int(rng.integers(2, 7)),
+                                                  int(rng.integers(2, 5)))
+            v = rng.uniform(0.5, 2.0, size=ff.size)
+            if change == "permutation":
+                perm, u = rng.permutation(ff.size), np.eye(ff.ambient_dim)
+            else:
+                perm, u = np.arange(ff.size), self._unitary(rng, ff.ambient_dim, change)
+            reordered = FusionFrame(tuple(ff.subspaces[k] for k in perm), ff.weights[perm])
+            base = canonical_dual(ff, v)
+            moved = canonical_dual(_moved(reordered, u, scale), scale * v[perm])
+            self._assert_moved_by(base, moved, u, perm)
+            assert classify_q(moved.q) is classify_q(base.q) is QKind.COMPONENT_PRESERVING
 
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
     @pytest.mark.parametrize("change", ["orthogonal", "unitary", "embedding"])

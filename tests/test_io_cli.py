@@ -1,5 +1,6 @@
 """Input parsing, report serialization, and the command-line front end."""
 
+import argparse
 import builtins
 import hashlib
 import json
@@ -8,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -720,19 +722,10 @@ class TestCli:
             assert captured.err == f"error: --r must lie in 1..{groups}\n"
 
     @pytest.mark.parametrize("flags, message", [
-        (["--p", "2", "--r", "2", "--samples", "-4"], "--samples must be an integer >= 1, got -4"),
-        (["--p", "2", "--samples", "0"], "--samples must be an integer >= 1, got 0"),
-        (["--p", "inf", "--max-iters", "-3", "--no-polish"],
-         "--max-iters must be an integer >= 1, got -3"),
+        (["--p", "inf", "--max-iters", "-3"], "--max-iters must be an integer >= 1, got -3"),
         (["--p", "inf", "--max-iters", "0"], "--max-iters must be an integer >= 1, got 0"),
-        (["--p", "inf", "--patience", "0"], "--patience must be an integer >= 1, got 0"),
-        (["--p", "inf", "--patience", "-1"], "--patience must be an integer >= 1, got -1"),
-        (["--p", "inf", "--step-scale", "nan"], "--step-scale must be a finite number > 0, got nan"),
-        (["--p", "inf", "--step-scale", "inf"], "--step-scale must be a finite number > 0, got inf"),
-        (["--p", "inf", "--step-scale", "0"], "--step-scale must be a finite number > 0, got 0.0"),
-        (["--p", "inf", "--step-scale", "-0.1"],
-         "--step-scale must be a finite number > 0, got -0.1"),
-        (["--p", "inf", "--r", "2", "--samples", "0"], "--samples must be an integer >= 1, got 0"),
+        (["--p", "2", "--r", "2", "--max-iters", "0"],
+         "--max-iters must be an integer >= 1, got 0"),
     ])
     @pytest.mark.parametrize("command", ["optimal", "local-optimal"])
     def test_bad_solver_flag_exit_2_before_the_solve(self, capsys, monkeypatch, command,
@@ -745,6 +738,23 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flags", [["--step-scale", "0.1"], ["--patience", "500"],
+                                       ["--no-polish"], ["--samples", "10"]],
+                             ids=lambda flags: flags[0])
+    @pytest.mark.parametrize("command", ["optimal", "local-optimal"])
+    def test_removed_flag_exit_2_before_any_read(self, capsys, monkeypatch, command, flags):
+        # The solver flags that had no effect are gone: argparse refuses them.
+        def must_not_read(*args, **kwargs):
+            raise AssertionError("a file was read before the flags were parsed")
+
+        monkeypatch.setattr(cli, "load_spec", must_not_read)
+        with pytest.raises(SystemExit) as info:
+            main([command, fixture("example_6_3.json"), "--p", "inf", *flags])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: unrecognized arguments: {' '.join(flags)}\n")
 
     @staticmethod
     def _lines_file(tmp_path, m=24):
@@ -780,15 +790,22 @@ class TestCli:
 
     @staticmethod
     def _hierarchy_json_for_samples(tmp_path, command, name, p):
-        """The ``--json`` of ``--r 2`` at ``--samples`` 1 and 50, which must agree."""
-        reports = []
-        for samples in ("1", "50"):
-            out = tmp_path / f"samples-{samples}.json"
-            assert main([command, fixture(name), "--p", p, "--r", "2",
-                         "--samples", samples, "--json", str(out)]) == 0
-            reports.append(out.read_bytes())
-        assert reports[0] == reports[1]
-        return reports[0]
+        """The ``--json`` of ``--r 2``, whose certificate must be that of
+        ``hierarchical_optimal`` at ``samples`` 1 and at 50."""
+        out = tmp_path / "report.json"
+        assert main([command, fixture(name), "--p", p, "--r", "2", "--json", str(out)]) == 0
+        spec = load_spec(fixture(name))
+        if command == "optimal":
+            optimizer = erasures.mse_optimal_dual if p == "2" else erasures.worst_case_optimal_dual
+            base = optimizer(spec.fusion_frame())
+        else:
+            optimizer = (erasures.local_mse_optimal_system if p == "2"
+                         else erasures.local_worst_case_optimal_system)
+            base = optimizer(spec.system())
+        lines = json.loads(out.read_text())["payload"]["certificate"]
+        for samples in (1, 50):
+            assert erasures.hierarchical_optimal(base, 2, samples).certificate.splitlines() == lines
+        return out.read_bytes()
 
     @pytest.mark.parametrize("command, name", [("optimal", name) for name in FIXTURES]
                              + [("local-optimal", "example_6_3.json")])
@@ -823,10 +840,9 @@ class TestCli:
             "hierarchy verification failed\n")
 
     def test_smallest_solver_flags_are_accepted(self, capsys):
-        assert main(["optimal", fixture("example_6_3.json"), "--p", "2", "--r", "2",
-                     "--samples", "1"]) == 0
+        # Example 6.2 is certified at the first iteration with gap exactly 0.
         assert main(["optimal", fixture("example_6_2.json"), "--p", "inf", "--max-iters", "1",
-                     "--patience", "1", "--step-scale", "1e-300"]) == 0
+                     "--solver-tol", "0"]) == 0
 
     def test_parser_is_built_once_and_keeps_no_state(self, capsys, monkeypatch, tmp_path):
         builds = []
@@ -867,18 +883,21 @@ class TestCli:
             assert main(["reproduce", example_id]) == 0
 
     def test_nonconvergence_exit_code(self, capsys):
-        # Example 6.4 takes 62 reweighting iterations to close the gap
-        # without the polish.
-        code = main(["optimal", fixture("example_6_4.json"), "--p", "inf",
-                     "--r", "1", "--max-iters", "5", "--no-polish"])
+        # Example 6.3 is certified at the first iteration to a gap of one
+        # rounding, which no budget brings to --solver-tol 0.
+        code = main(["optimal", fixture("example_6_3.json"), "--p", "inf",
+                     "--max-iters", "1", "--solver-tol", "0"])
         assert code == 4
         assert capsys.readouterr().err.startswith(
-            "error: solver did not converge: certified gap ")
+            "error: solver did not converge: certified gap 1.776e-16 above tol 0.000e+00 "
+            "after 1 iterations")
 
     def test_no_polish_certifies_example_6_3(self, capsys, tmp_path):
+        # Uniform weights are optimal, so the reweighting certifies the
+        # optimum at once and neither Newton nor the fallback runs.
         out_path = tmp_path / "r.json"
         assert main(["optimal", fixture("example_6_3.json"), "--p", "inf", "--r", "1",
-                     "--no-polish", "--json", str(out_path)]) == 0
+                     "--json", str(out_path)]) == 0
         solver = json.loads(out_path.read_text())["payload"]["solver"]
         assert solver["polished"] is False
         assert abs(solver["gap"]) <= 1e-10
@@ -892,15 +911,18 @@ class TestCli:
         ("local-optimal", "example_6_4.json", 13),
         ("local-optimal", "example_6_3.json", 11),
     ])
-    def test_worst_case_subgradient_path_is_pinned(self, capsys, command, name, iterations):
+    def test_worst_case_reweighting_path_is_pinned(self, capsys, command, name, iterations):
         # Reweighting iterations and certified gap at the default solver
         # settings: a change to the iteration or the hand-over to Newton
-        # shows here.
+        # shows here.  The optimum never lies above the start point.
         assert main([command, fixture(name), "--p", "inf", "--r", "1"]) == 0
-        found = re.findall(r"certified gap (\S+) after (\d+) reweighting iterations",
-                           capsys.readouterr().out)
-        assert [count for _, count in found] == [str(iterations)]
-        assert abs(float(found[0][0])) <= 1e-15
+        out = capsys.readouterr().out
+        found = re.findall(r"objective: (\S+), certified gap (\S+) after (\d+) reweighting "
+                           r"iterations", out)
+        assert [count for _, _, count in found] == [str(iterations)]
+        assert abs(float(found[0][1])) <= 1e-15
+        start = re.findall(r"(?:canonical dual|left-inverse) objective: (\S+) \(gap", out)
+        assert len(start) == 1 and float(found[0][0]) <= float(start[0])
 
     def test_json_reports_deterministic(self, tmp_path):
         first = tmp_path / "a.json"
@@ -940,7 +962,6 @@ runs = [[command, name] + flags
         for name in {FIXTURES!r}
         for command, flags in [("analyze", []), ("canonical-dual", []),
                                ("optimal", ["--p", "2", "--r", "1"]),
-                               ("optimal", ["--p", "inf", "--r", "1", "--no-polish"]),
                                ("optimal", ["--p", "inf", "--r", "1"]),
                                ("local-optimal", ["--p", "inf", "--r", "1"])]]
 runs.append(["verify-dual", "example_6_2.json"])
@@ -955,7 +976,7 @@ print(json.dumps(rows))
                               text=True, env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
         rows = json.loads(proc.stdout)
-        assert len(rows) == 2 + 6 * len(FIXTURES)
+        assert len(rows) == 2 + 5 * len(FIXTURES)
         # Rows are [run, exit code, scipy modules]: every run succeeds but
         # the local one on the orthonormal basis, which has no local frames.
         no_local_frames = "local-optimal orthonormal_basis.json --p inf --r 1"
@@ -1018,3 +1039,25 @@ print(json.dumps(rows))
         out = capsys.readouterr().out
         assert code == 0
         assert "1.000e-03" in out
+
+
+def _readme_section(text: str, heading: str) -> str:
+    """README's ``## heading`` section, up to the next ``## `` heading."""
+    start = text.index(f"\n## {heading}\n")
+    end = text.find("\n## ", start + 1)
+    return text[start:] if end < 0 else text[start:end]
+
+
+def test_readme_names_exactly_the_cli_flags():
+    # A flag added to or removed from the parser, but not from README's
+    # "CLI" and "The worst-case solver" sections (or the reverse), fails here.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    named = {flag for heading in ("CLI", "The worst-case solver")
+             for flag in re.findall(r"(?<![\w-])--[a-z][a-z-]*",
+                                    _readme_section(readme, heading))}
+    parser = cli.build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    options = {flag for command in commands.choices.values() for action in command._actions
+               for flag in action.option_strings if flag not in ("-h", "--help")}
+    assert named == options
