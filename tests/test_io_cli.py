@@ -722,8 +722,18 @@ class TestCli:
             assert captured.err == f"error: --r must lie in 1..{groups}\n"
 
     @pytest.mark.parametrize("flags, message", [
+        (["--p", "2", "--r", "2", "--samples", "-4"], "--samples must be an integer >= 1, got -4"),
+        (["--p", "2", "--samples", "0"], "--samples must be an integer >= 1, got 0"),
         (["--p", "inf", "--max-iters", "-3"], "--max-iters must be an integer >= 1, got -3"),
         (["--p", "inf", "--max-iters", "0"], "--max-iters must be an integer >= 1, got 0"),
+        (["--p", "inf", "--patience", "0"], "--patience must be an integer >= 1, got 0"),
+        (["--p", "inf", "--patience", "-1"], "--patience must be an integer >= 1, got -1"),
+        (["--p", "inf", "--step-scale", "nan"], "--step-scale must be a finite number > 0, got nan"),
+        (["--p", "inf", "--step-scale", "inf"], "--step-scale must be a finite number > 0, got inf"),
+        (["--p", "inf", "--step-scale", "0"], "--step-scale must be a finite number > 0, got 0.0"),
+        (["--p", "inf", "--step-scale", "-0.1"],
+         "--step-scale must be a finite number > 0, got -0.1"),
+        (["--p", "inf", "--r", "2", "--samples", "0"], "--samples must be an integer >= 1, got 0"),
         (["--p", "2", "--r", "2", "--max-iters", "0"],
          "--max-iters must be an integer >= 1, got 0"),
     ])
@@ -734,7 +744,20 @@ class TestCli:
             raise AssertionError("the solver ran before its flags were checked")
 
         monkeypatch.setattr(erasures, "minimize_max_group_norms", solver_must_not_run)
-        assert main([command, fixture("example_6_3.json"), *flags]) == 2
+        argv = [command, fixture("example_6_3.json"), *flags]
+        if flags[-2] in ("--samples", "--patience", "--step-scale"):
+            # The flag is retired, and its range check and `message` with it:
+            # argparse refuses flag and value, still before the solve.
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert message not in captured.err
+            assert captured.err.endswith(
+                f"error: unrecognized arguments: {' '.join(flags[-2:])}\n")
+            return
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
