@@ -26,11 +26,9 @@ Newton only proposes lam: both bounds are the evaluated ones.  It closes
 in a few steps also the gap of a group that is active at zero weight,
 where the iteration alone is slow (like 1/t^2).
 
-If Newton gives up with the gap open, the iteration resumes to tol and
-an SLSQP pass on ``min t  s.t.  v_i <= t`` over W tries the upper bound.
-That fallback is the package's only use of scipy, imported on its first
-call, so ``import fusionframes`` and every solve that Newton certifies
-load numpy only.  Everything is deterministic.
+A gap that Newton leaves above tol raises NonConvergence at once, with
+the certified bounds the solve has.  The solver needs numpy only, and
+everything is deterministic.
 """
 
 from __future__ import annotations
@@ -58,7 +56,7 @@ class SolverConfig:
 class MinimaxResult:
     """Outcome of a worst-case minimization.  ``iterations`` counts the
     reweighting iterations, and ``polished`` says whether ``a`` came from
-    Newton's method or the SLSQP fallback; ``gap`` is the certified
+    a Newton step rather than the reweighting; ``gap`` is the certified
     (upper - lower) / upper on the squared objective at ``a``, a few ulps
     below 0 at worst."""
 
@@ -76,12 +74,13 @@ class MinimaxResult:
 
 
 #: The certified gap at which the reweighting hands over to Newton: the
-#: largest of 1e-1 ... 1e-6 at which no problem of a sweep over random
-#: frames and systems fell back to SLSQP.
+#: largest of 1e-1 ... 1e-6 at which Newton certified every problem of a
+#: sweep over random frames and systems.
 HANDOVER_GAP = 1e-2
-#: Newton steps, and step halvings in each, before the fallback.
+#: Newton steps, and step halvings in each, before the solve gives up: a
+#: step back onto the face has risen only within 2^-11 of its first trial.
 _NEWTON_STEPS = 30
-_HALVINGS = 8
+_HALVINGS = 20
 #: Singular values of D^(1/2) N below this times the largest weight root
 #: are 0 (N is orthonormal, so that is the scale of D^(1/2) N).
 _SINGULAR = 1e-12
@@ -115,6 +114,7 @@ def _phi(a, groups, coeffs) -> float:
     return float(np.max(_group_norms(a, member, np.asarray(coeffs, dtype=float))))
 
 
+# No library code calls this; bench/tracer.py wraps the name.
 def _scipy_minimize(*args, **kwargs):
     """``scipy.optimize.minimize``, imported on the first call so that
     importing the package loads numpy only."""
@@ -127,37 +127,6 @@ def _gradients(a, basis, member, coeffs):
     """The m x d x k gradients in W of c_i^2 ||(A0 + W N*) S_i||_F^2 at A:
     2 c_i^2 (A masked to the columns of group i) N."""
     return 2.0 * (coeffs * coeffs)[:, None, None] * ((a * member.T[:, None, :]) @ basis)
-
-
-def _polish(a0, basis, member, coeffs, w_start):
-    """SLSQP pass on min t s.t. c_i^2 ||(A0 + W N*) S_i||_F^2 <= t over the
-    kernel coordinates W (their real and imaginary parts) from ``w_start``,
-    with the m constraints as one vector-valued constraint; returns the
-    final W.  A Riesz problem has no coordinates, only t."""
-    basis_h = basis.conj().T
-
-    def unpack(x):
-        return x[:-1].view(w_start.dtype).reshape(w_start.shape)
-
-    def fun(x):
-        return x[-1] - _group_norms(a0 + unpack(x) @ basis_h, member, coeffs) ** 2
-
-    def jac(x):
-        grads = _gradients(a0 + unpack(x) @ basis_h, basis, member, coeffs)
-        flat = grads.reshape(len(grads), -1).view(float)
-        return np.hstack([-flat, np.ones((len(grads), 1))])
-
-    t0 = _group_norms(a0 + w_start @ basis_h, member, coeffs).max() ** 2
-    x0 = np.append(w_start.ravel().view(float), t0)
-    objective_grad = np.append(np.zeros(x0.size - 1), 1.0)
-    res = _scipy_minimize(
-        lambda x: x[-1], x0, jac=lambda x: objective_grad,
-        constraints=[{"type": "ineq", "fun": fun, "jac": jac}], method="SLSQP",
-        options={"maxiter": 300, "ftol": 1e-14})
-    # Every W is feasible (the affine family absorbs the constraint), so the
-    # caller keeps the returned point whenever it does not raise the exact
-    # objective, regardless of the SLSQP status flag.
-    return unpack(res.x)
 
 
 def _curvature(a, basis, member, coeffs, sing, vh):
@@ -212,7 +181,7 @@ class _Solve:
         self.basis_h = basis.conj().T
         self.col_weights = member * (coeffs * coeffs)
         self.w = np.zeros((a0.shape[0], basis.shape[1]), dtype=np.result_type(a0, basis))
-        self.shift = self.w
+        self.shift, self.moved = self.w, np.zeros(member.shape[1], dtype=bool)
         self.upper, self.lower = float(self.errors(self.w).max()), 0.0
         self.dual = np.zeros(member.shape[1])
         self.iterations, self.polished = 0, False
@@ -256,14 +225,8 @@ class _Solve:
         lam = (np.full(m, 1.0 / m) if self.basis.shape[1]
                else np.eye(m)[self.errors(self.w).argmax()])
         lam, w, v = self.reweight(lam, max(HANDOVER_GAP, config.tol), config.max_iters)
-        if self.gap() <= config.tol:
-            return
-        if self.iterations:
+        if self.gap() > config.tol and self.iterations:
             self.newton(lam, w, v, config)
-        if self.gap() > config.tol:  # Newton gave up: the fallback
-            self.reweight(lam, config.tol, config.max_iters)
-            w = _polish(self.a0, self.basis, self.member, self.coeffs, self.w)
-            self.keep(w, self.errors(w), polished=True)
 
     def reweight(self, lam, target, max_iters):
         """Power-1/2 from lam until the gap is at most ``target`` or the
@@ -323,7 +286,7 @@ class _Solve:
         sub.run(config)
         w = w + sub.w @ null.conj().T
         # The min-norm W_lam has no component along N V0: this is the move.
-        self.shift = (w @ null) @ null.conj().T
+        self.shift, self.moved = (w @ null) @ null.conj().T, loose
         v = self.errors(w)
         self.keep(w, v, polished=True)
         if not v[loose].max() > g:
@@ -338,7 +301,9 @@ class _Solve:
     def line_search(self, lam, g, target, tol):
         """The first of lam + 2^-s (target - lam), s = 0, 1, ..., at which g
         rises or the gap closes, with its W and v; None if there is none.
-        The last move off the face applies to each W as well."""
+        The last move off the face applies to each W as well, but the moved
+        W stands for W_lam only where the groups it moves weigh 0: at other
+        weights its v is no gradient of g."""
         if np.array_equal(target, lam):
             return None
         for shrink in range(_HALVINGS):
@@ -347,7 +312,7 @@ class _Solve:
             if self.shift.any():
                 shifted = self.errors(w + self.shift)
                 self.keep(w + self.shift, shifted, polished=True)
-                if shifted.max() <= v.max():
+                if shifted.max() <= v.max() and not trial[self.moved].any():
                     w, v = w + self.shift, shifted
             if float(trial @ v) > g or self.gap() <= tol:
                 return trial, w, v
@@ -360,8 +325,8 @@ def minimize_max_group_norms(a0, kernel_projector,
                              config: SolverConfig | None = None) -> MinimaxResult:
     """Minimize ``max_i coeffs[i] * ||A[:, groups[i]]||_F`` over the affine
     family A = a0 + Z @ kernel_projector.  Raises NonConvergence when the
-    certified gap is above ``config.tol`` after ``config.max_iters``
-    iterations and the polish."""
+    certified gap is above ``config.tol`` after at most ``config.max_iters``
+    reweighting iterations and Newton's method."""
     config = config or SolverConfig()
     a0 = np.asarray(a0, dtype=np.result_type(a0, 1.0))
     groups = [np.asarray(g, dtype=int) for g in groups]

@@ -37,6 +37,7 @@ from fusionframes.minimax import SolverConfig
 from fusionframes import frames as fr
 from fusionframes.systems import (
     FusionFrameSystem,
+    _certified_system_from_left_inverse_of_frame,
     dual_system_from_left_inverse_of_frame,
     is_dual_system,
 )
@@ -51,6 +52,24 @@ from conftest import (
 )
 from test_fusion import two_plane_frame
 from test_systems import two_plane_system
+
+
+def tied_hierarchy_report():
+    """A system in R^2 with weights 1: span e1 with local frame [e1, e1] and
+    span e2 with [e2, e2, e2, e2].  Its p = inf report carries the left
+    inverse [e1/2, e1/2, (1/4 + z_j) e2] with z = (0.1, -0.1, 0.1, -0.1),
+    which ties the mean-square optimum [e1/2, e1/2, e2/4, ...] at levels 1
+    and 2 (0.5 and 1.0) and is higher at level 3 (1.0595 against 1.0308).
+    Returns the system and the report."""
+    e1, e2 = np.eye(2)
+    ws = FusionFrameSystem(FusionFrame((Subspace(e1[:, None]), Subspace(e2[:, None])),
+                                       np.ones(2)),
+                           (Frame(np.array([e1, e1])), Frame(np.array([e2] * 4))))
+    z = np.array([0.1, -0.1, 0.1, -0.1])
+    a = np.column_stack([e1 / 2, e1 / 2] + [(0.25 + zj) * e2 for zj in z])
+    vs, pair = _certified_system_from_left_inverse_of_frame(ws, a)
+    return ws, replace(local_mse_optimal_system(ws), p=math.inf, optimal_dual=pair,
+                       optimal_system=vs)
 
 
 def brute_force_error(pair, lost):
@@ -701,11 +720,10 @@ class TestHierarchical:
             hierarchical_optimal(base, 12)
 
     def test_p_inf_optimum_tied_below_and_lower_above_raises(self):
-        # The MSE optimum ties the worst-case report at levels 1 and 2, so it
-        # is a stage-3 competitor, and it beats the report there: 8.66270
-        # against 9.59393.
-        ws = random_system(np.random.default_rng(207), 3, 3)
-        base = local_worst_case_optimal_system(ws)
+        # The MSE optimum ties the report at levels 1 and 2, so it is a
+        # stage-3 competitor, and it beats the report there.
+        _, base = tied_hierarchy_report()
+        assert hierarchical_optimal(base, 2).aggregate_by_r == pytest.approx({1: 0.5, 2: 1.0})
         with pytest.raises(BadR, match="the mean-square optimum beat the optimizer at level 3"):
             hierarchical_optimal(base, 3)
 

@@ -23,7 +23,7 @@ from fusionframes.errors import InvalidSpec, ParseError
 from fusionframes.reproduce import fixture_path
 from fusionframes.specio import dumps_spec, load_spec, parse_spec
 
-from conftest import random_system
+from test_erasures import tied_hierarchy_report
 
 
 FIXTURES = ["example_6_2.json", "example_6_3.json", "example_6_4.json",
@@ -844,11 +844,13 @@ class TestCli:
         assert b"against the mean-square optimum" in report
 
     def test_p_inf_hierarchy_exits_3_when_the_optimum_wins_in_hierarchy_order(
-            self, capsys, tmp_path):
-        # The mean-square optimum ties the worst-case dual system at levels 1
+            self, capsys, tmp_path, monkeypatch):
+        # The mean-square optimum ties the reported dual system at levels 1
         # and 2 and beats it at level 3.
-        ws = random_system(np.random.default_rng(207), 3, 3)
-        data = {"field": "real", "dimension": 3,
+        ws, report = tied_hierarchy_report()
+        monkeypatch.setattr(cli, "local_worst_case_optimal_system",
+                            lambda *args, **kwargs: report)
+        data = {"field": "real", "dimension": 2,
                 "subspaces": [{"spanning_vectors": s.basis.T.tolist()}
                               for s in ws.ff.subspaces],
                 "weights": ws.ff.weights.tolist(),
@@ -907,13 +909,15 @@ class TestCli:
 
     def test_nonconvergence_exit_code(self, capsys):
         # Example 6.3 is certified at the first iteration to a gap of one
-        # rounding, which no budget brings to --solver-tol 0.
-        code = main(["optimal", fixture("example_6_3.json"), "--p", "inf",
-                     "--max-iters", "1", "--solver-tol", "0"])
-        assert code == 4
-        assert capsys.readouterr().err.startswith(
-            "error: solver did not converge: certified gap 1.776e-16 above tol 0.000e+00 "
-            "after 1 iterations")
+        # rounding, which no budget brings to --solver-tol 0: the solve
+        # raises after that iteration, whatever the budget.
+        for budget in [[], ["--max-iters", "1"]]:
+            code = main(["optimal", fixture("example_6_3.json"), "--p", "inf",
+                         "--solver-tol", "0"] + budget)
+            assert code == 4
+            assert capsys.readouterr().err.startswith(
+                "error: solver did not converge: certified gap 1.776e-16 above tol "
+                "0.000e+00 after 1 iterations")
 
     def test_no_polish_certifies_example_6_3(self, capsys, tmp_path):
         # Uniform weights are optimal, so the reweighting certifies the
@@ -968,9 +972,9 @@ class TestCli:
         assert "result: ok" in proc.stdout
 
     def test_no_scipy_until_a_polish(self):
-        # Importing the package and every run that never reaches the SLSQP
-        # fallback load numpy only: the default worst-case runs included,
-        # which Newton's method certifies.
+        # Importing the package and every run load numpy only: the
+        # worst-case runs included, which Newton's method certifies, and the
+        # one whose gap stays above --solver-tol 0 and exits 4.
         src = os.path.dirname(os.path.dirname(fusionframes.__file__))
         script = f"""
 import contextlib, io, json, sys
@@ -988,6 +992,7 @@ runs = [[command, name] + flags
                                ("optimal", ["--p", "inf", "--r", "1"]),
                                ("local-optimal", ["--p", "inf", "--r", "1"])]]
 runs.append(["verify-dual", "example_6_2.json"])
+runs.append(["optimal", "example_6_3.json", "--p", "inf", "--solver-tol", "0"])
 rows = [["import", 0, scipy_modules()]]
 for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -999,11 +1004,14 @@ print(json.dumps(rows))
                               text=True, env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
         rows = json.loads(proc.stdout)
-        assert len(rows) == 2 + 5 * len(FIXTURES)
+        assert len(rows) == 3 + 5 * len(FIXTURES)
         # Rows are [run, exit code, scipy modules]: every run succeeds but
-        # the local one on the orthonormal basis, which has no local frames.
+        # the local one on the orthonormal basis, which has no local frames,
+        # and the one at tol 0.
         no_local_frames = "local-optimal orthonormal_basis.json --p inf --r 1"
-        assert [row for row in rows if row[1] or row[2]] == [[no_local_frames, 2, []]]
+        tol_zero = "optimal example_6_3.json --p inf --solver-tol 0"
+        assert [row for row in rows if row[1] or row[2]] == [[no_local_frames, 2, []],
+                                                             [tol_zero, 4, []]]
 
     @pytest.fixture
     def bad_dual(self, tmp_path) -> str:
