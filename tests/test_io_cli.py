@@ -921,7 +921,7 @@ class TestCli:
 
     def test_no_polish_certifies_example_6_3(self, capsys, tmp_path):
         # Uniform weights are optimal, so the reweighting certifies the
-        # optimum at once and neither Newton nor the fallback runs.
+        # optimum at once and Newton does not run.
         out_path = tmp_path / "r.json"
         assert main(["optimal", fixture("example_6_3.json"), "--p", "inf", "--r", "1",
                      "--json", str(out_path)]) == 0
