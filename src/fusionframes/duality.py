@@ -40,10 +40,10 @@ from .fusion import FusionFrame
 from .linalg import (
     RANK_TOL,
     Subspace,
+    _rank_of,
     adjoint,
     frobenius_norm,
     intersect,
-    matrix_rank,
     orth_complement_within,
     orthonormalize_many,
     singular_values_many,
@@ -141,14 +141,14 @@ def classify_q(q: BlockOp, tol: float = DEFAULT_TOL) -> QKind:
 class AffineFamily:
     """All left inverses of the analysis matrix of a fusion frame.
 
-    Members are ``pinv_member + Z @ kernel_projector`` for arbitrary Z of
-    the same shape; ``kernel_projector`` is the orthogonal projector onto
-    the kernel of the synthesis matrix, so the left-inverse identity holds
-    for every member by construction.
+    Members are ``pinv_member + (Z @ kernel) @ kernel*`` for arbitrary Z of
+    the same shape; ``kernel`` is an orthonormal basis (n x (n - d)) of the
+    kernel of the synthesis matrix, so the left-inverse identity holds for
+    every member by construction.
     """
 
     pinv_member: np.ndarray = field(repr=False)
-    kernel_projector: np.ndarray = field(repr=False)
+    kernel: np.ndarray = field(repr=False)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -157,7 +157,7 @@ class AffineFamily:
     @property
     def is_unique(self) -> bool:
         """True when the kernel is trivial (Riesz case): one left inverse."""
-        return not self.kernel_projector.any()
+        return not self.kernel.shape[1]
 
     def member(self, z=None):
         if z is None:
@@ -165,30 +165,24 @@ class AffineFamily:
         z = np.asarray(z)
         if z.shape != self.pinv_member.shape:
             raise ShapeMismatch("parameter matrix has the wrong shape")
-        return self.pinv_member + z @ self.kernel_projector
+        return self.pinv_member + (z @ self.kernel) @ adjoint(self.kernel)
 
 
 def _left_inverse_family(synth) -> AffineFamily:
-    """All left inverses of ``adjoint(synth)`` from one pseudoinverse.
-
-    The pseudoinverse of the synthesis matrix, transposed, is the
-    minimal-norm left inverse, and the kernel projector is the identity
-    minus the row-space projector.  This keeps the conditioning linear in
-    that of the synthesis matrix.  When the synthesis matrix has full
-    column rank the kernel is trivial and its projector is exactly zero,
-    not the rounding residue of that difference.
-    """
-    synth_pinv = np.linalg.pinv(synth, rcond=RANK_TOL)
-    n = synth.shape[1]
-    riesz = n <= synth.shape[0] and matrix_rank(synth) == n
-    kernel = np.zeros((n, n), synth_pinv.dtype) if riesz else np.eye(n) - synth_pinv @ synth
-    return AffineFamily(adjoint(synth_pinv), kernel)
+    """All left inverses of ``adjoint(synth)`` from one SVD T = U S V*: the
+    minimal-norm one U S^-1 V* over the first d rows of V*, and the last
+    n - d columns of V as the kernel basis, orthogonal to the row space of
+    T to rounding whatever its conditioning.  NotAFusionFrame if rank T < d."""
+    u, s, vh = np.linalg.svd(synth)
+    d = synth.shape[0]
+    if _rank_of(s, RANK_TOL) < d:
+        raise NotAFusionFrame("subspaces do not span the ambient space")
+    return AffineFamily((u / s) @ vh[:d], adjoint(vh[d:]))
 
 
 def left_inverses_parametrization(w: FusionFrame) -> AffineFamily:
-    """Affine parametrization of the left inverses of the analysis matrix."""
-    if not w.is_fusion_frame():
-        raise NotAFusionFrame("subspaces do not span the ambient space")
+    """Affine parametrization of the left inverses of the analysis matrix;
+    NotAFusionFrame unless the subspaces span the ambient space."""
     return _left_inverse_family(w.synthesis_matrix())
 
 

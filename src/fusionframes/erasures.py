@@ -202,7 +202,7 @@ class _GroupProblem:
         """
         family = _left_inverse_family(self.synth)
         a0 = family.pinv_member
-        result = minimize_max_group_norms(a0, family.kernel_projector, self.groups,
+        result = minimize_max_group_norms(a0, family.kernel, self.groups,
                                           self.coeffs, solver)
         start_norms = _group_norms(a0, self.membership, self.coeffs)
         start_name, uniform_text = _START_WORDING[self.kind]

@@ -1,7 +1,7 @@
 """Minimax solver for worst-case erasure objectives.
 
 Over the affine family ``A = A0 + W N*`` of left inverses (N an
-orthonormal basis of the range of the kernel projector P), minimize the
+orthonormal basis of the kernel of the synthesis matrix), minimize the
 largest of a fixed list of weighted Frobenius norms of column groups,
 v_i = c_i^2 ||A S_i||_F^2 squared.  By the minimax theorem the squared
 optimum is the maximum over the simplex of g(lam) = min_W lam @ v(W),
@@ -57,8 +57,8 @@ class MinimaxResult:
     """Outcome of a worst-case minimization.  ``iterations`` counts the
     reweighting iterations, and ``polished`` says whether ``a`` came from
     a Newton step rather than the reweighting; ``gap`` is the certified
-    (upper - lower) / upper on the squared objective at ``a``, a few ulps
-    below 0 at worst."""
+    (upper - lower) / upper on the squared objective at ``a``, 0 where
+    rounding puts the lower bound above the upper."""
 
     a: np.ndarray = field(repr=False)
     phi: float
@@ -190,7 +190,7 @@ class _Solve:
         return _group_norms(self.a0 + w @ self.basis_h, self.member, self.coeffs) ** 2
 
     def gap(self) -> float:
-        return (self.upper - self.lower) / self.upper
+        return max(self.upper - self.lower, 0.0) / self.upper
 
     def keep(self, w, v, polished=False):
         """Keep W if it lowers the upper bound; a polished W also on a tie."""
@@ -319,12 +319,13 @@ class _Solve:
         return None
 
 
-def minimize_max_group_norms(a0, kernel_projector,
+def minimize_max_group_norms(a0, kernel,
                              groups: Sequence[Sequence[int]],
                              coeffs: Sequence[float],
                              config: SolverConfig | None = None) -> MinimaxResult:
     """Minimize ``max_i coeffs[i] * ||A[:, groups[i]]||_F`` over the affine
-    family A = a0 + Z @ kernel_projector.  Raises NonConvergence when the
+    family A = a0 + W @ kernel*, ``kernel`` an orthonormal basis (n x k) of
+    the kernel of the synthesis matrix.  Raises NonConvergence when the
     certified gap is above ``config.tol`` after at most ``config.max_iters``
     reweighting iterations and Newton's method."""
     config = config or SolverConfig()
@@ -333,8 +334,7 @@ def minimize_max_group_norms(a0, kernel_projector,
     coeffs = np.asarray(coeffs, dtype=float).ravel()
     if len(groups) != coeffs.size:
         raise ValueError("one coefficient per column group is required")
-    eigvals, eigvecs = np.linalg.eigh(np.asarray(kernel_projector))
-    basis = eigvecs[:, eigvals > 0.5]
+    basis = np.asarray(kernel)
     # c_i ||A S_i|| = (c_i / s) ||s A S_i||: solve with max c = 1 on s A.
     scale = float(coeffs.max())
     solve = _Solve(scale * a0, basis, _membership(groups, a0.shape[1]), coeffs / scale)

@@ -161,7 +161,7 @@ def test_criterion_07_uniform_parseval_minimizer():
         family = left_inverses_parametrization(ff)
         groups = [np.arange(sl.start, sl.stop) for sl in ff.block_slices()]
         result = minimize_max_group_norms(
-            family.pinv_member, family.kernel_projector, groups,
+            family.pinv_member, family.kernel, groups,
             list(ff.weights), SolverConfig(max_iters=2000))
         synthesis = ff.synthesis_matrix()
         assert np.max(np.abs(result.a - synthesis)) <= 1e-4

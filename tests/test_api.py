@@ -12,7 +12,7 @@ import fusionframes
 # every module uses postponed evaluation of annotations.
 SIGNATURES = {
     "AffineFamily":
-        "(pinv_member: 'np.ndarray', kernel_projector: 'np.ndarray') -> None",
+        "(pinv_member: 'np.ndarray', kernel: 'np.ndarray') -> None",
     "BlockOp":
         "(row_dims: 'Sequence[int]', col_dims: 'Sequence[int]', blocks)",
     "BlockVector":

@@ -7,6 +7,7 @@ import pytest
 from fusionframes.blockop import BlockOp
 from fusionframes.duality import (
     QKind,
+    _left_inverse_family,
     alternate_dual_to_q_dual,
     canonical_dual,
     classify_q,
@@ -28,6 +29,7 @@ from fusionframes.errors import (
     ShapeMismatch,
     TrivialSubspace,
 )
+from fusionframes.frames import synthesis
 from fusionframes.fusion import FusionFrame
 from fusionframes.reproduce import fixture_path
 from fusionframes.specio import load_spec
@@ -43,6 +45,7 @@ from conftest import (
     random_overcomplete_fusion_frame,
     random_parseval_uniform_equidim,
     random_riesz_basis,
+    random_system,
     random_unitary,
 )
 from test_fusion import riesz_c4, two_plane_frame
@@ -174,20 +177,45 @@ class TestCanonicalDual:
         np.testing.assert_allclose(pair.dual.weights, v)
 
 
+def _family_case(rng, case, complex_field, scale):
+    """A synthesis matrix T of the given kind, its weights scaled by
+    ``scale``, with the left-inverse family built from it: frames through
+    the public parametrization, local-vector systems as the erasure layer
+    builds theirs."""
+    if case == "system":
+        ws = random_system(rng, 4, 3, complex_field)
+        synth = scale * synthesis(ws.global_frame(weighted=True))
+        return synth, _left_inverse_family(synth)
+    make = random_riesz_basis if case == "riesz" else random_overcomplete_fusion_frame
+    ff = make(rng, 5, 3, complex_field)
+    ff = FusionFrame(ff.subspaces, scale * ff.weights)
+    return ff.synthesis_matrix(), left_inverses_parametrization(ff)
+
+
 class TestLeftInverses:
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("case", ["riesz", "overcomplete", "system"])
+    def test_kernel_is_an_orthonormal_basis_of_ker_t(self, rng, case, complex_field, scale):
+        # N*N = I, N has n - d columns and T N = 0 to rounding, at every
+        # weight scale; the member is unique exactly when n = d, where N has
+        # no columns at all.
+        synth, family = _family_case(rng, case, complex_field, scale)
+        d, n = synth.shape
+        kernel = family.kernel
+        eps = np.finfo(float).eps
+        assert kernel.shape == (n, n - d)
+        assert frobenius_norm(kernel.conj().T @ kernel - np.eye(n - d)) <= 16 * n * eps
+        assert frobenius_norm(synth @ kernel) <= 16 * n * eps * np.linalg.norm(synth, 2)
+        assert family.is_unique == (n == d)
+        assert family.is_unique == (case == "riesz")
+
     def test_riesz_basis_unique_left_inverse(self, rng):
         ff = random_riesz_basis(rng, 5, 3)
         family = left_inverses_parametrization(ff)
         assert family.is_unique
-        assert frobenius_norm(family.kernel_projector) <= 1e-10
-
-    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
-    def test_riesz_kernel_projector_is_exactly_zero(self, rng, scale):
-        ff = random_riesz_basis(rng, 5, 3, complex_field=True)
-        ff = FusionFrame(ff.subspaces, scale * ff.weights)
-        family = left_inverses_parametrization(ff)
-        assert not family.kernel_projector.any()
-        assert family.is_unique
+        z = rng.normal(size=family.shape)
+        np.testing.assert_array_equal(family.member(z), family.pinv_member)
 
     def test_overcomplete_family_is_not_unique(self, rng):
         family = left_inverses_parametrization(random_overcomplete_fusion_frame(rng, 5, 3))
@@ -202,11 +230,17 @@ class TestLeftInverses:
             member = family.member(z)
             assert frobenius_norm(member @ analysis - np.eye(5)) <= 1e-10
 
-    def test_kernel_projector_is_projector(self, rng):
-        ff = random_overcomplete_fusion_frame(rng, 5, 3, complex_field=True)
-        proj = left_inverses_parametrization(ff).kernel_projector
-        assert frobenius_norm(proj @ proj - proj) <= 1e-10
-        assert frobenius_norm(proj.conj().T - proj) <= 1e-10
+    @pytest.mark.parametrize("lines", [
+        [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]],      # a plane of R^3
+        [[1.0, 0.0], [1.0, 1e-12]],              # R^2, but to below RANK_TOL
+    ])
+    def test_non_spanning_frame_has_no_left_inverse(self, lines):
+        ff = FusionFrame.from_spanning_sets([np.array(v)[:, None] for v in lines],
+                                            [1.0, 1.0])
+        with pytest.raises(NotAFusionFrame):
+            left_inverses_parametrization(ff)
+        with pytest.raises(NotAFusionFrame):
+            canonical_dual(ff)
 
 
 class TestDualFromLeftInverse:
