@@ -168,12 +168,13 @@ class AffineFamily:
         return self.pinv_member + (z @ self.kernel) @ adjoint(self.kernel)
 
 
-def _left_inverse_family(synth) -> AffineFamily:
+def _left_inverse_family(synth, svd=None) -> AffineFamily:
     """All left inverses of ``adjoint(synth)`` from one SVD T = U S V*: the
     minimal-norm one U S^-1 V* over the first d rows of V*, and the last
     n - d columns of V as the kernel basis, orthogonal to the row space of
-    T to rounding whatever its conditioning.  NotAFusionFrame if rank T < d."""
-    u, s, vh = np.linalg.svd(synth)
+    T to rounding whatever its conditioning.  NotAFusionFrame if rank T < d.
+    ``svd`` is ``np.linalg.svd(synth)`` when the caller already has it."""
+    u, s, vh = np.linalg.svd(synth) if svd is None else svd
     d = synth.shape[0]
     if _rank_of(s, RANK_TOL) < d:
         raise NotAFusionFrame("subspaces do not span the ambient space")

@@ -28,6 +28,7 @@ import numpy as np
 
 from .duality import (
     DEFAULT_TOL,
+    AffineFamily,
     QDualPair,
     _checked_dual_weights,
     _left_inverse_family,
@@ -37,7 +38,7 @@ from .errors import (BadR, LengthMismatch, NotADual, NotAFusionFrame, NotUnitNor
                      NullVector)
 from .frames import synthesis
 from .fusion import FusionFrame
-from .linalg import adjoint, frobenius_norm, matrix_rank
+from .linalg import RANK_TOL, _rank_of, adjoint, frobenius_norm
 from .minimax import (MinimaxResult, SolverConfig, _group_norms, _membership,
                       minimize_max_group_norms)
 from .systems import FusionFrameSystem, _certified_system_from_left_inverse_of_frame
@@ -92,6 +93,13 @@ class ErasureReport:
     ``aggregate_by_r`` extends that to every computed level.  The
     certificate is human-readable text recording which optimality claims
     are theorem-backed and which are not proven.
+
+    What ``hierarchical_optimal`` reads of the report, its group problem,
+    its engine and its rival (the engine of the problem's mean-square
+    optimum), is cached on the report, not in its fields: each is built
+    once per report, by the optimizer or on first use, and shared by every
+    hierarchy check.  A ``dataclasses.replace`` copy starts with an empty
+    cache, so a changed report never reads another's engine.
     """
 
     r: int
@@ -104,6 +112,27 @@ class ErasureReport:
     optimal_system: Optional[FusionFrameSystem] = None
     primal_system: Optional[FusionFrameSystem] = None
     solver: Optional[MinimaxResult] = None
+
+    @cached_property
+    def _problem(self) -> "_GroupProblem":
+        """The group problem of the report's dual.  At p = 2 local vectors are
+        charged exactly w_i, as ``local_mse_optimal_system`` charges them."""
+        if self.optimal_system is None:
+            return _GroupProblem.of_blocks(self.optimal_dual.primal)
+        if self.primal_system is None:
+            raise BadR("local hierarchy verification needs the primal system "
+                       "recorded in the report")
+        return _GroupProblem.of_local_vectors(self.primal_system, unit_norm=self.p == 2)
+
+    @cached_property
+    def _engine(self) -> "_GroupErasures":
+        """The erasures of the report's own dual."""
+        return _erasures(self._problem, self.optimal_dual, self.optimal_system)
+
+    @cached_property
+    def _rival(self) -> "_GroupErasures":
+        """The erasures of the problem's mean-square optimum."""
+        return _GroupErasures(self._problem, self._problem.mse_left_inverse)
 
 
 #: Certificate wording per erasure kind: the start point of the worst-case
@@ -127,7 +156,8 @@ class _GroupProblem:
     ``coeffs[j]`` times the Frobenius norm of A's columns in group j.
     Subspace erasures (``of_blocks``) and local-vector erasures
     (``of_local_vectors``) are the two instances.  Construction raises
-    NotAFusionFrame unless T spans: the one spanning check of every caller.
+    NotAFusionFrame unless T spans: the one spanning check of every caller,
+    read from ``svd``, the one decomposition of T.
     """
 
     synth: np.ndarray = field(repr=False)
@@ -137,8 +167,23 @@ class _GroupProblem:
     labels: Sequence
 
     def __post_init__(self):
-        if matrix_rank(self.synth) < self.synth.shape[0]:
+        if _rank_of(self.svd[1], RANK_TOL) < self.synth.shape[0]:
             raise NotAFusionFrame("subspaces do not span the ambient space")
+
+    @cached_property
+    def svd(self) -> tuple:
+        """``np.linalg.svd(synth)``: its singular values make the spanning
+        check, and its factors the left-inverse family."""
+        return np.linalg.svd(self.synth)
+
+    def family(self) -> AffineFamily:
+        """All left inverses of adjoint(T), from ``svd``.  Built only when an
+        optimizer asks: the hierarchy check needs none.  The factors serve
+        nothing else, so they are dropped from the cache here; a report
+        keeps its problem for as long as it lives."""
+        svd = self.svd
+        del vars(self)["svd"]
+        return _left_inverse_family(self.synth, svd)
 
     @classmethod
     def of_blocks(cls, w: FusionFrame) -> "_GroupProblem":
@@ -186,9 +231,11 @@ class _GroupProblem:
         """The cost of each group repeated over its columns."""
         return np.repeat(self.coeffs, [len(g) for g in self.groups])
 
+    @cached_property
     def mse_left_inverse(self) -> np.ndarray:
         """The left inverse of adjoint(T) minimizing the sum over columns of
-        c_k^2 ||A[:, k]||^2: (T D^-1 T*)^-1 T D^-1, D = diag(c_k^2)."""
+        c_k^2 ||A[:, k]||^2: (T D^-1 T*)^-1 T D^-1, D = diag(c_k^2).  One solve
+        per problem, shared by its optimizer and the hierarchy's rival."""
         scaled = self.synth / self.column_coeffs ** 2
         return np.linalg.solve(scaled @ adjoint(self.synth), scaled)
 
@@ -200,7 +247,7 @@ class _GroupProblem:
         pseudoinverse member), that member is the theorem-backed unique
         minimizer, and the certificate says so.
         """
-        family = _left_inverse_family(self.synth)
+        family = self.family()
         a0 = family.pinv_member
         result = minimize_max_group_norms(a0, family.kernel, self.groups,
                                           self.coeffs, solver)
@@ -316,13 +363,16 @@ def error_vector(pair: QDualPair, r: int):
 
 def _report(problem: _GroupProblem, p: float, pair: QDualPair, lines, solver=None,
             system=None, primal=None) -> ErasureReport:
-    """Level-1 table and every level aggregate of an optimizer's dual."""
+    """Level-1 table and every level aggregate of an optimizer's dual, with
+    the problem and the engine seeded into the report's cache."""
     engine = _erasures(problem, pair, system)
-    return ErasureReport(
+    report = ErasureReport(
         r=1, p=p, per_pattern_errors=tuple(engine.table(1)),
         aggregate=engine.level(1, p), optimal_dual=pair,
         certificate="\n".join(lines), aggregate_by_r=engine.levels(p),
         optimal_system=system, primal_system=primal, solver=solver)
+    vars(report).update(_problem=problem, _engine=engine)
+    return report
 
 
 def mse_optimal_dual(w: FusionFrame, v=None, tol: float = DEFAULT_TOL) -> ErasureReport:
@@ -337,9 +387,9 @@ def mse_optimal_dual(w: FusionFrame, v=None, tol: float = DEFAULT_TOL) -> Erasur
     competitor.
     """
     problem = _GroupProblem.of_blocks(w)
-    optimal = problem.mse_left_inverse()
+    optimal = problem.mse_left_inverse
     pair = dual_from_left_inverse(w, optimal, v, tol)
-    canonical = _left_inverse_family(problem.synth).pinv_member
+    canonical = problem.family().pinv_member
     trace_abs = abs(np.sum(problem.column_coeffs ** 2
                            * np.sum(optimal.conj() * (canonical - optimal), axis=0)))
     uniform = bool(np.all(np.abs(w.weights - w.weights[0])
@@ -402,7 +452,7 @@ def local_mse_optimal_system(ws: FusionFrameSystem, v=None,
         NotUnitNorm: if some local frame vector does not have unit norm.
     """
     problem = _GroupProblem.of_local_vectors(ws, unit_norm=True)
-    vs, pair = _certified_system_from_left_inverse_of_frame(ws, problem.mse_left_inverse(),
+    vs, pair = _certified_system_from_left_inverse_of_frame(ws, problem.mse_left_inverse,
                                                             v, tol)
     certificate = (
         "mean-square optimal dual system for unit-norm local frames "
@@ -478,19 +528,16 @@ def hierarchical_optimal(base: ErasureReport, max_r: int,
     level is enumerated, so BadR is raised if one has more than
     MAX_PATTERNS patterns.
 
-    Two engines are built and no random numbers drawn: ``samples`` has no
-    effect.  ValueError unless ``samples`` is at least 1.
+    Two engines take part, the report's own and the optimum's.  Each is
+    built once per report and shared by every hierarchy check of it, as is
+    the problem and its one solve for the optimum; an optimizer's report
+    comes with its own engine already built.  No random numbers are drawn:
+    ``samples`` has no effect.  ValueError unless ``samples`` is at least 1.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     p = base.p
-    if base.optimal_system is None:
-        problem = _GroupProblem.of_blocks(base.optimal_dual.primal)
-    elif base.primal_system is None:
-        raise BadR("local hierarchy verification needs the primal system "
-                   "recorded in the report")
-    else:
-        problem = _GroupProblem.of_local_vectors(base.primal_system, unit_norm=p == 2)
+    problem = base._problem
     total = len(problem.groups)
     if not 1 <= max_r <= total:
         raise BadR(f"max_r must lie in 1..{total}")
@@ -498,10 +545,10 @@ def hierarchical_optimal(base: ErasureReport, max_r: int,
     if p != 2:
         _check_enumerable(total, levels)
 
-    engine = _erasures(problem, base.optimal_dual, base.optimal_system)
+    engine = base._engine
     lines = [f"hierarchy check up to r={max_r} against the mean-square optimum",
              _identity_line(engine, base.optimal_dual.residual)]
-    rival = _GroupErasures(problem, problem.mse_left_inverse())
+    rival = base._rival
     own = {r: engine.level(r, p) for r in levels}
     best = {r: rival.level(r, p) for r in levels}
     # At p = 2 the bound is the optimum's aggregate itself.

@@ -5,7 +5,9 @@ subspace bases and weights with plain dense products, independently of
 the BlockOp machinery under test.
 """
 
+import gc
 import math
+import weakref
 from dataclasses import replace
 from itertools import combinations
 
@@ -341,7 +343,7 @@ class TestNonSpanning:
             raise AssertionError("solved a problem whose subspaces do not span")
 
         monkeypatch.setattr(erasures, "minimize_max_group_norms", must_not_run)
-        monkeypatch.setattr(_GroupProblem, "mse_left_inverse", must_not_run)
+        monkeypatch.setattr(_GroupProblem, "mse_left_inverse", property(must_not_run))
 
     @pytest.mark.parametrize("optimizer", [local_mse_optimal_system,
                                            local_worst_case_optimal_system])
@@ -664,7 +666,9 @@ class TestHierarchical:
         monkeypatch.setattr(np.random, "default_rng", must_not_run)
         few = hierarchical_optimal(base, 5, samples=1)
         many = hierarchical_optimal(base, 5, samples=50)
-        assert len(built) == 4
+        # The replaced report builds its two engines on first use, and the
+        # second check reuses them.
+        assert len(built) == 2
         assert few.certificate == many.certificate
         assert few.aggregate_by_r == many.aggregate_by_r
 
@@ -673,6 +677,57 @@ class TestHierarchical:
 
     def test_p_inf_builds_two_engines_and_draws_nothing(self, rng, monkeypatch):
         self._check_two_engines_and_no_draws(rng, monkeypatch, math.inf)
+
+    def test_a_report_and_two_checks_build_one_problem_two_engines_and_one_solve(
+            self, monkeypatch):
+        counts = dict.fromkeys(("problems", "engines", "solves"), 0)
+        post_init, solve = _GroupProblem.__post_init__, np.linalg.solve
+
+        def counted_post_init(problem):
+            counts["problems"] += 1
+            post_init(problem)
+
+        class CountedErasures(_GroupErasures):
+            def __init__(self, problem, left):
+                counts["engines"] += 1
+                super().__init__(problem, left)
+
+        def counted_solve(*args, **kwargs):
+            counts["solves"] += 1
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(_GroupProblem, "__post_init__", counted_post_init)
+        monkeypatch.setattr(erasures, "_GroupErasures", CountedErasures)
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        base = mse_optimal_dual(random_overcomplete_fusion_frame(np.random.default_rng(7), 4, 5))
+        for r in (2, 3):
+            hierarchical_optimal(base, r)
+        assert counts == {"problems": 1, "engines": 2, "solves": 1}
+
+    def test_a_checked_report_is_freed_without_the_collector(self):
+        # A cycle between the cached engines and their problem would keep
+        # all three, with the problem's SVD, alive until a collection.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            base = mse_optimal_dual(two_plane_frame(1.0, 2.0))
+            hierarchical_optimal(base, 2)
+            refs = [weakref.ref(obj) for obj in (base._problem, base._engine, base._rival)]
+            del base
+            assert [ref() for ref in refs] == [None] * 3
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_a_replaced_report_reads_no_cached_engine(self):
+        ff = two_plane_frame(1.0, 2.0)
+        base = mse_optimal_dual(ff)
+        hierarchical_optimal(base, 2)
+        with pytest.raises(BadR, match="the mean-square optimum beat the optimizer at level 1"):
+            hierarchical_optimal(replace(base, optimal_dual=canonical_dual(ff)), 2)
+        fresh = replace(mse_optimal_dual(ff), p=math.inf)
+        assert (hierarchical_optimal(replace(base, p=math.inf), 2).certificate
+                == hierarchical_optimal(fresh, 2).certificate)
 
     def test_p2_checks_that_the_maps_sum_to_the_identity(self):
         base = mse_optimal_dual(two_plane_frame(1.0, 2.0))
@@ -778,7 +833,7 @@ class TestKernelGram:
         problem = scaled_problem(rng, kind, complex_field, scale)
         family = _left_inverse_family(problem.synth)
         competitor = family.member(rng.normal(size=family.shape) / scale)
-        for left in (problem.mse_left_inverse(), family.pinv_member, competitor):
+        for left in (problem.mse_left_inverse, family.pinv_member, competitor):
             ref = maps_gram(problem, left)
             gram = _GroupErasures(problem, left).gram
             assert gram.shape == (len(problem.groups),) * 2
@@ -788,15 +843,31 @@ class TestKernelGram:
         ff = random_fusion_frame(rng, 3, 2)
         problem = _GroupProblem.of_blocks(FusionFrame(
             ff.subspaces + (Subspace.zero(3),), np.append(ff.weights, 1.5)))
-        gram = _GroupErasures(problem, problem.mse_left_inverse()).gram
+        gram = _GroupErasures(problem, problem.mse_left_inverse).gram
         assert not gram[2].any() and not gram[:, 2].any()
-        ref = maps_gram(problem, problem.mse_left_inverse())
+        ref = maps_gram(problem, problem.mse_left_inverse)
         assert np.abs(gram - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_problem_builds_its_kernel_once(self, rng):
         problem = _GroupProblem.of_blocks(random_fusion_frame(rng, 3, 3))
         assert problem.synth_gram_t is problem.synth_gram_t
         assert problem.membership is problem.membership
+
+    @pytest.mark.parametrize("optimizer", [mse_optimal_dual, worst_case_optimal_dual])
+    def test_an_optimizer_decomposes_t_once(self, rng, monkeypatch, optimizer):
+        # The spanning check and the left-inverse family share one SVD.
+        ff = random_overcomplete_fusion_frame(rng, 3, 4)
+        synth, svd = ff.synthesis_matrix(), np.linalg.svd
+        of_t = []
+
+        def counted_svd(a, *args, **kwargs):
+            if np.shape(a) == synth.shape and np.array_equal(a, synth):
+                of_t.append(kwargs)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        optimizer(ff)
+        assert len(of_t) == 1
 
 
 def mse_group_maps(ff):
@@ -874,7 +945,7 @@ class TestP2Theorem:
     def test_level_is_the_closed_form_in_tr_g_and_d(self, seed, kind, complex_field):
         rng, problem = random_problem(seed, kind, complex_field)
         d, m = problem.synth.shape[0], len(problem.groups)
-        for left in (problem.mse_left_inverse(), *random_members(rng, problem, 2)):
+        for left in (problem.mse_left_inverse, *random_members(rng, problem, 2)):
             engine = _GroupErasures(problem, left)
             trace = float(np.trace(maps_gram(problem, left)))
             for r in range(1, m + 1):
@@ -891,7 +962,7 @@ class TestP2Theorem:
     def test_no_member_beats_the_mse_optimum_at_any_level(self, seed, kind, complex_field):
         rng, problem = random_problem(seed, kind, complex_field)
         m = len(problem.groups)
-        optimum = _GroupErasures(problem, problem.mse_left_inverse())
+        optimum = _GroupErasures(problem, problem.mse_left_inverse)
         for left in random_members(rng, problem, 5):
             # Only rounding separates a member equal to the optimum (a Riesz
             # basis has one left inverse), or any member at r = m.
