@@ -50,14 +50,19 @@ class BlockOp:
         if any(len(row) != len(cols) for row in blocks):
             raise ShapeMismatch("block grid has wrong number of columns")
         grid = [[np.asarray(blk) for blk in row] for row in blocks]
-        mat = np.zeros((sum(rows), sum(cols)),
-                       dtype=np.result_type(*(blk.dtype for row in grid for blk in row), 1.0))
-        for j, (row, rs) in enumerate(zip(grid, block_slices(rows))):
-            for i, (blk, cs) in enumerate(zip(row, block_slices(cols))):
-                if blk.shape != (rows[j], cols[i]):
-                    raise ShapeMismatch(f"block ({j},{i}) has shape {blk.shape}, "
-                                        f"expected {(rows[j], cols[i])}")
-                mat[rs, cs] = blk
+        shapes = [blk.shape for row in grid for blk in row]
+        expected = [(r, c) for r in rows for c in cols]
+        if shapes != expected:
+            k = next(k for k, (shape, want) in enumerate(zip(shapes, expected))
+                     if shape != want)
+            raise ShapeMismatch(f"block ({k // len(cols)},{k % len(cols)}) has shape "
+                                f"{shapes[k]}, expected {expected[k]}")
+        mat = np.empty((sum(rows), sum(cols)),
+                       dtype=np.result_type(*{blk.dtype for row in grid for blk in row}, 1.0))
+        if cols:
+            # One copy per block row, straight into its rows of the matrix.
+            for row, rs in zip(grid, block_slices(rows)):
+                np.concatenate(row, axis=1, out=mat[rs])
         self._own(mat, rows, cols)
 
     def _own(self, mat, rows: Sequence[int], cols: Sequence[int]) -> None:

@@ -10,10 +10,11 @@ Commands:
 
 Exit codes: 0 pass, 2 parse error or invalid input, 3 certification
 failure, 4 solver non-convergence.  A file that is not UTF-8 JSON exits
-2.  FF_TOL overrides the default tolerance 1e-9; a ``--tol``,
-``--solver-tol`` or FF_TOL that is not a finite number >= 0 exits 2, and
-so does a ``--max-iters`` below 1 and, at ``--p inf``, an ``--r`` with a
-level of more than MAX_PATTERNS erasure patterns.
+2, and so does a ``--json`` path that cannot be written.  FF_TOL
+overrides the default tolerance 1e-9; a ``--tol``, ``--solver-tol`` or
+FF_TOL that is not a finite number >= 0 exits 2, and so does a
+``--max-iters`` below 1 and, at ``--p inf``, an ``--r`` with a level of
+more than MAX_PATTERNS erasure patterns.
 Reports go to stdout; ``--json PATH`` additionally writes the
 machine-readable report, byte-identical for identical inputs and flags.
 """
@@ -44,10 +45,11 @@ from .erasures import (
     mse_optimal_dual,
     worst_case_optimal_dual,
 )
+from .frames import Frame
 from .minimax import SolverConfig
 from .reproduce import EXAMPLE_IDS, reproduce
 from .specio import Check, Report, load_spec
-from .systems import is_dual_system
+from .systems import FusionFrameSystem, is_dual_system
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -72,9 +74,13 @@ def _emit(report: Report, json_path: str | None) -> int:
     exit code of its checks."""
     print(report.human())
     if json_path:
-        with open(json_path, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
-            handle.write("\n")
+        text = report.to_json()
+        try:
+            with open(json_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+                handle.write("\n")
+        except OSError as exc:
+            raise InvalidSpec(f"cannot write {json_path}: {exc}") from exc
     return EXIT_OK if report.ok else EXIT_CERTIFICATION
 
 
@@ -119,7 +125,7 @@ def cmd_verify_dual(args) -> int:
     if spec.dual is None:
         raise InvalidSpec("verify-dual requires a dual section")
     if spec.dual.local_frames is not None and spec.local_frames is not None:
-        ws = spec.system()
+        ws = FusionFrameSystem(ff, tuple(map(Frame, spec.local_frames)))
         vs = spec.dual_system()
         pair = is_dual_system(ws, vs, tol)
         report.payload["mode"] = "system"

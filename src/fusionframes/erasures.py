@@ -131,8 +131,15 @@ class ErasureReport:
 
     @cached_property
     def _rival(self) -> "_GroupErasures":
-        """The erasures of the problem's mean-square optimum."""
-        return _GroupErasures(self._problem, self._problem.mse_left_inverse)
+        """The erasures of the problem's mean-square optimum.
+        ``hierarchical_optimal`` builds it after the report's own engine, so
+        it is the last reader of the problem's solve and Gram matrix, and
+        both are then dropped from the problem's cache."""
+        problem = self._problem
+        rival = _GroupErasures(problem, problem.mse_left_inverse)
+        for name in ("mse_left_inverse", "synth_gram_t"):
+            vars(problem).pop(name, None)
+        return rival
 
 
 #: Certificate wording per erasure kind: the start point of the worst-case

@@ -25,6 +25,7 @@ identical inputs and flags produce byte-identical JSON.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import io
 import json
@@ -328,21 +329,31 @@ def load_spec(path) -> InputSpec:
     """The spec in the file at ``path``, which is read once: its bytes are
     hashed into ``digest`` and decoded as UTF-8 JSON.
 
+    The decoder builds only acyclic lists and dicts, so the cyclic
+    collector, whose passes would only re-traverse the growing tree, is
+    paused while it runs and left as it was found.
+
     Raises:
-        ParseError: the file cannot be read, is not UTF-8 or is not JSON.
+        ParseError: the file cannot be read, is not UTF-8 or is not JSON,
+            nested too deep to decode included.
     """
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         # Decoded as open() in text mode decodes, universal newlines included.
         data = json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    finally:
+        if collecting:
+            gc.enable()
     return replace(parse_spec(data), digest=hashlib.sha256(raw).hexdigest())
 
 
@@ -459,19 +470,26 @@ def _write_array(a: np.ndarray, level: int) -> str:
         a = np.stack((a.real, a.imag), -1)
     if type(a) is not np.ndarray or a.dtype != np.float64 or not np.isfinite(a).all():
         return _dumps(a.tolist(), level)
-    return _nest(list(map(float.__repr__, a.ravel().tolist())), a.shape,
-                 lambda items, depth: _join(items, level + depth))
+
+    def delimiters(depth):
+        inner = "\n" + "  " * (level + depth + 1)
+        return "[" + inner, "," + inner, "\n" + "  " * (level + depth) + "]"
+    return _nest(list(map(float.__repr__, a.ravel().tolist())), a.shape, delimiters)
 
 
-def _nest(items: list, shape: tuple, join) -> str:
+def _nest(items: list, shape: tuple, delimiters) -> str:
     """The written entries ``items`` of an array of ``shape``, in C order,
-    as nested lists; ``join(entries, depth)`` writes one list."""
+    as nested lists.  ``delimiters(depth)`` gives the head, separator and
+    tail of a non-empty list at ``depth``, once per depth; an empty list
+    is ``[]``."""
     for depth in range(len(shape) - 1, -1, -1):
         n = shape[depth]
         if n == 0:
-            items = [join([], depth)] * math.prod(shape[:depth])
+            items = ["[]"] * math.prod(shape[:depth])
         else:
-            items = [join(items[k:k + n], depth) for k in range(0, len(items), n)]
+            head, sep, tail = delimiters(depth)
+            items = [head + sep.join(items[k:k + n]) + tail
+                     for k in range(0, len(items), n)]
     return items[0]
 
 
@@ -488,7 +506,7 @@ def _human_value(value) -> str:
     if isinstance(value, np.ndarray):
         if value.dtype.kind in "fc":
             return _nest([f"{v:.6g}" for v in value.ravel().tolist()], value.shape,
-                         lambda items, depth: "[" + ", ".join(items) + "]")
+                         lambda depth: ("[", ", ", "]"))
         value = value.tolist()
     if isinstance(value, (float, complex)):
         return f"{value:.6g}"

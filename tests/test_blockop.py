@@ -1,13 +1,17 @@
 """Direct checks of the block-operator container, and property tests of its
 dense storage against plain numpy."""
 
+import re
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from fusionframes.blockop import BlockOp
-from fusionframes.errors import ShapeMismatch
+from fusionframes.errors import InvalidSpec, ShapeMismatch
 from fusionframes.fusion import BlockVector
+from fusionframes.specio import InputSpec
 
 from conftest import random_matrix
 
@@ -26,6 +30,33 @@ class TestConstruction:
     def test_block_shape_validation(self):
         with pytest.raises(ShapeMismatch):
             BlockOp((2,), (2,), ((np.eye(3),),))
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_dual_q_grid_matches_a_per_block_fill(self, rng, complex_field):
+        rows, cols = rng.integers(0, 4, 12).tolist(), rng.integers(0, 4, 12).tolist()
+        grid = [[random_matrix(rng, r, c, complex_field) for c in cols] for r in rows]
+        field = "complex" if complex_field else "real"
+        spec = InputSpec(field, 3, None, dual=InputSpec(field, 3, None, q_blocks=grid))
+        primal, dual = SimpleNamespace(dims=tuple(cols)), SimpleNamespace(dims=tuple(rows))
+        dense = np.zeros((sum(rows), sum(cols)), dtype=complex if complex_field else float)
+        roff, coff = np.cumsum([0, *rows]), np.cumsum([0, *cols])
+        for j in range(len(rows)):
+            for i in range(len(cols)):
+                dense[roff[j]:roff[j + 1], coff[i]:coff[i + 1]] = grid[j][i]
+        q = spec.dual_q(primal, dual)
+        assert q.as_matrix().dtype == dense.dtype
+        np.testing.assert_array_equal(q.as_matrix(), dense)
+        # Of two wrong blocks, the first in row-major order is named.
+        grid[7][2] = np.zeros((rows[7] + 1, cols[2]))
+        grid[3][9] = np.zeros((rows[3], cols[9] + 1))
+        with pytest.raises(InvalidSpec, match=re.escape(
+                f"block (3,9) has shape {(rows[3], cols[9] + 1)}, "
+                f"expected {(rows[3], cols[9])}")):
+            spec.dual_q(primal, dual)
+
+    def test_grid_without_rows_or_columns(self):
+        assert BlockOp((), (2, 1), []).as_matrix().shape == (0, 3)
+        assert BlockOp((2, 1), (), [[], []]).as_matrix().shape == (3, 0)
 
     def test_identity_and_mask(self):
         ident = BlockOp.identity((2, 1))

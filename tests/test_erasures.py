@@ -719,6 +719,15 @@ class TestHierarchical:
             if enabled:
                 gc.enable()
 
+    @pytest.mark.parametrize("optimizer", [mse_optimal_dual, worst_case_optimal_dual])
+    def test_a_checked_report_drops_the_solve_and_gram_of_its_problem(self, optimizer):
+        ff = random_overcomplete_fusion_frame(np.random.default_rng(7), 4, 5)
+        base = optimizer(ff)
+        hierarchical_optimal(base, 2)
+        assert not {"mse_left_inverse", "synth_gram_t"} & set(vars(base._problem))
+        assert (hierarchical_optimal(base, 3).certificate
+                == hierarchical_optimal(optimizer(ff), 3).certificate)
+
     def test_a_replaced_report_reads_no_cached_engine(self):
         ff = two_plane_frame(1.0, 2.0)
         base = mse_optimal_dual(ff)

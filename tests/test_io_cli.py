@@ -2,6 +2,7 @@
 
 import argparse
 import builtins
+import gc
 import hashlib
 import json
 import math
@@ -116,11 +117,34 @@ class TestParsing:
                         "subspaces": [{"spanning_vectors": [[1.0]]}],
                         "weights": [1.0]})
 
-    def test_rejects_bad_json(self, tmp_path):
+    def test_rejects_bad_json(self, capsys, tmp_path):
+        # Nesting too deep for the decoder is not valid JSON either.
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(ParseError):
-            load_spec(str(path))
+        for text in ("{not json", "[" * 100000 + "]" * 100000):
+            path.write_text(text)
+            with pytest.raises(ParseError, match="is not valid JSON"):
+                load_spec(str(path))
+            assert main(["analyze", str(path)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {path} is not valid JSON: ")
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["collecting", "paused"])
+    def test_load_spec_leaves_the_collector_as_it_found_it(self, tmp_path, enabled):
+        files = {"good": fixture("example_6_2.json"), "missing": str(tmp_path / "absent.json")}
+        for name, data in (("latin1", b'{"label": "caf\xe9"}'), ("broken", b"{not json"),
+                           ("nested", b"[" * 100000 + b"]" * 100000), ("schema", b"{}")):
+            files[name] = str(tmp_path / f"{name}.json")
+            Path(files[name]).write_bytes(data)
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            load_spec(files.pop("good"))
+            assert gc.isenabled() is enabled
+            for path in files.values():
+                with pytest.raises(ParseError):
+                    load_spec(path)
+                assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
     @pytest.mark.parametrize("command", ["analyze", "canonical-dual", "verify-dual"])
     def test_non_utf8_file_exits_2(self, capsys, tmp_path, command):
@@ -494,6 +518,25 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "block_diagonal" in out
+
+    def test_verify_dual_system_orthonormalizes_each_side_once(self, capsys, monkeypatch):
+        # The primal fusion frame is built once and serves the primal system.
+        calls = []
+        orthonormalize_many = specio.orthonormalize_many
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return orthonormalize_many(*args, **kwargs)
+        monkeypatch.setattr(specio, "orthonormalize_many", counted)
+        assert main(["verify-dual", fixture("example_6_2.json")]) == 0
+        assert "mode: system" in capsys.readouterr().out
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_json_path_exits_2(self, capsys, tmp_path, where):
+        path = tmp_path / "absent" / "x.json" if where == "missing-directory" else tmp_path
+        assert main(["analyze", fixture("example_6_2.json"), "--json", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
 
     def test_verify_dual_q_block_shapes(self, capsys, tmp_path):
         # Both subspaces of example 6.3 are planes, so every block is 2 x 2.
