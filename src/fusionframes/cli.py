@@ -47,7 +47,7 @@ from .erasures import (
 )
 from .frames import Frame
 from .minimax import SolverConfig
-from .reproduce import EXAMPLE_IDS, reproduce
+from .reproduce import _ALIASES, EXAMPLE_IDS, reproduce
 from .specio import Check, Report, load_spec
 from .systems import FusionFrameSystem, is_dual_system
 
@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler="cmd_optimal")
 
     p = sub.add_parser("reproduce", help="rerun a bundled worked example")
-    p.add_argument("example_id", choices=list(EXAMPLE_IDS) + ["6.2", "6.3"])
+    p.add_argument("example_id", choices=[*EXAMPLE_IDS, *_ALIASES])
     common(p, needs_file=False)
     p.set_defaults(handler="cmd_reproduce")
 

@@ -46,7 +46,9 @@ from .systems import FusionFrameSystem, _certified_system_from_left_inverse_of_f
 #: Hard cap on exact pattern enumeration.
 MAX_PATTERNS = 1_000_000
 
-#: Level aggregates of ``hierarchical_optimal`` this close are equal.
+#: Level aggregates of ``hierarchical_optimal`` within this fraction of
+#: the larger are equal: a level-r aggregate grows like sqrt(C(m-1, r-1)),
+#: so its rounding grows with it.
 HIERARCHY_MARGIN = 1e-9
 
 #: Patterns gathered from the Gram matrix at once; bounds the memory of
@@ -327,13 +329,19 @@ class _GroupErasures:
         """p-norm of the errors of all patterns of ``r`` lost groups.
 
         At p = 2 each group lies in C(m-1, r-1) patterns and each pair of
-        groups in C(m-2, r-2), which gives a closed form in G.
+        groups in C(m-2, r-2), which gives a closed form in G.  Counts past
+        2^512 are divided by the same even power of two, 4^k, before they
+        meet a float, and the root is multiplied back by 2^k: both steps
+        are exact, so a level whose counts fit a float keeps its bits, and
+        one whose counts do not is still finite.
         """
         if p == 2:
             m, tr = self.size, self._trace
+            groups = math.comb(m - 1, r - 1)
             pairs = math.comb(m - 2, r - 2) if r >= 2 else 0
-            total = math.comb(m - 1, r - 1) * tr + pairs * (self._sum - tr)
-            return math.sqrt(max(total, 0.0))
+            k = max(groups.bit_length() - 512, 0) // 2
+            total = groups / 4 ** k * tr + pairs / 4 ** k * (self._sum - tr)
+            return math.ldexp(math.sqrt(max(total, 0.0)), k)
         errs = (e for _, e in self._errors(r))
         if p == math.inf:
             return max(float(np.max(e)) for e in errs)
@@ -528,12 +536,14 @@ def hierarchical_optimal(base: ErasureReport, max_r: int,
 
     Levels 1..max_r are compared in order: BadR is raised at the first
     level where the report and the optimum differ by more than
-    HIERARCHY_MARGIN, if the optimum is lower there.  An optimum that is
-    higher at a lower level is no competitor at later stages.  A level is
-    certified when the report is within that margin of its bound, and
-    "chain constant" is claimed only when every level is.  At p != 2 every
-    level is enumerated, so BadR is raised if one has more than
-    MAX_PATTERNS patterns.
+    HIERARCHY_MARGIN times the larger of the two, if the optimum is lower
+    there.  An optimum that is higher at a lower level is no competitor at
+    later stages.  A level is certified when the report exceeds its bound
+    by at most that fraction of the bound, and "chain constant" is claimed
+    only when every level is.  Both margins are relative because a level's
+    aggregate, and with it its rounding, grows like sqrt(C(m-1, r-1)).  At
+    p != 2 every level is enumerated, so BadR is raised if one has more
+    than MAX_PATTERNS patterns.
 
     Two engines take part, the report's own and the optimum's.  Each is
     built once per report and shared by every hierarchy check of it, as is
@@ -562,13 +572,14 @@ def hierarchical_optimal(base: ErasureReport, max_r: int,
     bound = best if p == 2 else {
         r: min(1.0, math.comb(total, r) ** (1.0 / p - 0.5)) * rival.level(r, 2)
         for r in levels}
-    first = next((r for r in levels if abs(own[r] - best[r]) > HIERARCHY_MARGIN), None)
+    first = next((r for r in levels
+                  if abs(own[r] - best[r]) > HIERARCHY_MARGIN * max(own[r], best[r])), None)
     if first is not None and best[first] < own[first]:
         raise BadR(f"the mean-square optimum beat the optimizer at level {first}; "
                    "hierarchy verification failed")
     lines += [f"r={r}: optimizer {own[r]:.12e}, mean-square optimum {best[r]:.12e}"
               + ("" if p == 2 else f", lower bound {bound[r]:.12e}") for r in levels]
-    open_levels = [r for r in levels if own[r] > bound[r] + HIERARCHY_MARGIN]
+    open_levels = [r for r in levels if own[r] > bound[r] * (1.0 + HIERARCHY_MARGIN)]
     if not open_levels:
         lines.append(
             "chain constant: with 1'G1 = d the level-r sum of squares is "

@@ -111,9 +111,10 @@ class FusionFrame:
         object.__setattr__(self, "weights", w)
 
     @classmethod
-    def from_spanning_sets(cls, spanning_sets, weights, tol: float = RANK_TOL) -> "FusionFrame":
-        """Build from raw spanning matrices (columns span each subspace)."""
-        subs = tuple(orthonormalize(np.asarray(m), tol) for m in spanning_sets)
+    def from_spanning_sets(cls, spanning_sets, weights) -> "FusionFrame":
+        """Build from raw spanning matrices (columns span each subspace,
+        whose dimension is their numerical rank at RANK_TOL)."""
+        subs = tuple(orthonormalize(np.asarray(m)) for m in spanning_sets)
         return cls(subs, np.asarray(weights, dtype=float))
 
     # -- basic shape ----------------------------------------------------------

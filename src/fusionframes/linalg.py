@@ -80,10 +80,10 @@ def singular_values_many(mats) -> list:
     return out
 
 
-def matrix_ranks(mats, tol: float = RANK_TOL) -> list:
+def matrix_ranks(mats) -> list:
     """``matrix_rank`` of each matrix in ``mats``, from one stacked SVD per
     shape and dtype."""
-    return [_rank_of(s, tol) for s in singular_values_many(mats)]
+    return [_rank_of(s, RANK_TOL) for s in singular_values_many(mats)]
 
 
 def _canonical_phases(basis):

@@ -1,9 +1,13 @@
 """Reproduction of the library's bundled worked examples.
 
-Each entry point loads a fixture, recomputes the published quantities,
-and returns a :class:`~fusionframes.specio.Report` whose checks must all
-pass.  These routines back the ``ff reproduce`` command and the
-acceptance suite.
+``reproduce(id)`` loads the example's fixture, recomputes the published
+quantities from the spans and weights it reads there, and returns a
+:class:`~fusionframes.specio.Report` whose checks must all pass; the
+report's digest is the sha256 of that fixture.  One table, ``_EXAMPLES``,
+names each example's fixture and the function that fills its report;
+``tol`` is the only setting, the certification tolerance of every dual
+the example builds.  These routines back the ``ff reproduce`` command
+and the acceptance suite.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ from importlib import resources
 
 import numpy as np
 
-from . import frames as fr
 from .duality import (
+    DEFAULT_TOL,
     QKind,
     canonical_dual,
     classify_q,
@@ -30,52 +34,18 @@ from .erasures import (
     worst_case_optimal_dual,
 )
 from .fusion import FusionFrame
-from .linalg import Subspace, adjoint, frobenius_norm, orthonormalize
+from .linalg import adjoint, frobenius_norm, orthonormalize
 from .specio import Check, Report, load_spec
-from .systems import (
-    FusionFrameSystem,
-    ProjectiveRS,
-    canonical_dual_ops,
-    is_dual_system,
-)
-
-EXAMPLE_IDS = ("6.2a", "6.2b", "6.3a", "6.3b", "6.3c", "6.3d", "6.4")
-
-_ALIASES = {"6.2": "6.2a", "6.3": "6.3b"}
+from .systems import ProjectiveRS, canonical_dual_ops, is_dual_system
 
 
 def fixture_path(name: str):
     return resources.files("fusionframes").joinpath("fixtures", name)
 
 
-def _load(name: str):
-    spec = load_spec(str(fixture_path(name)))
-    return spec, spec.digest
-
-
-def reproduce(example_id: str, tol: float = 1e-9) -> Report:
-    """Dispatch to one example by id ('6.2a', '6.2b', '6.3a'..'6.3d', '6.4')."""
-    example_id = _ALIASES.get(example_id, example_id)
-    handlers = {
-        "6.2a": reproduce_6_2a,
-        "6.2b": reproduce_6_2b,
-        "6.3a": reproduce_6_3a,
-        "6.3b": reproduce_6_3b,
-        "6.3c": reproduce_6_3c,
-        "6.3d": reproduce_6_3d,
-        "6.4": reproduce_6_4,
-    }
-    if example_id not in handlers:
-        raise ParseError(f"unknown example id {example_id!r}; "
-                         f"choose from {', '.join(EXAMPLE_IDS)}")
-    return handlers[example_id](tol=tol)
-
-
 # -- two blocks in C^4: a Riesz fusion basis with an overcomplete dual ---------
 
-def reproduce_6_2a(tol: float = 1e-9) -> Report:
-    spec, digest = _load("example_6_2.json")
-    report = Report("reproduce 6.2a", digest)
+def _riesz_basis_dual(spec, report: Report, tol: float) -> None:
     ws = spec.system()
     vs = spec.dual_system()
 
@@ -114,27 +84,29 @@ def reproduce_6_2a(tol: float = 1e-9) -> Report:
 
     report.payload["dual_dims"] = [s.dim for s in vs.ff.subspaces]
     report.payload["residual"] = pair.residual
-    return report
 
 
-def reproduce_6_2b(tol: float = 1e-9) -> Report:
-    spec, digest = _load("example_6_2.json")
-    report = Report("reproduce 6.2b", digest)
-    t1 = np.array([[1, 0], [0, 1], [0, 0], [0, 0]], dtype=complex)
-    s = 1.0 / math.sqrt(2.0)
-    t2 = np.array([[0, 0], [0, s], [1, 0], [0, -s]], dtype=complex)
-    rs = ProjectiveRS((t1, t2))
+def _unit_weight_rs(ff: FusionFrame, report: Report) -> ProjectiveRS:
+    """The subspaces of ``ff`` as a projective reconstruction system whose
+    blocks are their orthonormal bases, with the checks that it is one and
+    that every implied weight is 1."""
+    rs = ProjectiveRS(tuple(sub.basis for sub in ff.subspaces))
     report.add(Check.boolean("block family is projective", True))
     report.add(Check.leq("implied weights are 1",
                          float(np.max(np.abs(np.array(rs.weights_implied) - 1.0))),
                          1e-12))
+    return rs
+
+
+def _non_projective_canonical_dual(spec, report: Report, tol: float) -> None:
+    rs = _unit_weight_rs(spec.fusion_frame(), report)
     synth = rs.synthesis_matrix()
     report.add(Check.boolean("family is a Riesz reconstruction system",
                              abs(np.linalg.det(synth)) > 1e-8))
     duals = canonical_dual_ops(rs.ops)
     total = sum(td @ adjoint(t) for td, t in zip(duals, rs.ops))
     report.add(Check.leq("canonical dual reconstructs the identity",
-                         frobenius_norm(total - np.eye(4)), 1e-10))
+                         frobenius_norm(total - np.eye(rs.ambient_dim)), 1e-10))
     w2 = float(np.linalg.norm(duals[1], 2))
     deviation = frobenius_norm(adjoint(duals[1]) @ duals[1] - w2 * w2 * np.eye(2))
     report.add(Check.geq("canonical dual block 2 is not a scaled isometry",
@@ -147,16 +119,9 @@ def reproduce_6_2b(tol: float = 1e-9) -> Report:
     report.add(Check.boolean("converting the non-projective dual is refused",
                              refused))
     report.payload["dual_projectivity_deviation"] = deviation
-    return report
 
 
 # -- two planes in F^3: the running overcomplete example -----------------------
-
-def _example_6_3_frame(w1: float, w2: float) -> FusionFrame:
-    spans = [np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-             np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])]
-    return FusionFrame.from_spanning_sets(spans, [w1, w2])
-
 
 def _ambient_block_maps(ff: FusionFrame, a: np.ndarray) -> list[np.ndarray]:
     """Per-block ambient action of a coordinate-space left inverse."""
@@ -166,18 +131,19 @@ def _ambient_block_maps(ff: FusionFrame, a: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def reproduce_6_3a(tol: float = 1e-9,
-                   weight_pairs=((1.0, 1.0), (1.0, 2.0), (3.0, 0.5))) -> Report:
-    spec, digest = _load("example_6_3.json")
-    report = Report("reproduce 6.3a", digest)
-    for w1, w2 in weight_pairs:
-        ff = _example_6_3_frame(w1, w2)
+def _left_inverse_closed_forms(spec, report: Report, tol: float) -> None:
+    # The closed forms hold for every weight pair on the fixture's planes:
+    # they are checked at equal weights, at the fixture's and at a pair
+    # with w1 > w2.
+    subspaces = spec.fusion_frame().subspaces
+    for w1, w2 in ((1.0, 1.0), tuple(spec.weights), (3.0, 0.5)):
+        ff = FusionFrame(subspaces, np.array([w1, w2]))
         s_inv = np.linalg.inv(ff.fusion_operator())
         expected = np.diag([1.0 / w2 ** 2, 1.0 / w1 ** 2, 1.0 / (w1 ** 2 + w2 ** 2)])
         report.add(Check.leq(
             f"inverse operator matches closed form (w={w1},{w2})",
             float(np.max(np.abs(s_inv - expected))), 1e-12))
-        pair = canonical_dual(ff)
+        pair = canonical_dual(ff, tol=tol)
         for i, sub in enumerate(pair.dual.subspaces):
             report.add(Check.leq(
                 f"canonical dual subspace {i + 1} equals the primal (w={w1},{w2})",
@@ -215,16 +181,13 @@ def reproduce_6_3a(tol: float = 1e-9,
         report.add(Check.leq(
             f"first dual subspace matches the closed form (w={w1},{w2})",
             pair_a.dual.subspaces[0].distance_to(expected_v1), 1e-9))
-    return report
 
 
-def reproduce_6_3b(tol: float = 1e-9, w1: float = 1.0, w2: float = 2.0) -> Report:
-    spec, digest = _load("example_6_3.json")
-    report = Report("reproduce 6.3b", digest)
-    ff = _example_6_3_frame(w1, w2)
-    v = ff.weights
+def _optimal_duals(spec, report: Report, tol: float) -> None:
+    ff = spec.fusion_frame()
+    w1, w2 = ff.weights
 
-    mse = mse_optimal_dual(ff, v)
+    mse = mse_optimal_dual(ff, tol=tol)
     for i, sub in enumerate(mse.optimal_dual.dual.subspaces):
         report.add(Check.leq(
             f"mean-square optimal dual subspace {i + 1} equals the primal",
@@ -240,7 +203,7 @@ def reproduce_6_3b(tol: float = 1e-9, w1: float = 1.0, w2: float = 2.0) -> Repor
     report.add(Check.leq("optimal coupling halves the shared coordinate (block 2)",
                          float(np.max(np.abs(blocks[1] - expected2))), 1e-12))
 
-    wc = worst_case_optimal_dual(ff, v)
+    wc = worst_case_optimal_dual(ff, tol=tol)
     a_blocks = _ambient_block_maps(ff, wc.solver.a)
     paper1 = np.array([[0.0, 0.0, 0.0],
                        [0.0, 1.0 / w1, 0.0],
@@ -258,76 +221,58 @@ def reproduce_6_3b(tol: float = 1e-9, w1: float = 1.0, w2: float = 2.0) -> Repor
                              wc.solver.gap_from_start, 1e-6))
     report.payload["worst_case_value"] = wc.aggregate
     report.payload["iterations"] = wc.solver.iterations
-    return report
 
 
-def reproduce_6_3c(tol: float = 1e-9, w1: float = 1.0, v1: float = 1.0,
-                   w2: float = 2.0, v2: float = 3.0) -> Report:
-    spec, digest = _load("example_6_3.json")
-    report = Report("reproduce 6.3c", digest)
-    base = spec.system()
-    ff = FusionFrame(base.ff.subspaces, np.array([w1, w2]))
-    ws = FusionFrameSystem(ff, base.local_frames)
-    v = np.array([v1, v2])
+def _local_mse_system(spec, report: Report, tol: float) -> None:
+    ws = spec.system()
+    ff = ws.ff
 
-    result = local_mse_optimal_system(ws, v)
+    # The dual weights are the primal weights, so the optimal local duals
+    # scale with 1 / w_i^2.
+    result = local_mse_optimal_system(ws, tol=tol)
     s3 = math.sqrt(3.0)
     expected = [
         np.array([[0.0, 0.0, 1.0 / 3.0],
                   [0.0, s3 / 3.0, -1.0 / 6.0],
-                  [0.0, -s3 / 3.0, -1.0 / 6.0]]) / (w1 * v1),
+                  [0.0, -s3 / 3.0, -1.0 / 6.0]]),
         np.array([[0.0, 0.0, 1.0 / 3.0],
                   [s3 / 3.0, 0.0, -1.0 / 6.0],
-                  [-s3 / 3.0, 0.0, -1.0 / 6.0]]) / (w2 * v2),
+                  [-s3 / 3.0, 0.0, -1.0 / 6.0]]),
     ]
-    for i, frame_expected in enumerate(expected):
+    for i, (frame_expected, w) in enumerate(zip(expected, ff.weights)):
         got = result.optimal_system.local_frames[i].vectors
         report.add(Check.leq(
             f"optimal local dual vectors match closed form (block {i + 1})",
-            float(np.max(np.abs(got - frame_expected))), 1e-12))
+            float(np.max(np.abs(got - frame_expected / (w * w)))), 1e-12))
 
     recon_opt = (result.optimal_dual.dual.synthesis_matrix()
                  @ result.optimal_dual.q.as_matrix())
-    canon = canonical_dual(ff, v)
+    canon = canonical_dual(ff, tol=tol)
     recon_can = canon.dual.synthesis_matrix() @ canon.q.as_matrix()
     separation = frobenius_norm(recon_opt - recon_can)
-    if abs(w1 - w2) > 1e-12:
+    if np.ptp(ff.weights) > 1e-12:
         report.add(Check.geq(
             "optimal reconstruction differs from the canonical dual",
             separation, 1e-3))
     report.payload["reconstruction_separation"] = separation
     report.payload["mse_r1"] = result.aggregate
-    return report
 
 
-def reproduce_6_3d(tol: float = 1e-9) -> Report:
-    spec, digest = _load("example_6_3.json")
-    report = Report("reproduce 6.3d", digest)
-    t1 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    t2 = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
-    rs = ProjectiveRS((t1, t2))
-    report.add(Check.boolean("block family is projective", True))
-    report.add(Check.leq("implied weights are 1",
-                         float(np.max(np.abs(np.array(rs.weights_implied) - 1.0))),
-                         1e-12))
-    system = rs.to_system()
-    ff = _example_6_3_frame(1.0, 1.0)
-    for i in range(2):
+def _projective_system(spec, report: Report, tol: float) -> None:
+    ff = spec.fusion_frame()
+    system = _unit_weight_rs(ff, report).to_system()
+    for i in range(ff.size):
         report.add(Check.leq(
             f"carried subspace {i + 1} matches the running example",
             system.ff.subspaces[i].distance_to(ff.subspaces[i]), 1e-12))
-    return report
 
 
 # -- a full-space block plus a line: worst-case local optimizer ----------------
 
-def reproduce_6_4(tol: float = 1e-9) -> Report:
-    spec, digest = _load("example_6_4.json")
-    report = Report("reproduce 6.4", digest)
+def _local_worst_case_system(spec, report: Report, tol: float) -> None:
     ws = spec.system()
-    result = local_worst_case_optimal_system(ws)
+    result = local_worst_case_optimal_system(ws, tol=tol)
 
-    d = ws.ff.ambient_dim
     s_op = ws.ff.fusion_operator()
     canonical_v1 = orthonormalize(np.linalg.solve(s_op, ws.ff.subspaces[0].basis))
     canonical_v2 = orthonormalize(np.linalg.solve(s_op, ws.ff.subspaces[1].basis))
@@ -358,4 +303,37 @@ def reproduce_6_4(tol: float = 1e-9) -> Report:
     report.payload["worst_case_value"] = result.aggregate
     report.payload["published_value"] = published_phi
     report.payload["iterations"] = result.solver.iterations
+
+
+#: Example id -> (the fixture it reads, the function that fills its report).
+_EXAMPLES = {
+    "6.2a": ("example_6_2.json", _riesz_basis_dual),
+    "6.2b": ("example_6_2.json", _non_projective_canonical_dual),
+    "6.3a": ("example_6_3.json", _left_inverse_closed_forms),
+    "6.3b": ("example_6_3.json", _optimal_duals),
+    "6.3c": ("example_6_3.json", _local_mse_system),
+    "6.3d": ("example_6_3.json", _projective_system),
+    "6.4": ("example_6_4.json", _local_worst_case_system),
+}
+
+#: Short ids the CLI also accepts, each naming one example.
+_ALIASES = {"6.2": "6.2a", "6.3": "6.3b"}
+
+EXAMPLE_IDS = tuple(_EXAMPLES)
+
+
+def reproduce(example_id: str, tol: float = DEFAULT_TOL) -> Report:
+    """The report of one example, by id or alias; ParseError for any other id.
+
+    ``tol`` certifies every dual the example builds: NotADual when one
+    does not reach it.  Examples 6.2b and 6.3d certify no dual.
+    """
+    example_id = _ALIASES.get(example_id, example_id)
+    if example_id not in _EXAMPLES:
+        raise ParseError(f"unknown example id {example_id!r}; "
+                         f"choose from {', '.join(EXAMPLE_IDS)}")
+    fixture, fill = _EXAMPLES[example_id]
+    spec = load_spec(str(fixture_path(fixture)))
+    report = Report(f"reproduce {example_id}", spec.digest)
+    fill(spec, report, tol)
     return report

@@ -40,7 +40,7 @@ from .blockop import BlockOp
 from .errors import InvalidSpec, ParseError, ShapeMismatch, ZeroSubspace
 from .frames import Frame
 from .fusion import FusionFrame
-from .linalg import RANK_TOL, orthonormalize_many
+from .linalg import orthonormalize_many
 from .systems import FusionFrameSystem
 
 
@@ -215,7 +215,7 @@ def _read_q_blocks(grid, complex_field: bool) -> list:
             for row in grid]
 
 
-def _fusion_frame(subspaces, weights, tol: float, where: str) -> FusionFrame:
+def _fusion_frame(subspaces, weights, where: str) -> FusionFrame:
     """The fusion frame spanned by the row matrices ``subspaces``.
 
     Raises:
@@ -223,7 +223,7 @@ def _fusion_frame(subspaces, weights, tol: float, where: str) -> FusionFrame:
             it by its place in the input file.
     """
     try:
-        subs = orthonormalize_many([np.asarray(rows).T for rows in subspaces], tol)
+        subs = orthonormalize_many([np.asarray(rows).T for rows in subspaces])
     except ZeroSubspace as exc:
         raise InvalidSpec(f"{where}[{exc.index}]: {exc}") from exc
     return FusionFrame(tuple(subs), np.asarray(weights, dtype=float))
@@ -262,21 +262,21 @@ class InputSpec:
                 raise InvalidSpec(f"input has no {path} section")
         return value
 
-    def fusion_frame(self, tol: float = RANK_TOL) -> FusionFrame:
-        return _fusion_frame(self.subspaces, self.weights, tol, "subspaces")
+    def fusion_frame(self) -> FusionFrame:
+        return _fusion_frame(self.subspaces, self.weights, "subspaces")
 
-    def system(self, tol: float = RANK_TOL) -> FusionFrameSystem:
+    def system(self) -> FusionFrameSystem:
         frames = tuple(Frame(rows) for rows in self._required("local_frames"))
-        return FusionFrameSystem(self.fusion_frame(tol), frames)
+        return FusionFrameSystem(self.fusion_frame(), frames)
 
-    def dual_fusion_frame(self, tol: float = RANK_TOL) -> FusionFrame:
+    def dual_fusion_frame(self) -> FusionFrame:
         subspaces = self._required("dual.subspaces")
         weights = self.weights if self.dual.weights is None else self.dual.weights
-        return _fusion_frame(subspaces, weights, tol, "dual.subspaces")
+        return _fusion_frame(subspaces, weights, "dual.subspaces")
 
-    def dual_system(self, tol: float = RANK_TOL) -> FusionFrameSystem:
+    def dual_system(self) -> FusionFrameSystem:
         frames = tuple(Frame(rows) for rows in self._required("dual.local_frames"))
-        return FusionFrameSystem(self.dual_fusion_frame(tol), frames)
+        return FusionFrameSystem(self.dual_fusion_frame(), frames)
 
     def dual_q(self, primal: FusionFrame, dual: FusionFrame) -> BlockOp:
         try:

@@ -29,7 +29,6 @@ from .errors import (
 from .frames import Frame
 from .fusion import FusionFrame, block_slices
 from .linalg import (
-    RANK_TOL,
     Subspace,
     adjoint,
     frobenius_norm,
@@ -256,13 +255,13 @@ class ProjectiveRS:
         """The frame operator of the blocks' columns; invertible iff the ranges span."""
         return fr.frame_operator(_columns(self.ops))
 
-    def to_system(self, tol: float = RANK_TOL) -> FusionFrameSystem:
+    def to_system(self) -> FusionFrameSystem:
         """The fusion frame system carried by the ranges: subspaces are the
         block ranges, weights the spectral norms, local frames the scaled
         columns."""
         weights = self.weights_implied
         locals_ = tuple(Frame((t / w).T) for t, w in zip(self.ops, weights))
-        return FusionFrameSystem(FusionFrame.from_spanning_sets(self.ops, weights, tol), locals_)
+        return FusionFrameSystem(FusionFrame.from_spanning_sets(self.ops, weights), locals_)
 
 
 def _columns(ops) -> Frame:

@@ -24,13 +24,7 @@ from fusionframes.frames import Frame
 from fusionframes.fusion import FusionFrame
 from fusionframes.linalg import frobenius_norm
 from fusionframes.minimax import SolverConfig, minimize_max_group_norms
-from fusionframes.reproduce import (
-    reproduce_6_2a,
-    reproduce_6_3a,
-    reproduce_6_3b,
-    reproduce_6_3c,
-    reproduce_6_4,
-)
+from fusionframes.reproduce import reproduce
 from fusionframes.specio import load_spec
 from fusionframes.systems import (
     FusionFrameSystem,
@@ -63,7 +57,7 @@ def _report_ok(report):
 
 def test_criterion_01_inverse_operator_closed_form():
     start = time.monotonic()
-    report = reproduce_6_3a()
+    report = reproduce("6.3a")
     elapsed = time.monotonic() - start
     ok, detail = _report_ok(report)
     _conclude(1, "inverse fusion operator closed form (three weight pairs)",
@@ -72,7 +66,7 @@ def test_criterion_01_inverse_operator_closed_form():
 
 def test_criterion_02_mse_and_worst_case_closed_forms():
     start = time.monotonic()
-    report = reproduce_6_3b()
+    report = reproduce("6.3b")
     elapsed = time.monotonic() - start
     ok, detail = _report_ok(report)
     _conclude(2, "mean-square dual equals primal; worst-case minimizer "
@@ -81,14 +75,14 @@ def test_criterion_02_mse_and_worst_case_closed_forms():
 
 
 def test_criterion_03_local_mse_vectors_and_coupling_separation():
-    report = reproduce_6_3c(w1=1.0, v1=1.0, w2=2.0, v2=3.0)
+    report = reproduce("6.3c")
     ok, detail = _report_ok(report)
     _conclude(3, "local optimal dual vectors to 1e-12 and coupling "
                  "separation beyond 1e-3", ok, detail)
 
 
 def test_criterion_04_riesz_basis_dual_system():
-    report = reproduce_6_2a()
+    report = reproduce("6.2a")
     ok, detail = _report_ok(report)
     _conclude(4, "Riesz classification, certified dual system, "
                  "block-diagonal non-preserving coupling, containment",
@@ -96,7 +90,7 @@ def test_criterion_04_riesz_basis_dual_system():
 
 
 def test_criterion_05_worst_case_local_optimizer_subspaces():
-    report = reproduce_6_4()
+    report = reproduce("6.4")
     ok, detail = _report_ok(report)
     _conclude(5, "worst-case local optimizer keeps block 1 canonical and "
                  "moves block 2", ok, detail)

@@ -9,6 +9,7 @@ import gc
 import math
 import weakref
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -812,6 +813,49 @@ class TestHierarchical:
             assert abs(chained.aggregate_by_r[r] - bounds[r]) <= 1e-9
         assert "chain constant" in chained.certificate
         assert "theorem-backed" in chained.certificate.split("hierarchy check")[1]
+
+    @pytest.mark.parametrize("m", [40, 60, 100, 200])
+    def test_p2_margin_grows_with_the_level(self, m):
+        # m random lines in R^3 up to r = m/2.  At m = 100, level 13 reads
+        # about 2.03e7, and the report and the optimum read it 1 ulp
+        # (3.7e-9) apart: an absolute margin of 1e-9 failed the optimum
+        # against itself.
+        rng = np.random.default_rng(1)
+        spans = [rng.normal(size=3).reshape(3, 1) for _ in range(m)]
+        ff = FusionFrame.from_spanning_sets(spans, rng.uniform(0.5, 2, size=m))
+        chained = hierarchical_optimal(mse_optimal_dual(ff), m // 2)
+        assert set(chained.aggregate_by_r) == set(range(1, m // 2 + 1))
+        assert "chain constant" in chained.certificate
+
+    def test_p2_level_whose_pattern_counts_pass_the_float_range(self):
+        # 1100 lines in R^2: C(1099, 549) has 1095 bits, so it is no float,
+        # but the level-550 aggregate is about 1e165.
+        rng = np.random.default_rng(0)
+        spans = [rng.normal(size=2).reshape(2, 1) for _ in range(1100)]
+        base = mse_optimal_dual(FusionFrame.from_spanning_sets(spans, np.ones(1100)))
+        engine = base._engine
+        tr, total = Fraction(engine._trace), Fraction(engine._sum)
+        fitting = 0
+        for r in range(1, 1101):
+            groups, pairs = math.comb(1099, r - 1), math.comb(1098, r - 2) if r >= 2 else 0
+            exact = groups * tr + pairs * (total - tr)
+            k = max(exact.numerator.bit_length() - exact.denominator.bit_length() - 900, 0) // 2
+            reference = math.ldexp(math.sqrt(exact / 4 ** k), k)
+            level = engine.level(r, 2)
+            assert abs(level - reference) <= 1e-15 * reference, r
+            try:
+                unscaled = math.sqrt(max(groups * engine._trace
+                                         + pairs * (engine._sum - engine._trace), 0.0))
+            except OverflowError:
+                continue
+            # A level whose counts fit a float keeps the bits it had.
+            assert level == unscaled, r
+            fitting += 1
+        assert 0 < fitting < 1100
+        assert 1e164 < engine.level(550, 2) < 1e166
+        chained = hierarchical_optimal(base, 550)
+        assert chained.aggregate_by_r[550] == engine.level(550, 2)
+        assert "chain constant" in chained.certificate
 
 
 def maps_gram(problem, left):

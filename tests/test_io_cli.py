@@ -950,6 +950,34 @@ class TestCli:
         for example_id in ["6.2a", "6.2b", "6.3a", "6.3c", "6.3d", "6.4"]:
             assert main(["reproduce", example_id]) == 0
 
+    @pytest.mark.parametrize("example_id, code", [
+        ("6.2a", 3), ("6.2b", 0), ("6.3a", 3), ("6.3b", 3), ("6.3c", 3), ("6.3d", 0),
+        ("6.4", 3)])
+    def test_reproduce_certifies_every_dual_at_the_tol(self, capsys, example_id, code):
+        # No residual reaches 1e-300; 6.2b and 6.3d certify no dual.
+        assert main(["reproduce", example_id, "--tol", "1e-300"]) == code
+        assert capsys.readouterr().err.startswith("error: ") == (code == 3)
+
+    def test_reproduce_reads_every_example_from_its_fixture(self, tmp_path, monkeypatch):
+        # Example 6.3 with weights (1, 3): every check of 6.3a-d follows the
+        # file, and each report's digest is the sha256 of the file it read.
+        from fusionframes import reproduce
+
+        for name in FIXTURES:
+            data = json.loads(Path(fixture(name)).read_text())
+            if name == "example_6_3.json":
+                data["weights"] = [1.0, 3.0]
+            (tmp_path / name).write_text(json.dumps(data))
+        monkeypatch.setattr(reproduce, "fixture_path", lambda name: tmp_path / name)
+        for example_id in reproduce.EXAMPLE_IDS:
+            report = reproduce.reproduce(example_id)
+            assert report.ok, (example_id, [c.name for c in report.checks if not c.passed])
+            name = reproduce._EXAMPLES[example_id][0]
+            digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert report.input_digest == digest
+        separation = reproduce.reproduce("6.3c").payload["reconstruction_separation"]
+        assert separation == pytest.approx(0.42164, abs=1e-5)
+
     def test_nonconvergence_exit_code(self, capsys):
         # Example 6.3 is certified at the first iteration to a gap of one
         # rounding, which no budget brings to --solver-tol 0: the solve
