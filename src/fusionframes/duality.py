@@ -209,7 +209,7 @@ def _checked_left_inverse(a, analysis, weights, v, tol: float, what: str):
     resid = frobenius_norm(a @ analysis - np.eye(d))
     if not resid <= tol:
         raise NotLeftInverse(f"candidate is not a left inverse of {what} "
-                             f"(residual {resid:.3e} > tol {tol:.1e})")
+                             f"(residual {resid:.3e} > tol {tol:.1e})", residual=resid)
     return a, v
 
 

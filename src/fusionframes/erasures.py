@@ -254,12 +254,14 @@ class _GroupProblem:
         Returns the solver result and the certificate lines.  When the
         weighted group norms are all equal at the start point (the
         pseudoinverse member), that member is the theorem-backed unique
-        minimizer, and the certificate says so.
+        minimizer, and the certificate says so.  ``solver_bound`` keeps phi
+        sqrt(1 - gap), the certified lower bound on every left inverse.
         """
         family = self.family()
         a0 = family.pinv_member
         result = minimize_max_group_norms(a0, family.kernel, self.groups,
                                           self.coeffs, solver)
+        vars(self)["solver_bound"] = result.phi * math.sqrt(1.0 - result.gap)
         start_norms = _group_norms(a0, self.membership, self.coeffs)
         start_name, uniform_text = _START_WORDING[self.kind]
         lines = [
@@ -533,6 +535,8 @@ def hierarchical_optimal(base: ErasureReport, max_r: int,
     By the power-mean inequality over the N_r = C(m, r) patterns, no left
     inverse has a level-r aggregate below min(1, N_r^(1/p - 1/2)) times
     the optimum's level-r 2-norm; at p = 2 that is the optimum's aggregate.
+    At p = inf level 1 takes the larger of that and the certified bound of
+    the solver that the report's cached problem ran (a ``replace`` has none).
 
     Levels 1..max_r are compared in order: BadR is raised at the first
     level where the report and the optimum differ by more than
@@ -543,13 +547,10 @@ def hierarchical_optimal(base: ErasureReport, max_r: int,
     only when every level is.  Both margins are relative because a level's
     aggregate, and with it its rounding, grows like sqrt(C(m-1, r-1)).  At
     p != 2 every level is enumerated, so BadR is raised if one has more
-    than MAX_PATTERNS patterns.
-
-    Two engines take part, the report's own and the optimum's.  Each is
-    built once per report and shared by every hierarchy check of it, as is
-    the problem and its one solve for the optimum; an optimizer's report
-    comes with its own engine already built.  No random numbers are drawn:
-    ``samples`` has no effect.  ValueError unless ``samples`` is at least 1.
+    than MAX_PATTERNS patterns.  The report's engine, the optimum's, the
+    problem and its one solve are built once per report and shared by its
+    checks.  ``samples`` has no effect (no random numbers are drawn), but
+    ValueError unless it is at least 1.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -572,6 +573,8 @@ def hierarchical_optimal(base: ErasureReport, max_r: int,
     bound = best if p == 2 else {
         r: min(1.0, math.comb(total, r) ** (1.0 / p - 0.5)) * rival.level(r, 2)
         for r in levels}
+    if p == math.inf:
+        bound[1] = max(bound[1], vars(problem).get("solver_bound", 0.0))
     first = next((r for r in levels
                   if abs(own[r] - best[r]) > HIERARCHY_MARGIN * max(own[r], best[r])), None)
     if first is not None and best[first] < own[first]:

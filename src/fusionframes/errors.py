@@ -54,8 +54,8 @@ class NotADual(FusionFrameError):
         self.residual = residual
 
 
-class NotLeftInverse(FusionFrameError):
-    """The candidate matrix is not a left inverse of the analysis operator."""
+class NotLeftInverse(NotADual):
+    """Certification failed: the candidate is no left inverse of the analysis."""
 
 
 class NotOvercomplete(FusionFrameError):

@@ -1,40 +1,38 @@
 """Minimax solver for worst-case erasure objectives.
 
-Over the affine family ``A = A0 + W N*`` of left inverses (N an
-orthonormal basis of the kernel of the synthesis matrix), minimize the
-largest of a fixed list of weighted Frobenius norms of column groups,
-v_i = c_i^2 ||A S_i||_F^2 squared.  By the minimax theorem the squared
-optimum is the maximum over the simplex of g(lam) = min_W lam @ v(W),
-whose gradient is v at the minimizer W_lam.  W_lam solves least squares
-on D^(1/2) N itself, D the per-column lam_i c_i^2: the normal equations
-would square its conditioning and overstate g as some lam_i -> 0.
-g(lam) is a lower bound on the squared optimum and max_i v_i at any W an
-upper bound, so the relative gap between the best of each is a
-certificate; ``SolverConfig.tol`` bounds it.  The solve runs with max
-c = 1 and A scaled to match, the same numbers at any weight scale.
+Over the left inverses ``A = A0 + W N*`` (N an orthonormal basis of the
+kernel of the synthesis matrix) minimize the largest v_i = c_i^2 ||A
+S_i||_F^2.  By the minimax theorem the squared optimum is the maximum over
+the simplex of g(lam) = min_A sum_j D_j ||a_j||^2, D the per-column lam_i
+c_i^2, whose gradient is v at the minimizer.  Max_i v_i at any W bounds it
+above, a certified bound on g(lam) below, and ``SolverConfig.tol`` bounds
+their relative gap.  The solve runs with max c = 1 and A scaled to match.
+
+The core: with V (n x p) an orthonormal basis of the kernel's complement,
+T = V* and B = A0 V, one factorization of M = T D^-1 T* gives Z = B M^-1,
+A_lam = Z T D^-1 and W_lam = (A_lam - A0) N.  By Lagrangian weak duality
+(Boyd and Vandenberghe, Convex Optimization, 5.1-5.2) g(lam) >= 2 Re <Z,
+B> - sum_j ||Z t_j||^2 / D_j for every Z, so an inexact Z only lowers
+it; less the rounding margin of ``_core`` it is the only number in the
+lower bound.  Newton's Hessian -2 Re E' ((A' conj A) o C) E (E the column
+weights, C = N (N* D N)^+ N*) takes C from the same factors.  On a face,
+where columns O weigh at most ``_CORE_CUT`` times the largest, W_lam and
+C come from lstsq on D^(1/2) N and its SVD, and the bound from the core
+on the other columns in Q, a basis of range(T_O)^perp.
 
 The power-1/2 optimal-design iteration lam <- lam sqrt(v) / <lam,
 sqrt(v)> (Silvey, Titterington and Torsney 1978; Yu, Ann. Statist. 2010)
-runs until the gap is at most ``HANDOVER_GAP`` (or tol, if larger).
-Newton's method on g then polishes the last places, on the face of the
-simplex spanned by the groups of positive weight: an index whose weight
-reaches 0 leaves the face, and one whose v_i exceeds g(lam) joins it.  The Hessian of g is -2 Re tr(G_i B^+ G_j*), with G_i half of
-group i's gradient and B = N* D N, so the KKT system reduces to the m
-weights.  Where the face leaves W_lam not unique, the same problem over
-those W gives the primal point, and its weights an ascent direction.
-Newton only proposes lam: both bounds are the evaluated ones.  It closes
-in a few steps also the gap of a group that is active at zero weight,
-where the iteration alone is slow (like 1/t^2).
-
-A gap that Newton leaves above tol raises NonConvergence at once, with
-the certified bounds the solve has.  The solver needs numpy only, and
-everything is deterministic.
+hands over at gap ``HANDOVER_GAP`` to Newton's method on g, on the face of
+the groups of positive weight or v_i above lam @ v; where W_lam is not
+unique, the problem over those W gives the point and an ascent direction.
+A gap left above tol raises NonConvergence at once.  Numpy only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -91,6 +89,9 @@ _TINY = 1e-6
 #: direction counts above this share of the largest v_i.
 _FLAT = 1e-10
 _FLAT_SLOPE = 1e-13
+#: A column weight at most this share of the largest is 0 to the core.
+_CORE_CUT = 1e-10
+_EPS = np.finfo(float).eps
 
 
 def _membership(groups, n: int) -> np.ndarray:
@@ -123,33 +124,39 @@ def _scipy_minimize(*args, **kwargs):
     return minimize(*args, **kwargs)
 
 
-def _gradients(a, basis, member, coeffs):
-    """The m x d x k gradients in W of c_i^2 ||(A0 + W N*) S_i||_F^2 at A:
-    2 c_i^2 (A masked to the columns of group i) N."""
-    return 2.0 * (coeffs * coeffs)[:, None, None] * ((a * member.T[:, None, :]) @ basis)
+def _core(frame, target, dw):
+    """A_lam for weights dw > 0, 2 Re <Z, target> - q, its margin, Z, M^-1, T
+    D^-1, D^-1.  A computed a_j is within e / D_j of Z t_j / D_j, e = gamma ||Z||,
+    gamma = k u / (1 - k u) (Higham 3.1; ||t_j|| <= 1): q is short by at most e
+    (2 sum_j ||a_j|| + e sum_j 1 / D_j); the sums, the costs (c_i^2, sum lam = 1,
+    scaling) and the subtraction each by gamma (2 sum |Z o target| + q)."""
+    k, inv_dw = target.size + sum(frame.shape) + 8, 1.0 / dw
+    gamma = k * _EPS / (2.0 - k * _EPS)
+    ti = frame.conj().T * inv_dw
+    minv = np.linalg.inv(ti @ frame)
+    z = target @ minv
+    a = z @ ti
+    col = (a.conj() * a).real.sum(axis=0)
+    q, e = float(col @ dw), gamma * np.linalg.norm(z)
+    margin = (3.0 * gamma * (2.0 * float(np.abs(z * target).sum()) + q)
+              + e * (2.0 * float(np.sqrt(col).sum()) + e * float(inv_dw.sum())))
+    return a, 2.0 * float(np.vdot(z, target).real) - q, margin, z, minv, ti, inv_dw
 
 
-def _curvature(a, basis, member, coeffs, sing, vh):
-    """The Hessian of g at lam, -2 Re tr(G_i B^+ G_j*), with G_i half of
-    group i's gradient at the minimizer A and B = N* D N, through the SVD
-    U S V* of D^(1/2) N cut to its nonzero ``sing``: G_i B^+ G_j* is
-    (G_i V S^-1)(G_j V S^-1)*."""
-    scaled = vh.conj().T / sing
-    f = (0.5 * _gradients(a, basis, member, coeffs) @ scaled).reshape(len(member.T), -1)
-    return -2.0 * np.real(f.conj() @ f.T)
+@lru_cache(maxsize=None)
+def _sums_zero(size: int) -> np.ndarray:  # an orthonormal basis of the sums 0
+    return np.linalg.eigh(np.eye(size) - 1.0 / size)[1][:, 1:]
 
 
 def _newton_step(lam, v, hess, face):
     """The next lam of Newton's method for g on the face of the simplex
-    spanned by ``face``, in the directions of that face (sums 0): the
-    model's maximizer along every direction of negative curvature, or, when
-    the model rises along a direction of none, the ray along that ascent.
-    The step is cut where the first weight reaches 0: that index leaves the
-    face.  An index at weight 0 that the step would make negative leaves the
-    face before the step."""
+    spanned by ``face`` (directions summing to 0): the model's maximizer
+    along every direction of negative curvature, or, when it rises along one
+    of none, the ray along that ascent, cut where a weight reaches 0 (that
+    index leaves the face, as does one at 0 that the step makes negative)."""
     while True:
         j = np.flatnonzero(face)
-        sums_zero = np.linalg.eigh(np.eye(j.size) - 1.0 / j.size)[1][:, 1:]
+        sums_zero = _sums_zero(j.size)
         curv, axes = np.linalg.eigh(sums_zero.T @ hess[np.ix_(j, j)] @ sums_zero)
         slope = axes.T @ (sums_zero.T @ v[j])
         flat = curv >= -_FLAT * max(-curv.min(initial=0.0), np.finfo(float).tiny)
@@ -173,18 +180,21 @@ def _newton_step(lam, v, hess, face):
 
 
 class _Solve:
-    """One solve in coordinates where max c = 1: the bounds found so far,
-    the W that attains the upper one and the lam that attains the lower."""
+    """One solve where max c = 1: the bounds so far, the W of the upper, the
+    lam and margin of the lower, and the ``frame`` V of the family A V = A0 V."""
 
-    def __init__(self, a0, basis, member, coeffs):
+    def __init__(self, a0, basis, member, coeffs, frame=None):
         self.a0, self.basis, self.member, self.coeffs = a0, basis, member, coeffs
         self.basis_h = basis.conj().T
+        if frame is None:
+            frame = np.linalg.qr((a0 - (a0 @ basis) @ self.basis_h).conj().T)[0]
+        self.frame, self.target = frame, a0 @ frame
         self.col_weights = member * (coeffs * coeffs)
         self.w = np.zeros((a0.shape[0], basis.shape[1]), dtype=np.result_type(a0, basis))
         self.shift, self.moved = self.w, np.zeros(member.shape[1], dtype=bool)
         self.upper, self.lower = float(self.errors(self.w).max()), 0.0
-        self.dual = np.zeros(member.shape[1])
-        self.iterations, self.polished = 0, False
+        self.dual, self.margin = np.zeros(member.shape[1]), 0.0
+        self.iterations, self.polished, self.factors = 0, False, None
 
     def errors(self, w):  # v at A = A0 + W N*
         return _group_norms(self.a0 + w @ self.basis_h, self.member, self.coeffs) ** 2
@@ -198,29 +208,45 @@ class _Solve:
             self.w, self.upper, self.polished = w, float(v.max()), polished
 
     def weighted(self, lam):
-        """D^(1/2) N and the lstsq cut-off that drops its singular values
-        below _SINGULAR times the largest weight root: N is orthonormal, so
-        that is the scale of D^(1/2) N even when the weighted rows of N are
-        all 0, and a direction that only zero weights fix is cut."""
+        """D^(1/2) N and the lstsq cut-off at _SINGULAR times the largest weight
+        root, the scale of D^(1/2) N (N is orthonormal) even where it is 0."""
         root = np.sqrt(self.col_weights @ lam)[:, None]
         scaled = root * self.basis
         size = np.linalg.norm(scaled)
         return root, scaled, _SINGULAR * root.max() / size if size > 0.0 else 1.0
 
     def evaluate(self, lam, polished=False):
-        """W_lam and v(W_lam), both bounds updated: g(lam) = lam @ v."""
-        root, scaled, rcond = self.weighted(lam)
-        w = np.linalg.lstsq(scaled, -root * self.a0.conj().T, rcond=rcond)[0].conj().T
+        """W_lam and v(W_lam), both bounds updated (no kernel: max v_i is exact)."""
+        dw, self.factors = self.col_weights @ lam, None
+        if self.basis.shape[1] and dw.min() > _CORE_CUT * dw.max():
+            a, value, margin, _, *factors = _core(self.frame, self.target, dw)
+            w, self.factors = (a - self.a0) @ self.basis, (lam, a, *factors)
+        else:
+            root, scaled, rcond = self.weighted(lam)
+            w = np.linalg.lstsq(scaled, -root * self.a0.conj().T, rcond=rcond)[0].conj().T
         v = self.errors(w)
         self.keep(w, v, polished)
-        g = float(lam @ v)
-        if g > self.lower:
-            self.lower, self.dual = g, lam
+        if self.factors is None:
+            value, margin = (self.face_bound(dw, w) if self.basis.shape[1]
+                             else (float(v.max()), 0.0))
+        if value - margin > self.lower:
+            self.lower, self.dual, self.margin = value - margin, lam, margin
         return w, v
 
+    def face_bound(self, dw, w):
+        """The core off O in Q (g grows with each weight; Z Q* frees A_O).  The
+        margin adds 2 ||A_O||_F ||Z||_F (||V_O Q|| + n p eps ||V_O|| ||Q||) for 2
+        Re <A_O, Z (V_O Q)*>, with A_O at this face's lstsq minimizer W."""
+        out = dw <= _CORE_CUT * dw.max()
+        _, sing, vh = np.linalg.svd(self.frame[out])
+        q = vh[np.sum(sing > _SINGULAR):].conj().T
+        _, value, margin, z, *_ = _core(self.frame[~out] @ q, self.target @ q, dw[~out])
+        leak = np.linalg.norm(z) * (np.linalg.norm(self.frame[out] @ q) + _EPS * self.frame.size
+                                    * np.linalg.norm(self.frame[out]) * np.linalg.norm(q))
+        return value, margin + 2.0 * np.linalg.norm((self.a0 + w @ self.basis_h)[:, out]) * leak
+
     def run(self, config: SolverConfig) -> None:
-        # With no kernel A0 is the only point, and lam on its largest group
-        # makes g(lam) = max_i v_i at once.
+        # With no kernel, lam on the largest group certifies A0 at once.
         m = self.member.shape[1]
         lam = (np.full(m, 1.0 / m) if self.basis.shape[1]
                else np.eye(m)[self.errors(self.w).argmax()])
@@ -229,9 +255,8 @@ class _Solve:
             self.newton(lam, w, v, config)
 
     def reweight(self, lam, target, max_iters):
-        """Power-1/2 from lam until the gap is at most ``target`` or the
-        iterations reach ``max_iters``; returns the last lam evaluated, with
-        its W_lam and v."""
+        """Power-1/2 from lam until the gap is at most ``target`` or after
+        ``max_iters``; the last lam evaluated, with its W_lam and v."""
         evaluated = w = v = None
         while self.iterations < max_iters:
             self.iterations += 1
@@ -243,9 +268,8 @@ class _Solve:
         return evaluated, w, v
 
     def newton(self, lam, w, v, config):
-        """Newton's method on g from lam (W_lam and v evaluated), on the face
-        of the simplex where lam is positive or v_i exceeds g(lam), until the
-        gap is at most tol and stops shrinking.  It only proposes lam."""
+        """Newton's method on g from lam (W_lam and v evaluated) until the gap
+        is at most tol and stops shrinking."""
         previous = math.inf
         for _ in range(_NEWTON_STEPS):
             tiny = (lam > 0.0) & (lam < _TINY)
@@ -253,14 +277,19 @@ class _Solve:
                 lam = np.where(tiny, 0.0, lam) / lam[~tiny].sum()
                 w, v = self.evaluate(lam, polished=True)
             g = float(lam @ v)
-            _, scaled, rcond = self.weighted(lam)
-            _, sing, vh = np.linalg.svd(scaled)
-            rank = int(np.sum(sing > rcond * sing[0]))
-            w, v, target = self.off_face(lam, g, w, v, vh[rank:].conj().T, config)
-            if target is None:
-                hess = _curvature(self.a0 + w @ self.basis_h, self.basis, self.member,
-                                  self.coeffs, sing[:rank], vh[:rank])
-                target = _newton_step(lam, v, hess, (lam > 0.0) | (v > g))
+            if self.factors is not None and self.factors[0] is lam:
+                _, a, minv, ti, inv_dw = self.factors
+                c, target = np.diag(inv_dw) - ti.conj().T @ minv @ ti, None
+            else:
+                _, scaled, rcond = self.weighted(lam)
+                _, sing, vh = np.linalg.svd(scaled)
+                rank = int(np.sum(sing > rcond * sing[0]))
+                w, v, target = self.off_face(lam, g, w, v, vh, rank, config)
+                a, f = self.a0 + w @ self.basis_h, self.basis @ (vh[:rank].conj().T / sing[:rank])
+                c = f @ f.conj().T
+            if target is None:  # the Hessian of g at A
+                hess = -2.0 * self.col_weights.T @ np.real((a.T @ a.conj()) * c)
+                target = _newton_step(lam, v, hess @ self.col_weights, (lam > 0.0) | (v > g))
             found = self.line_search(lam, g, target, config.tol)
             if found is None:
                 break
@@ -269,20 +298,21 @@ class _Solve:
                 break
             previous = self.gap()
 
-    def off_face(self, lam, g, w, v, null, config):
+    def off_face(self, lam, g, w, v, vh, rank, config):
         """Where W_lam is not unique (W_lam + Z (N V0)* all minimize the
         Lagrangian), the min-norm one may let a group off the face whose
         columns N V0 moves exceed g.  The same problem over those W gives
         the best of them.  If a group still exceeds g, that problem's
         weights mu are an ascent direction, at slope mu @ v - g: returns the
         best W, its v and the first trial along mu - lam, placed by a
-        quadratic through g(mu); else None for the trial."""
+        quadratic through g(mu); else None for the trial.  Its frame adds N V1."""
+        null = vh[rank:].conj().T
         loose = (lam == 0.0) & (np.sum(np.abs(self.basis @ null) ** 2, axis=1)
                                 @ self.member > _SINGULAR)
         if not v[loose].max(initial=-np.inf) > g:
             return w, v, None
-        sub = _Solve(self.a0 + w @ self.basis_h, self.basis @ null,
-                     self.member[:, loose], self.coeffs[loose])
+        sub = _Solve(self.a0 + w @ self.basis_h, self.basis @ null, self.member[:, loose],
+                     self.coeffs[loose], np.hstack([self.frame, self.basis @ vh[:rank].conj().T]))
         sub.run(config)
         w = w + sub.w @ null.conj().T
         # The min-norm W_lam has no component along N V0: this is the move.

@@ -21,6 +21,28 @@ def rng():
     return np.random.default_rng(20240811)
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """Every worst-case solve that runs, the top-level one first: its
+    bounds, and the rounding margin that its lower bound was charged."""
+    from fusionframes import minimax
+
+    runs, run = [], minimax._Solve.run
+
+    def recording(self, config):
+        runs.append(self)
+        return run(self, config)
+
+    monkeypatch.setattr(minimax._Solve, "run", recording)
+    return runs
+
+
+def margin_share(solve) -> float:
+    """The stated rounding margin of a solve's lower bound, as a share of
+    its upper bound: what a gap closed to rounding reads."""
+    return solve.margin / solve.upper
+
+
 def random_matrix(rng, rows, cols, complex_field=False):
     m = rng.normal(size=(rows, cols))
     if complex_field:

@@ -37,6 +37,8 @@ from fusionframes.frames import Frame, frame_operator
 from fusionframes.fusion import FusionFrame
 from fusionframes.linalg import Subspace, frobenius_norm
 from fusionframes.minimax import SolverConfig
+from fusionframes.reproduce import fixture_path
+from fusionframes.specio import load_spec
 from fusionframes import frames as fr
 from fusionframes.systems import (
     FusionFrameSystem,
@@ -610,6 +612,23 @@ class TestHierarchical:
         assert "chain constant" not in chained.certificate
         assert chained.certificate.endswith(
             "lower bound not attained at r=2: optimality above the bound is not proven there")
+
+    def test_p_inf_level_1_takes_the_solvers_bound_and_a_replaced_dual_does_not(self):
+        # Example 6.4: the power-mean bound at level 1 lies below the
+        # optimum, so only the solver's certified bound proves it.  A report
+        # whose dual was replaced starts with an empty cache and falls back
+        # to the power-mean bound; its canonical dual is not optimal there.
+        ff = load_spec(str(fixture_path("example_6_4.json"))).fusion_frame()
+        base = worst_case_optimal_dual(ff)
+        checked = hierarchical_optimal(base, 2)
+        bounds = _certificate_levels(checked.certificate, "lower bound")
+        assert abs(bounds[1] - base.solver.phi) <= 1e-12 * base.solver.phi
+        assert "chain constant" in checked.certificate
+        replaced = hierarchical_optimal(replace(base, optimal_dual=canonical_dual(ff)), 2)
+        fallback = _certificate_levels(replaced.certificate, "lower bound")
+        assert fallback[1] < 0.99 * base.solver.phi < replaced.aggregate_by_r[1]
+        assert replaced.certificate.endswith(
+            "lower bound not attained at r=1: optimality above the bound is not proven there")
 
     def test_local_chain(self, rng):
         ws = random_system(rng, 3, 2, unit_norm=True)

@@ -24,6 +24,7 @@ from fusionframes.errors import InvalidSpec, ParseError
 from fusionframes.reproduce import fixture_path
 from fusionframes.specio import dumps_spec, load_spec, parse_spec
 
+from conftest import margin_share
 from test_erasures import tied_hierarchy_report
 
 
@@ -707,7 +708,7 @@ class TestCli:
                      "--r", "1", "--max-iters", "2000"])
         assert code == 0
 
-    def test_local_optimal_worst_case_trajectory(self, capsys, tmp_path):
+    def test_local_optimal_worst_case_trajectory(self, capsys, tmp_path, solves):
         # Pins the solver's path: a change that moves the reweighting
         # iterates on Example 6.4 changes the iteration count.  Newton's
         # method closes the gap to rounding from the hand-over.
@@ -716,7 +717,7 @@ class TestCli:
                      "--r", "1", "--json", str(out_path)]) == 0
         solver = json.loads(out_path.read_text())["payload"]["solver"]
         assert solver["iterations"] == 13 and solver["polished"] is True
-        assert abs(solver["gap"]) <= 1e-15
+        assert abs(solver["gap"] - margin_share(solves[0])) <= 1e-15
         expected = 1.6756255452680608
         assert abs(solver["objective"] - expected) <= 1e-12 * expected
 
@@ -954,9 +955,10 @@ class TestCli:
         ("6.2a", 3), ("6.2b", 0), ("6.3a", 3), ("6.3b", 3), ("6.3c", 3), ("6.3d", 0),
         ("6.4", 3)])
     def test_reproduce_certifies_every_dual_at_the_tol(self, capsys, example_id, code):
-        # No residual reaches 1e-300; 6.2b and 6.3d certify no dual.
+        # No residual reaches 1e-300; 6.2b and 6.3d certify no dual.  Every
+        # failed certificate prints the same prefix.
         assert main(["reproduce", example_id, "--tol", "1e-300"]) == code
-        assert capsys.readouterr().err.startswith("error: ") == (code == 3)
+        assert capsys.readouterr().err.startswith("error: certification failed: ") == (code == 3)
 
     def test_reproduce_reads_every_example_from_its_fixture(self, tmp_path, monkeypatch):
         # Example 6.3 with weights (1, 3): every check of 6.3a-d follows the
@@ -979,15 +981,15 @@ class TestCli:
         assert separation == pytest.approx(0.42164, abs=1e-5)
 
     def test_nonconvergence_exit_code(self, capsys):
-        # Example 6.3 is certified at the first iteration to a gap of one
-        # rounding, which no budget brings to --solver-tol 0: the solve
-        # raises after that iteration, whatever the budget.
+        # Example 6.3 is certified at the first iteration to a gap of its
+        # bound's rounding margin, which no budget brings to --solver-tol 0:
+        # the solve raises after that iteration, whatever the budget.
         for budget in [[], ["--max-iters", "1"]]:
             code = main(["optimal", fixture("example_6_3.json"), "--p", "inf",
                          "--solver-tol", "0"] + budget)
             assert code == 4
             assert capsys.readouterr().err.startswith(
-                "error: solver did not converge: certified gap 1.776e-16 above tol "
+                "error: solver did not converge: certified gap 3.642e-14 above tol "
                 "0.000e+00 after 1 iterations")
 
     def test_no_polish_certifies_example_6_3(self, capsys, tmp_path):
@@ -1009,7 +1011,8 @@ class TestCli:
         ("local-optimal", "example_6_4.json", 13),
         ("local-optimal", "example_6_3.json", 11),
     ])
-    def test_worst_case_reweighting_path_is_pinned(self, capsys, command, name, iterations):
+    def test_worst_case_reweighting_path_is_pinned(self, capsys, solves, command, name,
+                                                   iterations):
         # Reweighting iterations and certified gap at the default solver
         # settings: a change to the iteration or the hand-over to Newton
         # shows here.  The optimum never lies above the start point.
@@ -1018,7 +1021,7 @@ class TestCli:
         found = re.findall(r"objective: (\S+), certified gap (\S+) after (\d+) reweighting "
                            r"iterations", out)
         assert [count for _, _, count in found] == [str(iterations)]
-        assert abs(float(found[0][1])) <= 1e-15
+        assert abs(float(found[0][1]) - margin_share(solves[0])) <= 1e-15
         start = re.findall(r"(?:canonical dual|left-inverse) objective: (\S+) \(gap", out)
         assert len(start) == 1 and float(found[0][0]) <= float(start[0])
 

@@ -25,6 +25,7 @@ from fusionframes.reproduce import fixture_path
 from fusionframes.specio import load_spec
 
 from conftest import (
+    margin_share,
     random_fusion_frame,
     random_overcomplete_fusion_frame,
     random_parseval_uniform_equidim,
@@ -202,17 +203,17 @@ class TestSolver:
                                           SolverConfig(max_iters=2000))
         assert result.phi <= result.phi_start + 1e-12
 
-    def test_nonconvergence_raised_when_budget_too_small(self):
-        # Example 6.3 is certified at the first iteration to a gap of one
-        # rounding (1.78e-16), which nothing brings to tol 0: Newton gives
-        # up, and the solve raises at once, after 1 of the 3 iterations.
+    def test_nonconvergence_raised_when_budget_too_small(self, solves):
+        # Example 6.3 is certified at the first iteration to a gap of its
+        # bound's rounding margin, which nothing brings to tol 0: Newton
+        # gives up, and the solve raises at once, after 1 of the 3 iterations.
         ff = load_spec(str(fixture_path("example_6_3.json"))).fusion_frame()
         config = SolverConfig(max_iters=3, tol=0.0)
         with pytest.raises(NonConvergence) as info:
             minimize_max_group_norms(*_family_problem(ff), config)
         result = info.value.result
         assert result.converged is False and result.iterations == 1
-        assert 0.0 < result.gap <= 1e-15
+        assert 0.0 < result.gap and abs(result.gap - margin_share(solves[0])) <= 1e-15
 
 
 class TestCertificate:
@@ -256,7 +257,7 @@ class TestCertificate:
             assert 0.0 <= result.gap <= SolverConfig().tol
             assert result.phi * np.sqrt(1.0 - result.gap) <= result.phi
 
-    def test_a_group_active_at_zero_weight_is_certified_by_the_polish(self, rng):
+    def test_a_group_active_at_zero_weight_is_certified_by_the_polish(self, rng, solves):
         # The second group's norm reaches the optimum (to 1e-8), but the
         # optimal weights are (1, 0): the reweighting closes such a gap like
         # 1/t^2 (2.2e-7 after 5000 iterations here).  Newton drops the
@@ -264,20 +265,21 @@ class TestCertificate:
         ff = random_overcomplete_fusion_frame(rng, 4, 2)
         problem = _family_problem(ff)
         result = minimize_max_group_norms(*problem, SolverConfig())
-        assert result.converged and abs(result.gap) <= 1e-15
+        assert result.converged and abs(result.gap - margin_share(solves[0])) <= 1e-15
         assert result.iterations < 1000
         norms = _group_norms(result.a, _membership(problem[2], 5), np.array(problem[3]))
         assert abs(norms[0] - norms[1]) <= 1e-8 * result.phi
         alone = _reweighting_alone(*problem, max_iters=5000)
         assert alone.iterations == 5000 and alone.gap() > 1e-7
 
-    def test_the_slow_frame_is_certified_by_newton_without_scipy(self, monkeypatch):
+    def test_the_slow_frame_is_certified_by_newton_without_scipy(self, monkeypatch, solves):
         # The same frame, built here from its seed: Newton certifies it to
         # rounding in at most 5 steps.
         ff = random_overcomplete_fusion_frame(np.random.default_rng(20240811), 4, 2)
         steps = _count_newton_steps(monkeypatch)
         result = minimize_max_group_norms(*_family_problem(ff))
-        assert result.converged and result.polished and abs(result.gap) <= 1e-15
+        assert result.converged and result.polished
+        assert abs(result.gap - margin_share(solves[0])) <= 1e-15
         assert 0 < len(steps) <= 5
 
     def test_a_group_stepped_past_its_weight_rejoins_the_face(self):
@@ -325,6 +327,31 @@ class TestCertificate:
         oracle = _slsqp_oracle(*problem)
         assert default.phi <= oracle * (1 + 1e-9)
         assert oracle >= default.phi * np.sqrt(1.0 - default.gap) * (1 - 1e-13)
+
+
+    def test_an_inexact_solve_cannot_shrink_the_certified_gap(self, monkeypatch, solves):
+        # Every W the solve evaluates is off by 1e-7.  The lower bound must
+        # not rise with it: lam @ v at such a W overstated g(lam), and with
+        # it the certified lower bound, by about 21 ulps, reading gap 0.
+        w1, w2 = 1.0, 2.0
+        synth = np.hstack([w1 * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                           w2 * np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])])
+        kernel = np.array([[0.0], [1.0], [0.0], [-w1 / w2]]) / np.hypot(1.0, w1 / w2)
+        errors = minimax._Solve.errors
+        monkeypatch.setattr(minimax._Solve, "errors", lambda solve, w: errors(solve, w + 1e-7))
+        try:
+            result = minimize_max_group_norms(np.linalg.solve(synth @ synth.T, synth), kernel,
+                                              [[0, 1], [2, 3]], [w1, w2])
+        except NonConvergence as exc:
+            result = exc.result
+        # g(lam) = tr((T D^-1 T*)^-1), D the per-column lam_i c_i^2.
+        dw = np.repeat(solves[0].dual * np.array([w1, w2]) ** 2, 2)
+        g = float(np.trace(np.linalg.inv((synth / dw) @ synth.T)))
+        lower = result.phi ** 2 * (1.0 - result.gap)
+        assert solves[0].lower <= g * (1.0 + 2.0 * np.finfo(float).eps)
+        assert lower <= g * (1.0 + 4.0 * np.finfo(float).eps)
+        # The optimum is sqrt(5) / 2, so the true gap is (phi^2 - 5/4) / phi^2.
+        assert result.gap >= (result.phi ** 2 - 1.25) / result.phi ** 2
 
 
 class TestKernelCoordinates:
@@ -378,7 +405,7 @@ class TestKernelCoordinates:
         np.testing.assert_array_equal(result.a, a0)
 
     @pytest.mark.parametrize("complex_field", [False, True])
-    def test_example_6_3_stays_on_the_family(self, complex_field):
+    def test_example_6_3_stays_on_the_family(self, complex_field, solves):
         # Uniform weights are optimal here, so the solve is certified at the
         # first iteration, before any polish, in real and in complex
         # coordinates, and A = A0 + W N* is a left inverse to rounding.
@@ -389,7 +416,73 @@ class TestKernelCoordinates:
         problem = _family_problem(ff)
         result = minimize_max_group_norms(*problem)
         assert result.converged and not result.polished
-        assert result.iterations == 1 and abs(result.gap) <= 1e-15
+        assert result.iterations == 1 and abs(result.gap - margin_share(solves[0])) <= 1e-15
         residual = np.max(np.abs(result.a @ ff.analysis_matrix() - np.eye(ff.ambient_dim)))
         assert residual <= 1e-12
         assert residual <= 16 * np.finfo(float).eps
+
+
+def _solve_and_weights(problem, seed):
+    """A fresh solve on ``problem`` (a0, kernel, groups, coeffs) in the
+    solver's coordinates, and random weights on the simplex."""
+    a0, kernel, groups, coeffs = problem
+    coeffs = np.asarray(coeffs, dtype=float)
+    solve = minimax._Solve(coeffs.max() * a0, kernel, _membership(groups, a0.shape[1]),
+                           coeffs / coeffs.max())
+    lam = np.random.default_rng(seed).uniform(0.05, 1.0, size=len(groups))
+    return solve, lam / lam.sum()
+
+
+def _lstsq_point(solve, lam):
+    """W_lam by least squares on D^(1/2) N, and g(lam) = lam @ v there."""
+    root, scaled, rcond = solve.weighted(lam)
+    w = np.linalg.lstsq(scaled, -root * solve.a0.conj().T, rcond=rcond)[0].conj().T
+    return w, float(lam @ solve.errors(w))
+
+
+class TestCore:
+    """The one factorization per lam: W_lam, the weak-duality bound on g(lam)
+    and Newton's Hessian, against the kernel-coordinate least squares."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_interior_weights_match_the_kernel_least_squares(self, seed):
+        rng = np.random.default_rng(seed)
+        problem = (_local_problem(random_system(rng, 4, 3, bool(seed % 2))) if seed % 3
+                   else _family_problem(random_overcomplete_fusion_frame(rng, 4, 4, bool(seed % 2))))
+        solve, lam = _solve_and_weights(problem, seed)
+        w, v = solve.evaluate(lam)
+        exact_w, g = _lstsq_point(solve, lam)
+        assert np.max(np.abs(w - exact_w)) <= 1e-10 * max(1.0, np.max(np.abs(exact_w)))
+        # The bound lies below g(lam), by about its stated margin.
+        assert solve.lower <= g and solve.margin > 0.0
+        assert g - solve.lower <= 2.0 * solve.margin + 1e-14 * g
+        assert solve.factors[0] is lam
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_the_core_hessian_is_the_kernel_form(self, seed):
+        # C = D^-1 - D^-1 T* M^-1 T D^-1 from the core's factors equals
+        # N (N* D N)^-1 N* from the SVD of D^(1/2) N.
+        rng = np.random.default_rng(100 + seed)
+        solve, lam = _solve_and_weights(
+            _family_problem(random_overcomplete_fusion_frame(rng, 4, 4, bool(seed % 2))), seed)
+        solve.evaluate(lam)
+        _, _, minv, ti, inv_dw = solve.factors
+        core = np.diag(inv_dw) - ti.conj().T @ minv @ ti
+        _, sing, vh = np.linalg.svd(solve.weighted(lam)[1], full_matrices=False)
+        f = solve.basis @ (vh.conj().T / sing)
+        np.testing.assert_allclose(core, f @ f.conj().T, rtol=0.0,
+                                   atol=1e-10 * np.max(np.abs(core)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_the_face_bound_is_a_tight_lower_bound(self, seed):
+        # With one group at weight 0, the bound comes from the core on the
+        # other columns, in coordinates orthogonal to the range of T_O.
+        rng = np.random.default_rng(200 + seed)
+        solve, lam = _solve_and_weights(
+            _local_problem(random_system(rng, 4, 3, bool(seed % 2))), seed)
+        lam[0] = 0.0
+        lam /= lam.sum()
+        solve.evaluate(lam)
+        _, g = _lstsq_point(solve, lam)
+        assert solve.factors is None
+        assert solve.lower <= g and g - solve.lower <= 2.0 * solve.margin + 1e-13 * g
