@@ -12,16 +12,16 @@ c_k = w_i ||f_k|| for local vector f_k of block i, except that the local
 mean-square optimum charges exactly w_i, since unit norm is its
 hypothesis.  The problem gives the mean-square optimal left inverse and
 the worst-case one (via the minimax solver).  One engine reads every
-pattern error from the Gram matrix of the groups' reconstruction maps,
-formed in kernel form from n x n products (see ``_GroupErasures``).
+pattern error from the Gram matrix G of the groups' reconstruction maps,
+and its tables and p != 2 levels from one walk of the pattern tree (see
+``_GroupErasures``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
-from itertools import combinations, islice
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -51,9 +51,9 @@ MAX_PATTERNS = 1_000_000
 #: so its rounding grows with it.
 HIERARCHY_MARGIN = 1e-9
 
-#: Patterns gathered from the Gram matrix at once; bounds the memory of
-#: an enumeration.
-_CHUNK = 512
+#: Numbers per chunk of a pattern-tree walk: chunks of about _WALK / m
+#: patterns bound its memory (see ``_GroupErasures._walk``).
+_WALK = 1 << 15
 
 
 def _check_enumerable(m: int, levels, error=BadR) -> None:
@@ -280,17 +280,45 @@ class _GroupProblem:
         return result, lines
 
 
+def _children(last: np.ndarray, end: int, m: int) -> tuple:
+    """Parent in the chunk, j and parent * m + j of each child S + {j},
+    max S < j < ``end``, of the patterns whose largest groups are ``last``,
+    in lexicographic order."""
+    counts = end - 1 - last
+    ends = counts.cumsum()
+    parent = np.arange(last.size).repeat(counts)
+    j = np.arange(ends[-1]) + (end - ends)[parent]
+    return parent, j, parent * m + j
+
+
+@lru_cache(maxsize=None)
+def _tree(m: int) -> list:
+    """``_children`` of every level on m groups, for the m whose levels fit
+    one walk chunk each (m <= 13): under 0.4 MB for all of them."""
+    out, last = [], np.array([-1])
+    for _ in range(m):
+        out.append(_children(last, m, m))
+        last = out[-1][1]
+    return out
+
+
 class _GroupErasures:
     """Erasure errors of the column groups of one reconstruction.
 
     The reconstruction is ``left @ adjoint(T)`` for the problem's synthesis
     matrix T; losing group j drops its map M_j = left[:, g_j] @
     adjoint(T)[g_j, :].  With the Gram matrix G_jk = Re <M_j, M_k>_F, a
-    lost pattern S has error sqrt(1' G_SS 1), so every table and level
-    aggregate is read from G.  Since <M_j, M_k>_F sums (A* A)_ab H_ba over
-    a in g_j and b in g_k, G = Re(Pi' ((A* A) o H') Pi) for A = ``left``,
-    the Gram matrix H = T* T of T and the membership matrix Pi: no map is
-    formed, and A* A is the one product that depends on ``left``.
+    lost pattern S has error sqrt(f(S)), f(S) = 1' G_SS 1, so every table
+    and level aggregate is read from G.  Since <M_j, M_k>_F sums (A* A)_ab
+    H_ba over a in g_j and b in g_k, G = Re(Pi' ((A* A) o H') Pi) for A =
+    ``left``, the Gram matrix H = T* T of T and the membership matrix Pi:
+    no map is formed, and A* A is the one product that depends on ``left``.
+
+    At p = 2 level aggregates are closed form; every table and other level
+    reads a depth-first walk of the pattern tree (``_walk``), in O(m) per
+    pattern above its last level and O(1) per pattern of that level, in a
+    few MB.  Its levels are within an ulp of those of the exact sums of G's
+    entries, and the engine keeps its p = inf levels.
     """
 
     def __init__(self, problem: _GroupProblem, left):
@@ -299,20 +327,57 @@ class _GroupErasures:
         self.problem = problem
         self._trace = float(np.trace(self.gram))
         self._sum = float(np.sum(self.gram))
+        self._worst = {}
 
     @property
     def size(self) -> int:
         return len(self.problem.groups)
 
-    def _errors(self, r: int):
-        """Pattern indices and errors in lexicographic order, in chunks."""
-        patterns = combinations(range(self.size), r)
-        while True:
-            lost = np.array(list(islice(patterns, _CHUNK)), dtype=np.intp).reshape(-1, r)
-            if not lost.size:
+    def _walk(self, start: int, top: int, rows: bool = False):
+        """Yield (r, lost, f) for the patterns of r lost groups, start <= r
+        <= top, in chunks, each level in lexicographic order; ``lost`` holds
+        their groups if ``rows`` is set.
+
+        The child S + {j}, j > max S, has f(S + {j}) = f(S) + v_S[j] and
+        v_(S + {j}) = v_S + (G + G')[j], from v_{} = diag(G).  A chunk's
+        children are a run of the next level, so the walk holds one chunk
+        of about _WALK / m patterns per depth, and forms only children that
+        can reach level ``start``.  G = hi + lo with hi on a grid so coarse
+        that every sum of hi parts is exact, and f and v are carried as
+        their hi and lo sums: f(S) is rounded about once.  Level 1 alone is
+        diag(G) itself.
+        """
+        m, gram = self.size, self.gram
+        if top == 1:
+            yield 1, np.arange(m)[:, None], np.diagonal(gram).copy()
+            return
+        # No sum of up to m^2 entries of diag(G) and G + G' reaches 2^(grid + 53).
+        grid = math.frexp(2.0 * max(gram.max(), -gram.min()))[1] + 2 * m.bit_length() - 52
+        hi = np.ldexp(np.round(np.ldexp(gram, -grid)), grid)
+        lo = gram - hi
+        dh, dl, th, tl = np.diagonal(hi), np.diagonal(lo), hi + hi.T, lo + lo.T
+        step = max(_WALK // m, 1)
+        tree = _tree(m) if start == 1 and math.comb(m, m // 2) <= step else None
+
+        def expand(r, fh, fl, vh, vl, last, lost):
+            parent, j, flat = tree[r] if tree else _children(
+                last, m - max(start - r - 1, 0), m)
+            if not j.size:
                 return
-            sums = self.gram[lost[:, :, None], lost[:, None, :]].sum(axis=(1, 2))
-            yield lost, np.sqrt(np.maximum(sums, 0.0))
+            fh, fl = fh[parent] + vh.ravel()[flat], fl[parent] + vl.ravel()[flat]
+            if rows:
+                lost = np.column_stack((lost[parent], j))
+            if r + 1 >= start:
+                yield r + 1, lost, fh + fl
+            for s in range(0, j.size if r + 1 < top else 0, step):
+                p, c = parent[s:s + step], j[s:s + step]
+                yield from expand(r + 1, fh[s:s + step], fl[s:s + step],
+                                  vh.take(p, axis=0) + th.take(c, axis=0),
+                                  vl.take(p, axis=0) + tl.take(c, axis=0), c,
+                                  lost[s:s + step] if rows else None)
+
+        yield from expand(0, np.zeros(1), np.zeros(1), dh[None, :], dl[None, :],
+                          np.array([-1]), np.empty((1, 0), dtype=np.intp))
 
     def table(self, r: int):
         """(ErasurePattern, error) for every pattern of ``r`` lost groups."""
@@ -322,9 +387,9 @@ class _GroupErasures:
         _check_enumerable(m, (r,))
         kind, labels = self.problem.kind, self.problem.labels
         out = []
-        for lost, errs in self._errors(r):
+        for _, lost, f in self._walk(r, r, rows=True):
             out.extend((ErasurePattern(kind, tuple(labels[k] for k in row)), e)
-                       for row, e in zip(lost.tolist(), errs.tolist()))
+                       for row, e in zip(lost.tolist(), np.sqrt(np.maximum(f, 0.0)).tolist()))
         return out
 
     def level(self, r: int, p: float) -> float:
@@ -337,27 +402,33 @@ class _GroupErasures:
         are exact, so a level whose counts fit a float keeps its bits, and
         one whose counts do not is still finite.
         """
-        if p == 2:
-            m, tr = self.size, self._trace
-            groups = math.comb(m - 1, r - 1)
-            pairs = math.comb(m - 2, r - 2) if r >= 2 else 0
-            k = max(groups.bit_length() - 512, 0) // 2
-            total = groups / 4 ** k * tr + pairs / 4 ** k * (self._sum - tr)
-            return math.ldexp(math.sqrt(max(total, 0.0)), k)
-        errs = (e for _, e in self._errors(r))
-        if p == math.inf:
-            return max(float(np.max(e)) for e in errs)
-        return sum(float(np.sum(e ** p)) for e in errs) ** (1.0 / p)
+        if p != 2:
+            return self.levels(p, r, r)[r]
+        m, tr = self.size, self._trace
+        groups = math.comb(m - 1, r - 1)
+        pairs = math.comb(m - 2, r - 2) if r >= 2 else 0
+        k = max(groups.bit_length() - 512, 0) // 2
+        total = groups / 4 ** k * tr + pairs / 4 ** k * (self._sum - tr)
+        return math.ldexp(math.sqrt(max(total, 0.0)), k)
 
-    def levels(self, p: float) -> dict:
-        """Level aggregates from r = 1 up to the first level whose pattern
-        count exceeds MAX_PATTERNS."""
-        table = {}
-        for r in range(1, self.size + 1):
-            if math.comb(self.size, r) > MAX_PATTERNS:
-                break
-            table[r] = self.level(r, p)
-        return table
+    def levels(self, p: float, top: int | None = None, start: int = 1) -> dict:
+        """Level aggregates for r = start..top, by default up to the first
+        level whose pattern count exceeds MAX_PATTERNS; at p != 2 from one
+        walk, whose p = inf levels the engine keeps."""
+        if top is None:
+            top = next((r - 1 for r in range(1, self.size + 1)
+                        if math.comb(self.size, r) > MAX_PATTERNS), self.size)
+        if p == 2:
+            return {r: self.level(r, p) for r in range(start, top + 1)}
+        kept = self._worst if p == math.inf else {}
+        if any(r not in kept for r in range(start, top + 1)):
+            found = {}
+            for r, _, f in self._walk(start, top):
+                found[r] = (max(found.get(r, 0.0), math.sqrt(max(float(f.max()), 0.0)))
+                            if p == math.inf else found.get(r, 0.0)
+                            + float(np.sum(np.sqrt(np.maximum(f, 0.0)) ** p)))
+            kept.update((r, v if p == math.inf else v ** (1.0 / p)) for r, v in found.items())
+        return {r: kept[r] for r in range(start, top + 1)}
 
 
 def _erasures(problem: _GroupProblem, pair: QDualPair | None = None,
@@ -383,10 +454,11 @@ def _report(problem: _GroupProblem, p: float, pair: QDualPair, lines, solver=Non
     """Level-1 table and every level aggregate of an optimizer's dual, with
     the problem and the engine seeded into the report's cache."""
     engine = _erasures(problem, pair, system)
+    levels = engine.levels(p)
     report = ErasureReport(
         r=1, p=p, per_pattern_errors=tuple(engine.table(1)),
         aggregate=engine.level(1, p), optimal_dual=pair,
-        certificate="\n".join(lines), aggregate_by_r=engine.levels(p),
+        certificate="\n".join(lines), aggregate_by_r=levels,
         optimal_system=system, primal_system=primal, solver=solver)
     vars(report).update(_problem=problem, _engine=engine)
     return report
@@ -547,9 +619,9 @@ def hierarchical_optimal(base: ErasureReport, max_r: int,
     only when every level is.  Both margins are relative because a level's
     aggregate, and with it its rounding, grows like sqrt(C(m-1, r-1)).  At
     p != 2 every level is enumerated, so BadR is raised if one has more
-    than MAX_PATTERNS patterns.  The report's engine, the optimum's, the
-    problem and its one solve are built once per report and shared by its
-    checks.  ``samples`` has no effect (no random numbers are drawn), but
+    than MAX_PATTERNS patterns.  The report's engine (with its p = inf
+    levels), the optimum's, the problem and its one solve are built once
+    per report and shared by its checks.  ``samples`` has no effect, but
     ValueError unless it is at least 1.
     """
     if samples < 1:
@@ -567,8 +639,7 @@ def hierarchical_optimal(base: ErasureReport, max_r: int,
     lines = [f"hierarchy check up to r={max_r} against the mean-square optimum",
              _identity_line(engine, base.optimal_dual.residual)]
     rival = base._rival
-    own = {r: engine.level(r, p) for r in levels}
-    best = {r: rival.level(r, p) for r in levels}
+    own, best = engine.levels(p, max_r), rival.levels(p, max_r)
     # At p = 2 the bound is the optimum's aggregate itself.
     bound = best if p == 2 else {
         r: min(1.0, math.comb(total, r) ** (1.0 / p - 0.5)) * rival.level(r, 2)

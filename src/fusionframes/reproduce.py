@@ -86,19 +86,8 @@ def _riesz_basis_dual(spec, report: Report, tol: float) -> None:
     report.payload["residual"] = pair.residual
 
 
-def _unit_weight_rs(ff: FusionFrame, report: Report) -> ProjectiveRS:
-    """The subspaces of ``ff`` as a projective reconstruction system whose
-    blocks are their orthonormal bases (NotProjective if it is none), with
-    the check that every implied weight is 1."""
-    rs = ProjectiveRS(tuple(sub.basis for sub in ff.subspaces))
-    report.add(Check.leq("implied weights are 1",
-                         float(np.max(np.abs(np.array(rs.weights_implied) - 1.0))),
-                         1e-12))
-    return rs
-
-
 def _non_projective_canonical_dual(spec, report: Report, tol: float) -> None:
-    rs = _unit_weight_rs(spec.fusion_frame(), report)
+    rs = ProjectiveRS(tuple(sub.basis for sub in spec.fusion_frame().subspaces))
     synth = rs.synthesis_matrix()
     report.add(Check.boolean("family is a Riesz reconstruction system",
                              abs(np.linalg.det(synth)) > 1e-8))
@@ -257,7 +246,7 @@ def _local_mse_system(spec, report: Report, tol: float) -> None:
 
 def _projective_system(spec, report: Report, tol: float) -> None:
     ff = spec.fusion_frame()
-    system = _unit_weight_rs(ff, report).to_system()
+    system = ProjectiveRS(tuple(sub.basis for sub in ff.subspaces)).to_system()
     for i in range(ff.size):
         report.add(Check.leq(
             f"carried subspace {i + 1} matches the running example",

@@ -7,10 +7,12 @@ the BlockOp machinery under test.
 
 import gc
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -940,6 +942,142 @@ class TestKernelGram:
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
         optimizer(ff)
         assert len(of_t) == 1
+
+
+def gather_level(gram, r, p):
+    """Per-pattern f(S) = 1'G_SS1 of the level-r patterns, each read by an
+    r x r gather of G, 512 patterns at a time (the engine's reading before
+    the pattern-tree walk), and the level's p-aggregate from them."""
+    patterns, sums = combinations(range(len(gram)), r), []
+    while True:
+        lost = np.array(list(islice(patterns, 512)), dtype=np.intp).reshape(-1, r)
+        if not lost.size:
+            break
+        sums.append(gram[lost[:, :, None], lost[:, None, :]].sum(axis=(1, 2)))
+    errs = [np.sqrt(np.maximum(f, 0.0)) for f in sums]
+    if p == math.inf:
+        level = max(float(np.max(e)) for e in errs)
+    else:
+        level = sum(float(np.sum(e ** p)) for e in errs) ** (1.0 / p)
+    return np.concatenate(sums), level
+
+
+def exact_errors(gram, r):
+    """sqrt(1'G_SS1) of every level-r pattern, from the exact rational sum of
+    the float entries of G, correctly rounded."""
+    entries = [[Fraction(float(x)) for x in row] for row in gram]
+    out = []
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for lost in combinations(range(len(gram)), r):
+            f = sum(entries[a][b] for a in lost for b in lost)
+            out.append(float((Decimal(f.numerator) / Decimal(f.denominator)).sqrt()))
+    return out
+
+
+def walk_problem(rng, kind, complex_field):
+    """A random frame of 7 blocks or a system of 6 to 9 local vectors in F^3,
+    and a random left inverse with a kernel part as large as its
+    pseudoinverse part: its group maps cancel, so G has entries far above
+    the errors of the largest patterns."""
+    if kind == "blocks":
+        problem = _GroupProblem.of_blocks(
+            random_overcomplete_fusion_frame(rng, 3, 7, complex_field))
+    else:
+        problem = _GroupProblem.of_local_vectors(random_system(rng, 3, 3, complex_field))
+    family = _left_inverse_family(problem.synth)
+    z = rng.normal(size=family.shape)
+    if complex_field:
+        z = z + 1j * rng.normal(size=family.shape)
+    return problem, family.member(frobenius_norm(family.pinv_member) * z)
+
+
+class TestPatternWalk:
+    """Tables and levels read from the pattern-tree walk against brute force."""
+
+    @pytest.mark.parametrize("walk", [None, 64])
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("kind", ["blocks", "local"])
+    def test_tables_and_levels_match_brute_force(self, rng, monkeypatch, kind,
+                                                 complex_field, walk):
+        # walk = 64 cuts the levels into chunks of 64 // m patterns, so the
+        # walk crosses chunk boundaries at every depth.
+        if walk is not None:
+            monkeypatch.setattr(erasures, "_WALK", walk)
+        eps = np.finfo(float).eps
+        for _ in range(2):
+            problem, left = walk_problem(rng, kind, complex_field)
+            m, labels = len(problem.groups), problem.labels
+            assert m <= 9
+            right = problem.synth.conj().T
+            maps = [left[:, g] @ right[g, :] for g in problem.groups]
+            engine = _GroupErasures(problem, left)
+            worst = engine.levels(math.inf)
+            assert list(worst) == list(range(1, m + 1))
+            for r in range(1, m + 1):
+                patterns = list(combinations(range(m), r))
+                table = engine.table(r)
+                assert [pattern.indices for pattern, _ in table] == [
+                    tuple(labels[k] for k in lost) for lost in patterns]
+                errs = np.array([err for _, err in table])
+                for err, lost in zip(errs, patterns):
+                    exact = frobenius_norm(sum(maps[k] for k in lost))
+                    assert abs(err - exact) <= 1e-12 * exact
+                # The walk reads every pattern the same way at every depth
+                # and chunk size.
+                assert errs.max() == worst[r]
+                assert _GroupErasures(problem, left).level(r, math.inf) == worst[r]
+                # The gather's sum of r^2 entries rounds by at most
+                # r^2 eps sum|G_SS| in f(S); the walk is within an ulp.
+                f, _ = gather_level(engine.gram, r, 1.0)
+                spread, _ = gather_level(np.abs(engine.gram), r, 1.0)
+                ref = np.sqrt(np.maximum(f, 0.0))
+                slack = r * r * eps * spread / np.maximum(errs + ref, np.finfo(float).tiny)
+                assert np.all(np.abs(errs - ref) <= 2 * np.spacing(ref) + slack)
+                for p in (1.0, 3.0, math.inf):
+                    _, reference = gather_level(engine.gram, r, p)
+                    bound = (np.max(slack) if p == math.inf
+                             else float(np.sum(slack ** p)) ** (1.0 / p))
+                    assert (abs(engine.level(r, p) - reference)
+                            <= 2 * np.spacing(reference) + bound), (r, p)
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("kind", ["blocks", "local"])
+    def test_levels_are_within_an_ulp_of_the_exact_ones(self, rng, kind, complex_field):
+        # The walk's sums of the grid parts are exact, so f(S) is rounded
+        # once; the gather is off by up to hundreds of ulps on these
+        # problems, whose maps cancel.
+        for _ in range(3):
+            problem, left = walk_problem(rng, kind, complex_field)
+            engine = _GroupErasures(problem, left)
+            for r, level in engine.levels(math.inf).items():
+                exact = exact_errors(engine.gram, r)
+                assert abs(level - max(exact)) <= np.spacing(max(exact)), r
+                for p in (1.0, 3.0):
+                    reference = math.fsum(e ** p for e in exact) ** (1.0 / p)
+                    assert (abs(engine.level(r, p) - reference)
+                            <= 4 * np.spacing(reference)), (r, p)
+
+    def test_p_inf_levels_at_m24_stop_at_the_cap_in_bounded_memory(self):
+        # The m = 24 case of tools/level_scale.py.  C(24, 9) = 1307504
+        # patterns exceed MAX_PATTERNS, so the walk stops at r = 8, after
+        # 1271625 patterns; held as one level, r = 7 alone would need 133
+        # MB of v.
+        rng = np.random.default_rng(5)
+        random_fusion_frame(rng, 20, 12, max_dim=20)
+        random_fusion_frame(rng, 30, 16, max_dim=20)
+        problem = _GroupProblem.of_blocks(random_fusion_frame(rng, 40, 24, max_dim=20))
+        engine = _GroupErasures(problem, problem.mse_left_inverse)
+        tracemalloc.start()
+        try:
+            levels = engine.levels(math.inf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert list(levels) == list(range(1, 9))
+        assert peak <= 32e6
+        _, reference = gather_level(engine.gram, 2, math.inf)
+        assert abs(levels[2] - reference) <= 2 * np.spacing(reference)
 
 
 def mse_group_maps(ff):
