@@ -39,7 +39,7 @@ from .errors import (BadR, LengthMismatch, NotADual, NotAFusionFrame, NotUnitNor
 from .frames import synthesis
 from .fusion import FusionFrame
 from .linalg import RANK_TOL, _rank_of, adjoint, frobenius_norm
-from .minimax import (MinimaxResult, SolverConfig, _group_norms, _membership,
+from .minimax import (MinimaxResult, SolverConfig, _core, _group_norms, _membership,
                       minimize_max_group_norms)
 from .systems import FusionFrameSystem, _certified_system_from_left_inverse_of_frame
 
@@ -135,11 +135,11 @@ class ErasureReport:
     def _rival(self) -> "_GroupErasures":
         """The erasures of the problem's mean-square optimum.
         ``hierarchical_optimal`` builds it after the report's own engine, so
-        it is the last reader of the problem's solve and Gram matrix, and
-        both are then dropped from the problem's cache."""
+        it is the last reader of the problem's SVD, optimum and Gram matrix,
+        and all three are then dropped from the problem's cache."""
         problem = self._problem
         rival = _GroupErasures(problem, problem.mse_left_inverse)
-        for name in ("mse_left_inverse", "synth_gram_t"):
+        for name in ("svd", "mse_left_inverse", "synth_gram_t"):
             vars(problem).pop(name, None)
         return rival
 
@@ -243,10 +243,12 @@ class _GroupProblem:
     @cached_property
     def mse_left_inverse(self) -> np.ndarray:
         """The left inverse of adjoint(T) minimizing the sum over columns of
-        c_k^2 ||A[:, k]||^2: (T D^-1 T*)^-1 T D^-1, D = diag(c_k^2).  One solve
-        per problem, shared by its optimizer and the hierarchy's rival."""
-        scaled = self.synth / self.column_coeffs ** 2
-        return np.linalg.solve(scaled @ adjoint(self.synth), scaled)
+        c_k^2 ||A[:, k]||^2, (T D^-1 T*)^-1 T D^-1 for D = diag(c_k^2): the
+        minimax core at lam = 1 in the coordinates of ``svd``, T = U S V*
+        with V = vh[:d]* and A V = U S^-1.  Shared by the problem's optimizer
+        and the hierarchy's rival."""
+        u, s, vh = self.svd
+        return _core(adjoint(vh[:len(s)]), u / s, self.column_coeffs ** 2)[0]
 
     def worst_case(self, solver: SolverConfig | None):
         """Minimize max_j coeffs[j] ||A[:, groups[j]]||_F over the left inverses.
@@ -487,7 +489,7 @@ def mse_optimal_dual(w: FusionFrame, v=None, tol: float = DEFAULT_TOL) -> Erasur
         "mean-square optimal dual (theorem-backed, unique among "
         "component-preserving duals; any optimal dual shares its "
         "reconstruction map)",
-        f"trace orthogonality vs canonical competitor: {trace_abs:.3e} (tol 1e-9)",
+        f"trace orthogonality vs canonical competitor: {trace_abs:.3e}",
     ]
     if uniform:
         lines.append("uniform weights: optimal dual coincides with the canonical dual")
@@ -620,9 +622,9 @@ def hierarchical_optimal(base: ErasureReport, max_r: int,
     aggregate, and with it its rounding, grows like sqrt(C(m-1, r-1)).  At
     p != 2 every level is enumerated, so BadR is raised if one has more
     than MAX_PATTERNS patterns.  The report's engine (with its p = inf
-    levels), the optimum's, the problem and its one solve are built once
-    per report and shared by its checks.  ``samples`` has no effect, but
-    ValueError unless it is at least 1.
+    levels), the optimum's, the problem and its mean-square optimum are
+    built once per report and shared by its checks.  ``samples`` has no
+    effect, but ValueError unless it is at least 1.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")

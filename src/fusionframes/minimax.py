@@ -8,17 +8,20 @@ c_i^2, whose gradient is v at the minimizer.  Max_i v_i at any W bounds it
 above, a certified bound on g(lam) below, and ``SolverConfig.tol`` bounds
 their relative gap.  The solve runs with max c = 1 and A scaled to match.
 
-The core: with V (n x p) an orthonormal basis of the kernel's complement,
-T = V* and B = A0 V, one factorization of M = T D^-1 T* gives Z = B M^-1,
-A_lam = Z T D^-1 and W_lam = (A_lam - A0) N.  By Lagrangian weak duality
-(Boyd and Vandenberghe, Convex Optimization, 5.1-5.2) g(lam) >= 2 Re <Z,
-B> - sum_j ||Z t_j||^2 / D_j for every Z, so an inexact Z only lowers
-it; less the rounding margin of ``_core`` it is the only number in the
-lower bound.  Newton's Hessian -2 Re E' ((A' conj A) o C) E (E the column
-weights, C = N (N* D N)^+ N*) takes C from the same factors.  On a face,
-where columns O weigh at most ``_CORE_CUT`` times the largest, W_lam and
-C come from lstsq on D^(1/2) N and its SVD, and the bound from the core
-on the other columns in Q, a basis of range(T_O)^perp.
+The core, the library's one weighted least squares (the mean-square
+optimal left inverse is its lam = 1 call): with V (n x p) an orthonormal
+basis of the kernel's complement, T = V* and B = A0 V, one factorization
+of M = T D^-1 T* gives Z = B M^-1, A_lam = Z T D^-1 and W_lam = (A_lam -
+A0) N.  By Lagrangian weak duality (Boyd and Vandenberghe, Convex
+Optimization, 5.1-5.2) g(lam) >= 2 Re <Z, B> - sum_j ||Z t_j||^2 / D_j
+for every Z, so an inexact Z only lowers it; less the rounding margin of
+``_core`` it is the only number in the lower bound.  Newton's Hessian -2
+Re E' ((A' conj A) o C) E (E the column weights, C = N (N* D N)^+ N*)
+takes C from the same factors.  On a face, where columns O weigh at most
+``_CORE_CUT`` times the largest, one SVD of D^(1/2) N gives the min-norm
+W_lam, C and the null space that Newton leaves the face by, and the
+bound comes from the core on the other columns in Q, a basis of
+range(T_O)^perp.
 
 The power-1/2 optimal-design iteration lam <- lam sqrt(v) / <lam,
 sqrt(v)> (Silvey, Titterington and Torsney 1978; Yu, Ann. Statist. 2010)
@@ -207,26 +210,23 @@ class _Solve:
         if v.max() < self.upper or (polished and v.max() <= self.upper):
             self.w, self.upper, self.polished = w, float(v.max()), polished
 
-    def weighted(self, lam):
-        """D^(1/2) N and the lstsq cut-off at _SINGULAR times the largest weight
-        root, the scale of D^(1/2) N (N is orthonormal) even where it is 0."""
-        root = np.sqrt(self.col_weights @ lam)[:, None]
-        scaled = root * self.basis
-        size = np.linalg.norm(scaled)
-        return root, scaled, _SINGULAR * root.max() / size if size > 0.0 else 1.0
-
     def evaluate(self, lam, polished=False):
-        """W_lam and v(W_lam), both bounds updated (no kernel: max v_i is exact)."""
-        dw, self.factors = self.col_weights @ lam, None
+        """W_lam and v(W_lam), both bounds updated (no kernel: max v_i is exact).
+        ``factors`` keeps lam and the core's A_lam, M^-1, T D^-1 and D^-1, or
+        off the core None, the singular values of D^(1/2) N kept and its vh."""
+        dw = self.col_weights @ lam
         if self.basis.shape[1] and dw.min() > _CORE_CUT * dw.max():
             a, value, margin, _, *factors = _core(self.frame, self.target, dw)
             w, self.factors = (a - self.a0) @ self.basis, (lam, a, *factors)
-        else:
-            root, scaled, rcond = self.weighted(lam)
-            w = np.linalg.lstsq(scaled, -root * self.a0.conj().T, rcond=rcond)[0].conj().T
+        else:  # s is cut where s / s_1 <= _SINGULAR max root / ||D^(1/2) N||_F
+            root = np.sqrt(dw)
+            u, sing, vh = np.linalg.svd(root[:, None] * self.basis, full_matrices=False)
+            rank = int(np.sum(sing * np.linalg.norm(sing) > _SINGULAR * root.max() * sing[:1]))
+            w = -((self.a0 * root) @ u[:, :rank] / sing[:rank]) @ vh[:rank]
+            self.factors = lam, None, sing[:rank], vh
         v = self.errors(w)
         self.keep(w, v, polished)
-        if self.factors is None:
+        if self.factors[1] is None:
             value, margin = (self.face_bound(dw, w) if self.basis.shape[1]
                              else (float(v.max()), 0.0))
         if value - margin > self.lower:
@@ -236,7 +236,7 @@ class _Solve:
     def face_bound(self, dw, w):
         """The core off O in Q (g grows with each weight; Z Q* frees A_O).  The
         margin adds 2 ||A_O||_F ||Z||_F (||V_O Q|| + n p eps ||V_O|| ||Q||) for 2
-        Re <A_O, Z (V_O Q)*>, with A_O at this face's lstsq minimizer W."""
+        Re <A_O, Z (V_O Q)*>, with A_O at this face's min-norm minimizer W."""
         out = dw <= _CORE_CUT * dw.max()
         _, sing, vh = np.linalg.svd(self.frame[out])
         q = vh[np.sum(sing > _SINGULAR):].conj().T
@@ -277,15 +277,14 @@ class _Solve:
                 lam = np.where(tiny, 0.0, lam) / lam[~tiny].sum()
                 w, v = self.evaluate(lam, polished=True)
             g = float(lam @ v)
-            if self.factors is not None and self.factors[0] is lam:
-                _, a, minv, ti, inv_dw = self.factors
+            _, a, *factors = self.factors  # of lam, the last weights evaluated
+            if a is not None:
+                minv, ti, inv_dw = factors
                 c, target = np.diag(inv_dw) - ti.conj().T @ minv @ ti, None
             else:
-                _, scaled, rcond = self.weighted(lam)
-                _, sing, vh = np.linalg.svd(scaled)
-                rank = int(np.sum(sing > rcond * sing[0]))
-                w, v, target = self.off_face(lam, g, w, v, vh, rank, config)
-                a, f = self.a0 + w @ self.basis_h, self.basis @ (vh[:rank].conj().T / sing[:rank])
+                sing, vh = factors
+                w, v, target = self.off_face(lam, g, w, v, vh, sing.size, config)
+                a, f = self.a0 + w @ self.basis_h, self.basis @ (vh[:sing.size].conj().T / sing)
                 c = f @ f.conj().T
             if target is None:  # the Hessian of g at A
                 hess = -2.0 * self.col_weights.T @ np.real((a.T @ a.conj()) * c)

@@ -119,6 +119,18 @@ def random_parseval_uniform_equidim(rng, d, n, copies=1,
     return FusionFrame(tuple(subs), np.full(len(subs), weight))
 
 
+def tilted_plane_and_lines(u=None, delta=1e-4) -> FusionFrameSystem:
+    """The plane x_3 = 0 and three lines tilted ``delta`` out of it, mapped
+    by the unitary ``u``, with weights 1 and unit vectors as local frames:
+    at delta = 1e-4 the synthesis matrix has condition number 9.7e3."""
+    u = np.eye(3) if u is None else u
+    vectors = [np.eye(3)[:2]] + [np.array([[np.cos(t), np.sin(t), delta]])
+                                 for t in (0.3, 2.2, 4.1)]
+    vectors = [(v / np.linalg.norm(v, axis=1)[:, None]) @ u.T for v in vectors]
+    ff = FusionFrame.from_spanning_sets([v.T for v in vectors], np.ones(4))
+    return FusionFrameSystem(ff, tuple(map(Frame, vectors)))
+
+
 def random_system(rng, d, m, complex_field=False, extra=1,
                   unit_norm=False) -> FusionFrameSystem:
     """Random fusion frame system; each local frame has dim + extra vectors."""

@@ -56,6 +56,7 @@ from conftest import (
     random_riesz_basis,
     random_system,
     random_unitary,
+    tilted_plane_and_lines,
 )
 from test_fusion import two_plane_frame
 from test_systems import two_plane_system
@@ -171,13 +172,19 @@ class TestErrorVector:
                     assert abs(err - brute_force_error(pair, pattern.indices)) <= 1e-12
 
     def test_tables_longer_than_one_chunk(self, rng):
-        # 792 patterns of 5 lost blocks out of 12: the enumeration crosses a
-        # chunk boundary and must keep the lexicographic order
-        ff = random_fusion_frame(rng, 3, 12, max_dim=1)
+        # 8008 patterns of 6 lost blocks out of 16: their parents, the level-5
+        # patterns, fill more than one chunk of 2^15 // 16 = 2048, so the
+        # table comes in more than one piece and must keep the lexicographic
+        # order across the boundary
+        ff = random_fusion_frame(rng, 3, 16, max_dim=1)
         pair = canonical_dual(ff)
-        table = error_vector(pair, 5)
-        assert [p.indices for p, _ in table] == list(combinations(range(12), 5))
-        for pattern, err in table[::7]:
+        pieces = [f.size for _, _, f in erasures._erasures(
+            _GroupProblem.of_blocks(ff), pair)._walk(6, 6)]
+        assert len(pieces) > 1
+        table = error_vector(pair, 6)
+        assert [p.indices for p, _ in table] == list(combinations(range(16), 6))
+        edge = table[pieces[0] - 8:pieces[0] + 8]
+        for pattern, err in table[::41] + edge:
             assert abs(err - brute_force_error(pair, pattern.indices)) <= 1e-12
 
     @pytest.mark.parametrize("complex_field", [False, True])
@@ -703,7 +710,7 @@ class TestHierarchical:
     def test_a_report_and_two_checks_build_one_problem_two_engines_and_one_solve(
             self, monkeypatch):
         counts = dict.fromkeys(("problems", "engines", "solves"), 0)
-        post_init, solve = _GroupProblem.__post_init__, np.linalg.solve
+        post_init, core = _GroupProblem.__post_init__, erasures._core
 
         def counted_post_init(problem):
             counts["problems"] += 1
@@ -714,13 +721,13 @@ class TestHierarchical:
                 counts["engines"] += 1
                 super().__init__(problem, left)
 
-        def counted_solve(*args, **kwargs):
+        def counted_core(*args, **kwargs):
             counts["solves"] += 1
-            return solve(*args, **kwargs)
+            return core(*args, **kwargs)
 
         monkeypatch.setattr(_GroupProblem, "__post_init__", counted_post_init)
         monkeypatch.setattr(erasures, "_GroupErasures", CountedErasures)
-        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        monkeypatch.setattr(erasures, "_core", counted_core)
         base = mse_optimal_dual(random_overcomplete_fusion_frame(np.random.default_rng(7), 4, 5))
         for r in (2, 3):
             hierarchical_optimal(base, r)
@@ -1224,6 +1231,20 @@ class TestP2Invariance:
             for r, value in before.items():
                 assert abs(after[r] - value) <= 1e-10 * value
         assert all("theorem-backed" in c.certificate for c in chained)
+
+    def test_an_ill_conditioned_frame_certifies_in_rotated_coordinates(self):
+        # cond T = 9.7e3.  The normal equations (T D^-1 T*)^-1 T D^-1 met
+        # tol 1e-9 on the axis-aligned frame but not after this rotation
+        # (residuals 1.9e-9 and 2.5e-9), though the optimum is only moved.
+        q = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))[0]
+        axis, rotated = tilted_plane_and_lines(), tilted_plane_and_lines(q)
+        for optimizer, pick in ((mse_optimal_dual, lambda ws: ws.ff),
+                                (local_mse_optimal_system, lambda ws: ws)):
+            before, after = optimizer(pick(axis)), optimizer(pick(rotated))
+            assert after.optimal_dual.residual <= 1e-9
+            assert before.aggregate_by_r.keys() == after.aggregate_by_r.keys()
+            for r, value in before.aggregate_by_r.items():
+                assert abs(after.aggregate_by_r[r] - value) <= 1e-9 * value
 
 
 def _hierarchy_reading(chained):

@@ -24,7 +24,7 @@ from fusionframes.errors import InvalidSpec, ParseError
 from fusionframes.reproduce import fixture_path
 from fusionframes.specio import dumps_spec, load_spec, parse_spec
 
-from conftest import margin_share
+from conftest import margin_share, tilted_plane_and_lines
 from test_erasures import tied_hierarchy_report
 
 
@@ -445,6 +445,9 @@ PARSE_ERRORS = [
     ("first-of-two-lists", "complex",
      lambda d: (_Q(math.nan)(d), _LOCAL(True)(d)),
      ParseError, "local_frames[1][0]: complex entries must be numbers or [re, im] pairs"),
+    ("dual-not-object", "real", _setter("dual")([1.0]), ParseError, "dual must be an object"),
+    ("subspaces-empty", "complex", _setter("subspaces")([]), ParseError,
+     "subspaces must be a non-empty list"),
 ]
 
 
@@ -472,6 +475,11 @@ class TestParseErrors:
         with pytest.raises((ParseError, InvalidSpec)) as caught:
             _read(data)
         assert (type(caught.value), str(caught.value)) == (error, message)
+
+    @pytest.mark.parametrize("data", [[], "spec", None])
+    def test_top_level_must_be_an_object(self, data):
+        with pytest.raises(ParseError, match="^top level must be an object$"):
+            parse_spec(data)
 
     @pytest.mark.parametrize("case", PARSE_ERRORS[::9], ids=[c[0] for c in PARSE_ERRORS[::9]])
     def test_cli_exit_2_with_the_message(self, capsys, tmp_path, case):
@@ -938,11 +946,11 @@ class TestCli:
             assert "dual_weights: [1, 2]" in out[2]
 
             assert main(["verify-dual", fixture("example_6_2.json"), "--tol", "1e-3"]) == 0
-            assert "<= 1.000e-03" in capsys.readouterr().out
+            assert "tol=0.001" in capsys.readouterr().out
             monkeypatch.setenv("FF_TOL", "1e-5")
             assert main(["verify-dual", fixture("example_6_2.json")]) == 0
             out = capsys.readouterr().out
-            assert "<= 1.000e-05" in out and "1.000e-03" not in out
+            assert "tol=1e-05" in out and "tol=0.001" not in out
             assert len(builds) == 1
         finally:
             cli._parser.cache_clear()
@@ -979,6 +987,28 @@ class TestCli:
             assert report.input_digest == digest
         separation = reproduce.reproduce("6.3c").payload["reconstruction_separation"]
         assert separation == pytest.approx(0.42164, abs=1e-5)
+
+    @pytest.mark.parametrize("command", ["optimal", "local-optimal"])
+    def test_p2_certifies_an_ill_conditioned_frame_in_rotated_coordinates(
+            self, capsys, tmp_path, command):
+        # The library case of the tilted plane and lines, read from a file.
+        q = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))[0]
+        vectors = [f.vectors.tolist() for f in tilted_plane_and_lines(q).local_frames]
+        path = tmp_path / "tilted.json"
+        path.write_text(json.dumps({
+            "field": "real", "dimension": 3, "weights": [1.0] * 4, "local_frames": vectors,
+            "subspaces": [{"spanning_vectors": rows} for rows in vectors]}))
+        assert main([command, str(path), "--p", "2", "--r", "2"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_reproduce_rejects_an_unknown_id(self):
+        # The CLI's choices stop such an id first; the library call does not.
+        from fusionframes.reproduce import EXAMPLE_IDS, reproduce
+
+        with pytest.raises(ParseError) as caught:
+            reproduce("9.9")
+        assert str(caught.value) == ("unknown example id '9.9'; choose from "
+                                     + ", ".join(EXAMPLE_IDS))
 
     def test_nonconvergence_exit_code(self, capsys):
         # Example 6.3 is certified at the first iteration to a gap of its
@@ -1143,7 +1173,7 @@ print(json.dumps(rows))
         code = main(["verify-dual", fixture("example_6_2.json")])
         out = capsys.readouterr().out
         assert code == 0
-        assert "1.000e-03" in out
+        assert "tol=0.001" in out
 
 
 def _readme_section(text: str, heading: str) -> str:

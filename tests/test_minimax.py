@@ -434,9 +434,11 @@ def _solve_and_weights(problem, seed):
 
 
 def _lstsq_point(solve, lam):
-    """W_lam by least squares on D^(1/2) N, and g(lam) = lam @ v there."""
-    root, scaled, rcond = solve.weighted(lam)
-    w = np.linalg.lstsq(scaled, -root * solve.a0.conj().T, rcond=rcond)[0].conj().T
+    """W_lam by least squares in kernel coordinates, min over X of
+    ||D^(1/2) (A0* + N X)||_F at numpy's default cut-off, and g(lam) = lam @
+    v there: a minimizer found without the solver's factorizations."""
+    root = np.sqrt(solve.col_weights @ lam)[:, None]
+    w = np.linalg.lstsq(root * solve.basis, -root * solve.a0.conj().T, rcond=None)[0].conj().T
     return w, float(lam @ solve.errors(w))
 
 
@@ -468,7 +470,8 @@ class TestCore:
         solve.evaluate(lam)
         _, _, minv, ti, inv_dw = solve.factors
         core = np.diag(inv_dw) - ti.conj().T @ minv @ ti
-        _, sing, vh = np.linalg.svd(solve.weighted(lam)[1], full_matrices=False)
+        root = np.sqrt(solve.col_weights @ lam)[:, None]
+        _, sing, vh = np.linalg.svd(root * solve.basis, full_matrices=False)
         f = solve.basis @ (vh.conj().T / sing)
         np.testing.assert_allclose(core, f @ f.conj().T, rtol=0.0,
                                    atol=1e-10 * np.max(np.abs(core)))
@@ -482,7 +485,9 @@ class TestCore:
             _local_problem(random_system(rng, 4, 3, bool(seed % 2))), seed)
         lam[0] = 0.0
         lam /= lam.sum()
-        solve.evaluate(lam)
-        _, g = _lstsq_point(solve, lam)
-        assert solve.factors is None
+        w, _ = solve.evaluate(lam)
+        exact_w, g = _lstsq_point(solve, lam)
+        assert np.max(np.abs(w - exact_w)) <= 1e-10 * max(1.0, np.max(np.abs(exact_w)))
+        # The face keeps the SVD of D^(1/2) N that gave W for Newton.
+        assert solve.factors[0] is lam and solve.factors[1] is None
         assert solve.lower <= g and g - solve.lower <= 2.0 * solve.margin + 1e-13 * g
