@@ -12,106 +12,82 @@ The package is organized bottom-up:
 - :mod:`fusionframes.erasures` -- erasure error tables and loss-optimal
   duals (mean-square closed form, worst-case minimax solver);
 - :mod:`fusionframes.cli` -- the ``ff`` command-line front end.
+
+``import fusionframes`` loads no submodule.  Each name in ``__all__`` is
+imported from the module that defines it on its first access (PEP 562)
+and then kept here, so ``fusionframes.canonical_dual`` loads
+``duality`` and what it imports, and ``fusionframes.mse_optimal_dual``
+also loads ``erasures`` and ``minimax``.
 """
 
-from .blockop import BlockOp
-from .duality import (
-    AffineFamily,
-    QDualPair,
-    QKind,
-    alternate_dual_to_q_dual,
-    canonical_dual,
-    classify_q,
-    dual_from_left_inverse,
-    is_q_dual,
-    left_inverses_parametrization,
-    noncanonical_dual,
-    q_dual_residual,
-    riesz_dual_containment_check,
-)
-from .erasures import (
-    ErasurePattern,
-    ErasureReport,
-    error_vector,
-    hierarchical_optimal,
-    local_error_vector,
-    local_mse_optimal_system,
-    local_worst_case_optimal_system,
-    mse_optimal_dual,
-    worst_case_optimal_dual,
-)
-from .frames import Frame, canonical_dual as canonical_dual_frame, frame_bounds, is_dual_frame
-from .fusion import BlockVector, ClassificationReport, FusionFrame
-from .linalg import (
-    Subspace,
-    frobenius_norm,
-    intersect,
-    orth_complement_within,
-    orthonormalize,
-    pinv,
-    span_union,
-    spectral_norm,
-)
-from .minimax import MinimaxResult, SolverConfig
-from .systems import (
-    FusionFrameSystem,
-    ProjectiveRS,
-    canonical_dual_ops,
-    dual_system_from_left_inverse_of_frame,
-    dual_system_from_left_inverse_of_fusion,
-    dual_system_iff_dual_frames,
-    is_dual_system,
-    projective_rs_bridge,
-)
+import importlib
 
-__all__ = [
-    "AffineFamily",
-    "BlockOp",
-    "BlockVector",
-    "ClassificationReport",
-    "ErasurePattern",
-    "ErasureReport",
-    "Frame",
-    "FusionFrame",
-    "FusionFrameSystem",
-    "MinimaxResult",
-    "ProjectiveRS",
-    "QDualPair",
-    "QKind",
-    "SolverConfig",
-    "Subspace",
-    "alternate_dual_to_q_dual",
-    "canonical_dual",
-    "canonical_dual_frame",
-    "canonical_dual_ops",
-    "classify_q",
-    "dual_from_left_inverse",
-    "dual_system_from_left_inverse_of_frame",
-    "dual_system_from_left_inverse_of_fusion",
-    "dual_system_iff_dual_frames",
-    "error_vector",
-    "frame_bounds",
-    "frobenius_norm",
-    "hierarchical_optimal",
-    "intersect",
-    "is_dual_frame",
-    "is_dual_system",
-    "is_q_dual",
-    "left_inverses_parametrization",
-    "local_error_vector",
-    "local_mse_optimal_system",
-    "local_worst_case_optimal_system",
-    "mse_optimal_dual",
-    "noncanonical_dual",
-    "orth_complement_within",
-    "orthonormalize",
-    "pinv",
-    "projective_rs_bridge",
-    "q_dual_residual",
-    "riesz_dual_containment_check",
-    "span_union",
-    "spectral_norm",
-    "worst_case_optimal_dual",
-]
+#: Each public name -> the module that defines it, as ``module`` or, for a
+#: name the module defines under another one, ``module:name``.
+_EXPORTS = {
+    "AffineFamily": "duality",
+    "BlockOp": "blockop",
+    "BlockVector": "fusion",
+    "ClassificationReport": "fusion",
+    "ErasurePattern": "erasures",
+    "ErasureReport": "erasures",
+    "Frame": "frames",
+    "FusionFrame": "fusion",
+    "FusionFrameSystem": "systems",
+    "MinimaxResult": "minimax",
+    "ProjectiveRS": "systems",
+    "QDualPair": "duality",
+    "QKind": "duality",
+    "SolverConfig": "minimax",
+    "Subspace": "linalg",
+    "alternate_dual_to_q_dual": "duality",
+    "canonical_dual": "duality",
+    "canonical_dual_frame": "frames:canonical_dual",
+    "canonical_dual_ops": "systems",
+    "classify_q": "duality",
+    "dual_from_left_inverse": "duality",
+    "dual_system_from_left_inverse_of_frame": "systems",
+    "dual_system_from_left_inverse_of_fusion": "systems",
+    "dual_system_iff_dual_frames": "systems",
+    "error_vector": "erasures",
+    "frame_bounds": "frames",
+    "frobenius_norm": "linalg",
+    "hierarchical_optimal": "erasures",
+    "intersect": "linalg",
+    "is_dual_frame": "frames",
+    "is_dual_system": "systems",
+    "is_q_dual": "duality",
+    "left_inverses_parametrization": "duality",
+    "local_error_vector": "erasures",
+    "local_mse_optimal_system": "erasures",
+    "local_worst_case_optimal_system": "erasures",
+    "mse_optimal_dual": "erasures",
+    "noncanonical_dual": "duality",
+    "orth_complement_within": "linalg",
+    "orthonormalize": "linalg",
+    "pinv": "linalg",
+    "projective_rs_bridge": "systems",
+    "q_dual_residual": "duality",
+    "riesz_dual_containment_check": "duality",
+    "span_union": "linalg",
+    "spectral_norm": "linalg",
+    "worst_case_optimal_dual": "erasures",
+}
+
+__all__ = list(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """A public name, imported from its module at the first access and kept."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module, _, attr = _EXPORTS[name].partition(":")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), attr or name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -17,6 +17,16 @@ FF_TOL that is not a finite number >= 0 exits 2, and so does a
 more than MAX_PATTERNS erasure patterns.
 Reports go to stdout; ``--json PATH`` additionally writes the
 machine-readable report, byte-identical for identical inputs and flags.
+
+What loads when: importing this module loads numpy and the modules that
+``analyze``, ``canonical-dual`` and ``verify-dual`` all run (``specio``,
+``duality``, ``systems``, ``frames``, ``errors``).  ``cmd_optimal``
+imports ``erasures`` and ``minimax`` when it starts, and ``cmd_reproduce``
+imports ``reproduce``; both call through the module, so a patch of a
+module attribute reaches them.  The parser loads neither: the example
+ids come from ``specio.EXAMPLES``, and ``--max-iters`` and
+``--solver-tol`` parse to None, which ``cmd_optimal`` leaves at
+``SolverConfig``'s defaults.
 """
 
 from __future__ import annotations
@@ -37,18 +47,8 @@ from .errors import (
     NotADual,
     ParseError,
 )
-from .erasures import (
-    _check_enumerable,
-    hierarchical_optimal,
-    local_mse_optimal_system,
-    local_worst_case_optimal_system,
-    mse_optimal_dual,
-    worst_case_optimal_dual,
-)
 from .frames import Frame
-from .minimax import SolverConfig
-from .reproduce import _ALIASES, EXAMPLE_IDS, reproduce
-from .specio import Check, Report, load_spec
+from .specio import EXAMPLE_ALIASES, EXAMPLES, Check, Report, load_spec
 from .systems import FusionFrameSystem, is_dual_system
 
 EXIT_OK = 0
@@ -141,25 +141,29 @@ def cmd_verify_dual(args) -> int:
 def cmd_optimal(args) -> int:
     """``ff optimal`` on a fusion frame and ``ff local-optimal`` on a
     system: they differ only in the loader and the two optimizers."""
+    from . import erasures, minimax
+
     spec = load_spec(args.file)
     if args.command == "optimal":
-        primal, mse, worst = spec.fusion_frame(), mse_optimal_dual, worst_case_optimal_dual
+        primal, mse, worst = (spec.fusion_frame(), erasures.mse_optimal_dual,
+                              erasures.worst_case_optimal_dual)
     else:
-        primal, mse, worst = (spec.system(), local_mse_optimal_system,
-                              local_worst_case_optimal_system)
+        primal, mse, worst = (spec.system(), erasures.local_mse_optimal_system,
+                              erasures.local_worst_case_optimal_system)
     groups = primal.size if args.command == "optimal" else primal.total_local
     if not 1 <= args.r <= groups:
         raise InvalidSpec(f"--r must lie in 1..{groups}")
     if args.p == "inf":
-        _check_enumerable(groups, range(1, args.r + 1), InvalidSpec)
+        erasures._check_enumerable(groups, range(1, args.r + 1), InvalidSpec)
     report = Report(f"{args.command} p={args.p} r={args.r}", spec.digest)
     if args.p == "2":
         result = mse(primal, tol=args.tol)
     else:
-        solver = SolverConfig(max_iters=args.max_iters, tol=args.solver_tol)
+        flags = {"max_iters": args.max_iters, "tol": args.solver_tol}
+        solver = minimax.SolverConfig(**{k: v for k, v in flags.items() if v is not None})
         result = worst(primal, solver=solver, tol=args.tol)
     if args.r > 1:
-        result = hierarchical_optimal(result, args.r)
+        result = erasures.hierarchical_optimal(result, args.r)
     report.payload["p"] = "inf" if result.p == math.inf else result.p
     report.payload["aggregate_r1"] = result.aggregate
     report.payload["aggregate_by_r"] = {str(k): v
@@ -180,8 +184,9 @@ def cmd_optimal(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    report = reproduce(args.example_id, tol=args.tol)
-    return _emit(report, args.json)
+    from . import reproduce
+
+    return _emit(reproduce.reproduce(args.example_id, tol=args.tol), args.json)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -220,14 +225,14 @@ def build_parser() -> argparse.ArgumentParser:
         common(p)
         p.add_argument("--p", choices=["2", "inf"], required=True)
         p.add_argument("--r", type=int, default=1)
-        p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters,
+        p.add_argument("--max-iters", type=int,
                        help="reweighting iteration budget; exit 4 if the gap is still open")
-        p.add_argument("--solver-tol", default=str(SolverConfig.tol),
+        p.add_argument("--solver-tol",
                        help="largest certified relative gap of the worst-case optimum")
         p.set_defaults(handler="cmd_optimal")
 
     p = sub.add_parser("reproduce", help="rerun a bundled worked example")
-    p.add_argument("example_id", choices=[*EXAMPLE_IDS, *_ALIASES])
+    p.add_argument("example_id", choices=[*EXAMPLES, *EXAMPLE_ALIASES])
     common(p, needs_file=False)
     p.set_defaults(handler="cmd_reproduce")
 
@@ -248,10 +253,11 @@ def main(argv=None) -> int:
             args.tol = _tolerance(os.environ.get("FF_TOL", str(DEFAULT_TOL)), "FF_TOL")
         else:
             args.tol = _tolerance(args.tol, "--tol")
-        if "solver_tol" in args:
+        # An unset solver flag is None: cmd_optimal takes SolverConfig's default.
+        if getattr(args, "solver_tol", None) is not None:
             args.solver_tol = _tolerance(args.solver_tol, "--solver-tol")
-            if args.max_iters < 1:
-                raise InvalidSpec(f"--max-iters must be an integer >= 1, got {args.max_iters}")
+        if getattr(args, "max_iters", None) is not None and args.max_iters < 1:
+            raise InvalidSpec(f"--max-iters must be an integer >= 1, got {args.max_iters}")
         # The handler is looked up by name at each call, so a wrapper put on
         # it after the parser was built still runs.
         return globals()[args.handler](args)

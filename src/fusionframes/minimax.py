@@ -15,13 +15,13 @@ of M = T D^-1 T* gives Z = B M^-1, A_lam = Z T D^-1 and W_lam = (A_lam -
 A0) N.  By Lagrangian weak duality (Boyd and Vandenberghe, Convex
 Optimization, 5.1-5.2) g(lam) >= 2 Re <Z, B> - sum_j ||Z t_j||^2 / D_j
 for every Z, so an inexact Z only lowers it; less the rounding margin of
-``_core`` it is the only number in the lower bound.  Newton's Hessian -2
-Re E' ((A' conj A) o C) E (E the column weights, C = N (N* D N)^+ N*)
-takes C from the same factors.  On a face, where columns O weigh at most
-``_CORE_CUT`` times the largest, one SVD of D^(1/2) N gives the min-norm
-W_lam, C and the null space that Newton leaves the face by, and the
-bound comes from the core on the other columns in Q, a basis of
-range(T_O)^perp.
+``_core_bound``, which only the solver computes, it is the only number in
+the lower bound.  Newton's Hessian -2 Re E' ((A' conj A) o C) E (E the
+column weights, C = N (N* D N)^+ N*) takes C from the same factors.  On a
+face, where columns O weigh at most ``_CORE_CUT`` times the largest, one
+SVD of D^(1/2) N gives the min-norm W_lam, C and the null space that
+Newton leaves the face by, and the bound comes from the core on the other
+columns in Q, a basis of range(T_O)^perp.
 
 The power-1/2 optimal-design iteration lam <- lam sqrt(v) / <lam,
 sqrt(v)> (Silvey, Titterington and Torsney 1978; Yu, Ann. Statist. 2010)
@@ -128,22 +128,27 @@ def _scipy_minimize(*args, **kwargs):
 
 
 def _core(frame, target, dw):
-    """A_lam for weights dw > 0, 2 Re <Z, target> - q, its margin, Z, M^-1, T
-    D^-1, D^-1.  A computed a_j is within e / D_j of Z t_j / D_j, e = gamma ||Z||,
-    gamma = k u / (1 - k u) (Higham 3.1; ||t_j|| <= 1): q is short by at most e
-    (2 sum_j ||a_j|| + e sum_j 1 / D_j); the sums, the costs (c_i^2, sum lam = 1,
-    scaling) and the subtraction each by gamma (2 sum |Z o target| + q)."""
-    k, inv_dw = target.size + sum(frame.shape) + 8, 1.0 / dw
-    gamma = k * _EPS / (2.0 - k * _EPS)
+    """A_lam for weights dw > 0, Z, M^-1, T D^-1 and D^-1."""
+    inv_dw = 1.0 / dw
     ti = frame.conj().T * inv_dw
     minv = np.linalg.inv(ti @ frame)
     z = target @ minv
-    a = z @ ti
+    return z @ ti, z, minv, ti, inv_dw
+
+
+def _core_bound(a, z, target, dw):
+    """2 Re <Z, target> - q and its margin, for the core's A_lam and Z at dw.
+    A computed a_j is within e / D_j of Z t_j / D_j, e = gamma ||Z||, gamma = k
+    u / (1 - k u) (Higham 3.1; ||t_j|| <= 1): q is short by at most e (2 sum_j
+    ||a_j|| + e sum_j 1 / D_j); the sums, the costs (c_i^2, sum lam = 1,
+    scaling) and the subtraction each by gamma (2 sum |Z o target| + q)."""
+    k = target.size + a.shape[1] + target.shape[1] + 8
+    gamma = k * _EPS / (2.0 - k * _EPS)
     col = (a.conj() * a).real.sum(axis=0)
     q, e = float(col @ dw), gamma * np.linalg.norm(z)
     margin = (3.0 * gamma * (2.0 * float(np.abs(z * target).sum()) + q)
-              + e * (2.0 * float(np.sqrt(col).sum()) + e * float(inv_dw.sum())))
-    return a, 2.0 * float(np.vdot(z, target).real) - q, margin, z, minv, ti, inv_dw
+              + e * (2.0 * float(np.sqrt(col).sum()) + e * float((1.0 / dw).sum())))
+    return 2.0 * float(np.vdot(z, target).real) - q, margin
 
 
 @lru_cache(maxsize=None)
@@ -216,8 +221,9 @@ class _Solve:
         off the core None, the singular values of D^(1/2) N kept and its vh."""
         dw = self.col_weights @ lam
         if self.basis.shape[1] and dw.min() > _CORE_CUT * dw.max():
-            a, value, margin, _, *factors = _core(self.frame, self.target, dw)
+            a, z, *factors = _core(self.frame, self.target, dw)
             w, self.factors = (a - self.a0) @ self.basis, (lam, a, *factors)
+            value, margin = _core_bound(a, z, self.target, dw)
         else:  # s is cut where s / s_1 <= _SINGULAR max root / ||D^(1/2) N||_F
             root = np.sqrt(dw)
             u, sing, vh = np.linalg.svd(root[:, None] * self.basis, full_matrices=False)
@@ -240,7 +246,9 @@ class _Solve:
         out = dw <= _CORE_CUT * dw.max()
         _, sing, vh = np.linalg.svd(self.frame[out])
         q = vh[np.sum(sing > _SINGULAR):].conj().T
-        _, value, margin, z, *_ = _core(self.frame[~out] @ q, self.target @ q, dw[~out])
+        target = self.target @ q
+        a, z, *_ = _core(self.frame[~out] @ q, target, dw[~out])
+        value, margin = _core_bound(a, z, target, dw[~out])
         leak = np.linalg.norm(z) * (np.linalg.norm(self.frame[out] @ q) + _EPS * self.frame.size
                                     * np.linalg.norm(self.frame[out]) * np.linalg.norm(q))
         return value, margin + 2.0 * np.linalg.norm((self.a0 + w @ self.basis_h)[:, out]) * leak

@@ -3,11 +3,11 @@
 ``reproduce(id)`` loads the example's fixture, recomputes the published
 quantities from the spans and weights it reads there, and returns a
 :class:`~fusionframes.specio.Report` whose checks must all pass; the
-report's digest is the sha256 of that fixture.  One table, ``_EXAMPLES``,
-names each example's fixture and the function that fills its report;
-``tol`` is the only setting, the certification tolerance of every dual
-the example builds.  These routines back the ``ff reproduce`` command
-and the acceptance suite.
+report's digest is the sha256 of that fixture.  One table,
+``specio.EXAMPLES``, names each example's fixture and the function here
+that fills its report; ``tol`` is the only setting, the certification
+tolerance of every dual the example builds.  These routines back the
+``ff reproduce`` command and the acceptance suite.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .erasures import (
 )
 from .fusion import FusionFrame
 from .linalg import adjoint, frobenius_norm, orthonormalize
-from .specio import Check, Report, load_spec
+from .specio import EXAMPLE_ALIASES, EXAMPLES, Check, Report, load_spec
 from .systems import ProjectiveRS, canonical_dual_ops, is_dual_system
 
 
@@ -292,18 +292,8 @@ def _local_worst_case_system(spec, report: Report, tol: float) -> None:
 
 
 #: Example id -> (the fixture it reads, the function that fills its report).
-_EXAMPLES = {
-    "6.2a": ("example_6_2.json", _riesz_basis_dual),
-    "6.2b": ("example_6_2.json", _non_projective_canonical_dual),
-    "6.3a": ("example_6_3.json", _left_inverse_closed_forms),
-    "6.3b": ("example_6_3.json", _optimal_duals),
-    "6.3c": ("example_6_3.json", _local_mse_system),
-    "6.3d": ("example_6_3.json", _projective_system),
-    "6.4": ("example_6_4.json", _local_worst_case_system),
-}
-
-#: Short ids the CLI also accepts, each naming one example.
-_ALIASES = {"6.2": "6.2a", "6.3": "6.3b"}
+_EXAMPLES = {example_id: (fixture, globals()[fill])
+             for example_id, (fixture, fill) in EXAMPLES.items()}
 
 EXAMPLE_IDS = tuple(_EXAMPLES)
 
@@ -314,7 +304,7 @@ def reproduce(example_id: str, tol: float = DEFAULT_TOL) -> Report:
     ``tol`` certifies every dual the example builds: NotADual when one
     does not reach it.  Examples 6.2b and 6.3d certify no dual.
     """
-    example_id = _ALIASES.get(example_id, example_id)
+    example_id = EXAMPLE_ALIASES.get(example_id, example_id)
     if example_id not in _EXAMPLES:
         raise ParseError(f"unknown example id {example_id!r}; "
                          f"choose from {', '.join(EXAMPLE_IDS)}")

@@ -361,6 +361,24 @@ def dumps_spec(spec: InputSpec) -> str:
     return _dumps(spec.to_json_dict())
 
 
+#: The bundled worked examples that ``ff reproduce`` reruns: id -> (the
+#: fixture it reads, the function of :mod:`fusionframes.reproduce` that fills
+#: its report).  They are listed here, apart from the examples, so that the
+#: CLI checks an id without importing them.
+EXAMPLES = {
+    "6.2a": ("example_6_2.json", "_riesz_basis_dual"),
+    "6.2b": ("example_6_2.json", "_non_projective_canonical_dual"),
+    "6.3a": ("example_6_3.json", "_left_inverse_closed_forms"),
+    "6.3b": ("example_6_3.json", "_optimal_duals"),
+    "6.3c": ("example_6_3.json", "_local_mse_system"),
+    "6.3d": ("example_6_3.json", "_projective_system"),
+    "6.4": ("example_6_4.json", "_local_worst_case_system"),
+}
+
+#: Short ids the CLI also accepts, each naming one example.
+EXAMPLE_ALIASES = {"6.2": "6.2a", "6.3": "6.3b"}
+
+
 # -- reports --------------------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -900,7 +900,8 @@ class TestCli:
         # The mean-square optimum ties the reported dual system at levels 1
         # and 2 and beats it at level 3.
         ws, report = tied_hierarchy_report()
-        monkeypatch.setattr(cli, "local_worst_case_optimal_system",
+        # cmd_optimal reads the optimizer from erasures at each call.
+        monkeypatch.setattr(erasures, "local_worst_case_optimal_system",
                             lambda *args, **kwargs: report)
         data = {"field": "real", "dimension": 2,
                 "subspaces": [{"spanning_vectors": s.basis.T.tolist()}
@@ -1116,6 +1117,71 @@ print(json.dumps(rows))
         tol_zero = "optimal example_6_3.json --p inf --solver-tol 0"
         assert [row for row in rows if row[1] or row[2]] == [[no_local_frames, 2, []],
                                                              [tol_zero, 4, []]]
+
+    def test_each_command_loads_only_the_modules_it_runs(self):
+        # A fresh interpreter: the package alone loads no submodule; the
+        # three file commands load neither optimizer nor the examples, and
+        # an id that argparse rejects does not load the examples either.
+        src = os.path.dirname(os.path.dirname(fusionframes.__file__))
+        script = f"""
+import contextlib, io, json, os, sys
+
+def loaded():
+    return sorted(name for name in sys.modules if name.startswith("fusionframes."))
+
+def run(*argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = fusionframes.cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return [" ".join(argv[:1] + argv[2:]), code, err.getvalue()]
+
+import fusionframes
+rows = {{"package": loaded()}}
+import fusionframes.cli
+fixtures = os.path.join(os.path.dirname(fusionframes.__file__), "fixtures")
+runs = [run(command, os.path.join(fixtures, name))
+        for name in {FIXTURES!r} for command in ("analyze", "canonical-dual")]
+runs.append(run("verify-dual", os.path.join(fixtures, "example_6_2.json")))
+runs.append(run("reproduce", "nope"))
+rows["file commands"] = [runs, loaded()]
+rows["optimal"] = [run("optimal", os.path.join(fixtures, "example_6_3.json"), "--p", "inf"),
+                   loaded()]
+rows["reproduce"] = [run("reproduce", "6.2b"), loaded()]
+print(json.dumps(rows))
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src, COLUMNS="80"))
+        assert proc.returncode == 0, proc.stderr
+        rows = json.loads(proc.stdout)
+        deferred = {"fusionframes.erasures", "fusionframes.minimax", "fusionframes.reproduce"}
+        assert rows["package"] == []
+        runs, loaded = rows["file commands"]
+        assert [run[1:] for run in runs[:-1]] == [[0, ""]] * (2 * len(FIXTURES) + 1)
+        assert runs[-1] == ["reproduce", 2, (
+            "usage: ff reproduce [-h] [--tol TOL] [--json PATH]\n"
+            "                    {6.2a,6.2b,6.3a,6.3b,6.3c,6.3d,6.4,6.2,6.3}\n"
+            "ff reproduce: error: argument example_id: invalid choice: 'nope' (choose from "
+            "'6.2a', '6.2b', '6.3a', '6.3b', '6.3c', '6.3d', '6.4', '6.2', '6.3')\n")]
+        assert not deferred & set(loaded)
+        run, loaded = rows["optimal"]
+        assert run[1:] == [0, ""]
+        assert deferred & set(loaded) == {"fusionframes.erasures", "fusionframes.minimax"}
+        run, loaded = rows["reproduce"]
+        assert run[1:] == [0, ""] and deferred <= set(loaded)
+
+    def test_every_export_is_its_defining_modules_object(self):
+        for name in fusionframes.__all__:
+            obj = getattr(fusionframes, name)
+            assert obj.__module__.startswith("fusionframes.")
+            assert getattr(sys.modules[obj.__module__], obj.__name__) is obj, name
+            assert vars(fusionframes)[name] is obj  # kept after the first access
+        assert set(fusionframes.__all__) <= set(dir(fusionframes))
+        with pytest.raises(AttributeError,
+                           match="^module 'fusionframes' has no attribute 'nope'$"):
+            fusionframes.nope
 
     @pytest.fixture
     def bad_dual(self, tmp_path) -> str:
