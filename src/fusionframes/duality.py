@@ -333,9 +333,9 @@ def alternate_dual_to_q_dual(w: FusionFrame, v: FusionFrame,
     s_op = w.fusion_operator()
     a = np.hstack([vi * (sub_v.projector() @ np.linalg.solve(s_op, sub_w.basis))
                    for vi, sub_v, sub_w in zip(v.weights, v.subspaces, w.subspaces)])
-    resid = frobenius_norm(a @ w.analysis_matrix() - np.eye(w.ambient_dim))
-    if not resid <= tol:
+    try:
+        return dual_from_left_inverse(w, a, v.weights.copy(), tol)
+    except NotLeftInverse as err:
         raise NotAlternateDual(
-            f"weighted projection reconstruction fails (residual {resid:.3e})",
-            residual=resid)
-    return dual_from_left_inverse(w, a, v.weights.copy(), tol)
+            f"weighted projection reconstruction fails (residual {err.residual:.3e})",
+            residual=err.residual) from err

@@ -13,8 +13,8 @@ mean-square optimum charges exactly w_i, since unit norm is its
 hypothesis.  The problem gives the mean-square optimal left inverse and
 the worst-case one (via the minimax solver).  One engine reads every
 pattern error from the Gram matrix G of the groups' reconstruction maps,
-and its tables and p != 2 levels from one walk of the pattern tree (see
-``_GroupErasures``).
+and its tables and p = inf (worst-case) levels from one walk of the
+pattern tree; its p = 2 (mean-square) levels are closed form in G.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ _WALK = 1 << 15
 def _check_enumerable(m: int, levels, error=BadR) -> None:
     """Raise ``error`` at the first level r in ``levels`` whose patterns of
     r lost groups out of ``m`` exceed MAX_PATTERNS: the one cap on exact
-    enumeration, for tables, the p != 2 hierarchy and the CLI."""
+    enumeration, for tables, the p = inf hierarchy and the CLI."""
     for r in levels:
         count = math.comb(m, r)
         if count > MAX_PATTERNS:
@@ -91,10 +91,10 @@ class ErasurePattern:
 class ErasureReport:
     """Error table for one erasure level plus the optimizer that produced it.
 
-    ``aggregate`` is the p-norm of the per-pattern errors at level ``r``;
-    ``aggregate_by_r`` extends that to every computed level.  The
-    certificate is human-readable text recording which optimality claims
-    are theorem-backed and which are not proven.
+    ``aggregate`` is the p-norm, p = 2 or p = inf, of the per-pattern
+    errors at level ``r``; ``aggregate_by_r`` extends that to every
+    computed level.  The certificate is human-readable text recording which
+    optimality claims are theorem-backed and which are not proven.
 
     What ``hierarchical_optimal`` reads of the report, its group problem,
     its engine and its rival (the engine of the problem's mean-square
@@ -316,10 +316,10 @@ class _GroupErasures:
     ``left``, the Gram matrix H = T* T of T and the membership matrix Pi:
     no map is formed, and A* A is the one product that depends on ``left``.
 
-    At p = 2 level aggregates are closed form; every table and other level
-    reads a depth-first walk of the pattern tree (``_walk``), in O(m) per
-    pattern above its last level and O(1) per pattern of that level, in a
-    few MB.  Its levels are within an ulp of those of the exact sums of G's
+    At p = 2 level aggregates are closed form; every table and p = inf
+    level reads a depth-first walk of the pattern tree (``_walk``), in O(m)
+    per pattern above its last level and O(1) per pattern of that level, in
+    a few MB.  Its levels are within an ulp of those of the exact sums of G's
     entries, and the engine keeps its p = inf levels.
     """
 
@@ -394,8 +394,8 @@ class _GroupErasures:
                        for row, e in zip(lost.tolist(), np.sqrt(np.maximum(f, 0.0)).tolist()))
         return out
 
-    def level(self, r: int, p: float) -> float:
-        """p-norm of the errors of all patterns of ``r`` lost groups.
+    def level(self, r: int) -> float:
+        """2-norm of the errors of all patterns of ``r`` lost groups.
 
         At p = 2 each group lies in C(m-1, r-1) patterns and each pair of
         groups in C(m-2, r-2), which gives a closed form in G.  Counts past
@@ -404,8 +404,6 @@ class _GroupErasures:
         are exact, so a level whose counts fit a float keeps its bits, and
         one whose counts do not is still finite.
         """
-        if p != 2:
-            return self.levels(p, r, r)[r]
         m, tr = self.size, self._trace
         groups = math.comb(m - 1, r - 1)
         pairs = math.comb(m - 2, r - 2) if r >= 2 else 0
@@ -413,24 +411,21 @@ class _GroupErasures:
         total = groups / 4 ** k * tr + pairs / 4 ** k * (self._sum - tr)
         return math.ldexp(math.sqrt(max(total, 0.0)), k)
 
-    def levels(self, p: float, top: int | None = None, start: int = 1) -> dict:
-        """Level aggregates for r = start..top, by default up to the first
-        level whose pattern count exceeds MAX_PATTERNS; at p != 2 from one
-        walk, whose p = inf levels the engine keeps."""
+    def levels(self, p: float, top: int | None = None) -> dict:
+        """Level aggregates at p = 2 or p = inf for r = 1..top, by default up
+        to the first level whose pattern count exceeds MAX_PATTERNS.  The
+        engine keeps the p = inf levels, the maxima of one complete walk."""
         if top is None:
             top = next((r - 1 for r in range(1, self.size + 1)
                         if math.comb(self.size, r) > MAX_PATTERNS), self.size)
         if p == 2:
-            return {r: self.level(r, p) for r in range(start, top + 1)}
-        kept = self._worst if p == math.inf else {}
-        if any(r not in kept for r in range(start, top + 1)):
-            found = {}
-            for r, _, f in self._walk(start, top):
-                found[r] = (max(found.get(r, 0.0), math.sqrt(max(float(f.max()), 0.0)))
-                            if p == math.inf else found.get(r, 0.0)
-                            + float(np.sum(np.sqrt(np.maximum(f, 0.0)) ** p)))
-            kept.update((r, v if p == math.inf else v ** (1.0 / p)) for r, v in found.items())
-        return {r: kept[r] for r in range(start, top + 1)}
+            return {r: self.level(r) for r in range(1, top + 1)}
+        if top > len(self._worst):
+            worst = dict.fromkeys(range(1, top + 1), 0.0)
+            for r, _, f in self._walk(1, top):
+                worst[r] = max(worst[r], float(f.max()))
+            self._worst = {r: math.sqrt(v) for r, v in worst.items()}
+        return {r: self._worst[r] for r in range(1, top + 1)}
 
 
 def _erasures(problem: _GroupProblem, pair: QDualPair | None = None,
@@ -459,7 +454,7 @@ def _report(problem: _GroupProblem, p: float, pair: QDualPair, lines, solver=Non
     levels = engine.levels(p)
     report = ErasureReport(
         r=1, p=p, per_pattern_errors=tuple(engine.table(1)),
-        aggregate=engine.level(1, p), optimal_dual=pair,
+        aggregate=levels[1], optimal_dual=pair,
         certificate="\n".join(lines), aggregate_by_r=levels,
         optimal_system=system, primal_system=primal, solver=solver)
     vars(report).update(_problem=problem, _engine=engine)
@@ -599,18 +594,20 @@ def hierarchical_optimal(base: ErasureReport, max_r: int,
     """Verify the report's dual level by level, in hierarchy order.
 
     Stage r of the hierarchy minimizes the level-r aggregate over the duals
-    optimal at every lower level.  At every p the one rival is the
-    problem's mean-square optimum; at p = 2 it charges local vectors
-    exactly w_i, as ``local_mse_optimal_system`` does, so a local p = 2
-    report needs unit-norm local frames.  The group maps of every left
+    optimal at every lower level.  BadR, before anything is built, unless
+    p is 2 or inf.  The one rival is the problem's mean-square optimum,
+    which at p = 2 charges local vectors exactly w_i, as
+    ``local_mse_optimal_system`` does, so a local p = 2 report needs
+    unit-norm local frames.  The group maps of every left
     inverse sum to A T* = I_d, so 1'G1 = d (checked against the bound the
     pair's residual allows; NotADual if it fails), and the level-r sum of
-    squares C(m-2, r-1) tr G + C(m-2, r-2) d is smallest at the optimum.
-    By the power-mean inequality over the N_r = C(m, r) patterns, no left
-    inverse has a level-r aggregate below min(1, N_r^(1/p - 1/2)) times
-    the optimum's level-r 2-norm; at p = 2 that is the optimum's aggregate.
-    At p = inf level 1 takes the larger of that and the certified bound of
-    the solver that the report's cached problem ran (a ``replace`` has none).
+    squares S_r = C(m-2, r-1) tr G + C(m-2, r-2) d is smallest at the
+    optimum.  At p = 2 the optimum's aggregate is therefore the bound.  At
+    p = inf the largest of the N_r = C(m, r) level-r errors is at least
+    their root mean square, so no left inverse goes below sqrt(S_r / N_r)
+    of the optimum, and level 1 takes the larger of that and the certified
+    bound of the solver that the report's cached problem ran (a
+    ``replace`` has none).
 
     Levels 1..max_r are compared in order: BadR is raised at the first
     level where the report and the optimum differ by more than
@@ -620,21 +617,23 @@ def hierarchical_optimal(base: ErasureReport, max_r: int,
     by at most that fraction of the bound, and "chain constant" is claimed
     only when every level is.  Both margins are relative because a level's
     aggregate, and with it its rounding, grows like sqrt(C(m-1, r-1)).  At
-    p != 2 every level is enumerated, so BadR is raised if one has more
+    p = inf every level is enumerated, so BadR is raised if one has more
     than MAX_PATTERNS patterns.  The report's engine (with its p = inf
     levels), the optimum's, the problem and its mean-square optimum are
     built once per report and shared by its checks.  ``samples`` has no
     effect, but ValueError unless it is at least 1.
     """
+    p = base.p
+    if p not in (2, math.inf):
+        raise BadR(f"no hierarchy at p = {p}: reports are built at p = 2 or p = inf")
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    p = base.p
     problem = base._problem
     total = len(problem.groups)
     if not 1 <= max_r <= total:
         raise BadR(f"max_r must lie in 1..{total}")
     levels = range(1, max_r + 1)
-    if p != 2:
+    if p == math.inf:
         _check_enumerable(total, levels)
 
     engine = base._engine
@@ -644,8 +643,7 @@ def hierarchical_optimal(base: ErasureReport, max_r: int,
     own, best = engine.levels(p, max_r), rival.levels(p, max_r)
     # At p = 2 the bound is the optimum's aggregate itself.
     bound = best if p == 2 else {
-        r: min(1.0, math.comb(total, r) ** (1.0 / p - 0.5)) * rival.level(r, 2)
-        for r in levels}
+        r: math.comb(total, r) ** -0.5 * rival.level(r) for r in levels}
     if p == math.inf:
         bound[1] = max(bound[1], vars(problem).get("solver_bound", 0.0))
     first = next((r for r in levels

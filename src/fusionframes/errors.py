@@ -99,7 +99,7 @@ class NotProjective(FusionFrameError):
 # -- erasures -----------------------------------------------------------------
 
 class BadR(FusionFrameError):
-    """Erasure count out of range, or pattern enumeration too large."""
+    """Erasure count out of range, pattern enumeration too large, or p not 2 or inf."""
 
 
 class NotUnitNorm(FusionFrameError):

@@ -293,7 +293,7 @@ def orth_complement_within(u: Subspace, z: Subspace, tol: float = 1e-9) -> Subsp
     # Work in coordinates of u: complement of the range of basis_u* basis_z.
     coords = adjoint(u.basis) @ z.basis
     left, s, _ = np.linalg.svd(coords, full_matrices=True)
-    rank = int(np.sum(s > RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
+    rank = _rank_of(s, RANK_TOL)
     if rank >= u.dim:
         return Subspace.zero(u.ambient_dim, dtype=u.basis.dtype)
     return Subspace(_canonical_phases(u.basis @ left[:, rank:]))

@@ -434,13 +434,15 @@ class TestAlternateDualConversion:
             assert got.distance_to(original) < 1e-8
 
     def test_rejects_non_alternate(self, rng):
+        # The canonical dual subspaces with doubled weights reconstruct 2 I,
+        # so the residual is ||I||_F = sqrt(5).
         ff = random_overcomplete_fusion_frame(rng, 5, 3)
-        wrong = random_fusion_frame(rng, 5, 3)
-        try:
-            alternate_dual_to_q_dual(ff, wrong)
-        except NotAlternateDual:
-            return
-        pytest.skip("random candidate accidentally satisfied the identity")
+        doubled = FusionFrame(canonical_dual(ff).dual.subspaces, 2.0 * ff.weights)
+        with pytest.raises(NotAlternateDual) as info:
+            alternate_dual_to_q_dual(ff, doubled)
+        assert type(info.value) is NotAlternateDual
+        assert str(info.value) == "weighted projection reconstruction fails (residual 2.236e+00)"
+        assert abs(info.value.residual - np.sqrt(5.0)) <= 1e-9
 
 
 def _moved(ff, u, scale):
