@@ -97,7 +97,8 @@ class FusionFrame:
 
     def __post_init__(self):
         subs = tuple(self.subspaces)
-        w = np.asarray(self.weights, dtype=float).ravel()
+        w = np.array(self.weights, dtype=float).ravel()
+        w.flags.writeable = False
         if len(subs) == 0:
             raise ValueError("a fusion frame needs at least one subspace")
         if len(subs) != w.size:
@@ -145,9 +146,13 @@ class FusionFrame:
     # -- operators ------------------------------------------------------------
 
     def synthesis_matrix(self):
-        """d x (sum of dims) matrix [w_1 B_1 | ... | w_m B_m]."""
-        cols = [w * s.basis for w, s in zip(self.weights, self.subspaces)]
-        return np.hstack(cols) if cols else np.zeros((self.ambient_dim, 0))
+        """d x (sum of dims) matrix [w_1 B_1 | ... | w_m B_m].  It is formed
+        once per frame and is read-only, as are the weights and bases."""
+        if "_synthesis" not in vars(self):
+            synth = np.hstack([w * s.basis for w, s in zip(self.weights, self.subspaces)])
+            synth.flags.writeable = False
+            object.__setattr__(self, "_synthesis", synth)
+        return self._synthesis
 
     def analysis_matrix(self):
         """Adjoint of the synthesis matrix; realizes f -> (w_i P_i f) in coordinates."""
@@ -212,15 +217,9 @@ class FusionFrame:
         uniform = bool(np.all(np.abs(self.weights - self.weights[0])
                               <= 1e-12 * abs(self.weights[0])))
         equi = len(set(self.dims)) == 1
-        mutually_orth = True
-        for i in range(self.size):
-            for j in range(i + 1, self.size):
-                bi, bj = self.subspaces[i].basis, self.subspaces[j].basis
-                if bi.size and bj.size and frobenius_norm(adjoint(bi) @ bj) > tol:
-                    mutually_orth = False
-                    break
-            if not mutually_orth:
-                break
+        bases = [s.basis for s in self.subspaces if s.basis.size]
+        mutually_orth = all(not frobenius_norm(adjoint(bi) @ bj) > tol
+                            for i, bi in enumerate(bases) for bj in bases[i + 1:])
         is_orthonormal = (is_riesz and mutually_orth
                           and bool(np.all(np.abs(self.weights - 1.0) <= tol)))
         return ClassificationReport(

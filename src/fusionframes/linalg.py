@@ -48,10 +48,7 @@ def pinv(mat, tol: float = RANK_TOL):
 
 def matrix_rank(mat, tol: float = RANK_TOL) -> int:
     """Numerical rank with the same relative threshold used everywhere."""
-    mat = np.asarray(mat)
-    if mat.size == 0:
-        return 0
-    return _rank_of(np.linalg.svd(mat, compute_uv=False), tol)
+    return _rank_of(singular_values_many([mat])[0], tol)
 
 
 def _rank_of(s, tol: float) -> int:
@@ -61,21 +58,22 @@ def _rank_of(s, tol: float) -> int:
     return int(np.sum(s > tol * s[0]))
 
 
-def singular_values_many(mats) -> list:
-    """``np.linalg.svd(mat, compute_uv=False)`` of each matrix in ``mats``.
-
-    Matrices of one shape and dtype share one stacked SVD; a matrix with
-    no entries has no singular values.
-    """
-    mats = [np.asarray(mat) for mat in mats]
-    out = [np.zeros(0)] * len(mats)
-    stacks = {}
+def _stacked(mats) -> list:
+    """``(positions, stack)`` for each shape and dtype among ``mats``, in the
+    order each first appears."""
+    groups = {}
     for i, mat in enumerate(mats):
-        if mat.size:
-            stacks.setdefault((mat.shape, mat.dtype), []).append(i)
-    for index in stacks.values():
-        svals = np.linalg.svd(np.stack([mats[i] for i in index]), compute_uv=False)
-        for i, s in zip(index, svals):
+        groups.setdefault((mat.shape, mat.dtype), []).append(i)
+    return [(index, np.stack([mats[i] for i in index])) for index in groups.values()]
+
+
+def singular_values_many(mats) -> list:
+    """``np.linalg.svd(mat, compute_uv=False)`` of each matrix in ``mats``,
+    from one stacked SVD per shape and dtype."""
+    mats = [np.asarray(mat) for mat in mats]
+    out = [None] * len(mats)
+    for index, stack in _stacked(mats):
+        for i, s in zip(index, np.linalg.svd(stack, compute_uv=False)):
             out[i] = s
     return out
 
@@ -91,7 +89,8 @@ def _canonical_phases(basis):
 
     Column-space invariant; makes orthonormalization deterministic so
     repeated runs print identical bases.  ``basis`` may be a stack of
-    matrices (..., d, k); each column of each matrix is rotated alone.
+    matrices (..., d, k); each column is rotated alone, to the same bits
+    whatever is stacked or zero-padded beside it.
     """
     if basis.shape[-2] == 0:    # no rows: no pivots to rotate by
         return basis.copy()
@@ -101,11 +100,12 @@ def _canonical_phases(basis):
     # in-place product of one complex element differently from a longer one,
     # and a 1 x 1 basis would depend on how many were stacked with it.
     out = np.empty_like(basis)
-    rows = np.abs(basis).argmax(axis=-2)[..., None, :]
+    modulus = np.hypot(basis.real, basis.imag) if basis.dtype.kind == "c" else np.abs(basis)
+    rows = modulus.argmax(axis=-2)[..., None, :]
     pivots = np.take_along_axis(basis, rows, axis=-2)
     pivots[pivots == 0] = 1     # a zero column keeps its phase
-    # hypot, not np.abs: numpy's vector complex modulus can differ from the
-    # scalar one in the last place, and printed bases would change.
+    # hypot, not np.abs, for complex rows too: numpy's vector complex modulus
+    # can differ from the scalar one in the last place, by the array's layout.
     return np.multiply(basis, np.hypot(pivots.real, pivots.imag) / pivots, out=out)
 
 
@@ -115,13 +115,15 @@ class Subspace:
 
     The zero subspace is represented explicitly by a d x 0 basis.  The
     orthogonal projector is ``basis @ basis*``, idempotent and
-    self-adjoint by construction.
+    self-adjoint by construction.  The basis is a private read-only copy,
+    so what is computed from it cannot go stale.
     """
 
     basis: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        basis = np.asarray(self.basis, dtype=np.result_type(self.basis, 1.0))
+        basis = np.array(self.basis, dtype=np.result_type(self.basis, 1.0))
+        basis.flags.writeable = False
         if basis.ndim != 2:
             raise ValueError("subspace basis must be a 2-d array")
         object.__setattr__(self, "basis", basis)
@@ -195,9 +197,10 @@ def orthonormalize_many(mats, tol: float = RANK_TOL, *, allow_zero: bool = False
     """The subspace spanned by the columns of each matrix in ``mats``, as
     ``orthonormalize`` gives it.
 
-    Matrices of one shape and dtype share one stacked SVD and one stacked
-    orthonormality check.  With ``allow_zero``, a numerically zero
-    spanning set gives the zero subspace instead of an error.
+    Matrices of one shape and dtype share one stacked SVD.  The rank count,
+    phases and Gram check then run once per ambient dimension and dtype,
+    over their stacks zero-padded to one width.  With ``allow_zero``, a
+    numerically zero spanning set gives the zero subspace instead of an error.
 
     Raises:
         ValueError: at the first matrix that is not d x k with k >= 1, or
@@ -205,26 +208,35 @@ def orthonormalize_many(mats, tol: float = RANK_TOL, *, allow_zero: bool = False
         ZeroSubspace: at the first numerically zero spanning set, when it
             comes before any such matrix; its ``index`` is its position.
     """
-    arrays, bad = [], None
+    arrays = []
     for mat in mats:
-        mat = np.asarray(mat, dtype=np.result_type(mat, 1.0))
-        if mat.ndim != 2 or mat.shape[1] < 1:
-            bad = ValueError("spanning set must be a d x k matrix with k >= 1")
-        elif not np.isfinite(mat).all():
-            bad = ValueError("spanning set has entries that are not finite")
-        if bad is not None:
-            break
-        arrays.append(mat)
-    stacks = {}
-    for i, mat in enumerate(arrays):
-        stacks.setdefault((mat.shape, mat.dtype), []).append(i)
+        arrays.append(np.asarray(mat, dtype=np.result_type(mat, 1.0)))
+        if arrays[-1].ndim != 2 or arrays[-1].shape[1] < 1:
+            orthonormalize_many(arrays[:-1], tol, allow_zero=allow_zero)   # an earlier zero set wins
+            raise ValueError("spanning set must be a d x k matrix with k >= 1")
+    stacks = _stacked(arrays)
+    if not all(np.isfinite(stack).all() for _, stack in stacks):
+        first = next(i for i, mat in enumerate(arrays) if not np.isfinite(mat).all())
+        orthonormalize_many(arrays[:first], tol, allow_zero=allow_zero)   # likewise
+        raise ValueError("spanning set has entries that are not finite")
+    svds = {}
+    for index, stack in stacks:
+        u, s, _ = np.linalg.svd(stack, full_matrices=False)
+        svds.setdefault((stack.shape[1], stack.dtype), []).append((index, u, s))
     out = [None] * len(arrays)
-    for index in stacks.values():
-        u, s, _ = np.linalg.svd(np.stack([arrays[i] for i in index]), full_matrices=False)
+    for parts in svds.values():
+        index, u, s = parts[0]
+        if len(parts) > 1:
+            index = [i for part in parts for i in part[0]]
+            u = np.zeros((len(index), u.shape[1], max(p[2].shape[1] for p in parts)), u.dtype)
+            s = np.zeros((len(index), u.shape[2]), s.dtype)
+            rows = np.cumsum([0] + [len(p[0]) for p in parts])
+            for (_, ui, si), a, b in zip(parts, rows, rows[1:]):
+                u[a:b, :, :ui.shape[2]], s[a:b, :si.shape[1]] = ui, si
         ranks = (s > tol * s[:, :1]).sum(axis=1)
         keep = np.arange(s.shape[1]) < ranks[:, None]
-        # Columns past each rank are zeroed, so one Gram matrix per stack
-        # checks exactly the columns that are kept.
+        # Columns past each rank, padding included, are zeroed, so one Gram
+        # matrix per matrix checks exactly the columns that are kept.
         u = np.where(keep[:, None, :], _canonical_phases(u), 0)
         dev = np.swapaxes(u.conj(), -1, -2) @ u - keep[:, :, None] * np.eye(s.shape[1])
         if not np.max((dev.conj() * dev).real.sum(axis=(1, 2))) <= ORTHO_TOL ** 2:
@@ -234,13 +246,12 @@ def orthonormalize_many(mats, tol: float = RANK_TOL, *, allow_zero: bool = False
     for i, sub in enumerate(out):
         if sub.is_zero and not allow_zero:
             raise ZeroSubspace("spanning set is numerically zero", index=i)
-    if bad is not None:
-        raise bad
     return out
 
 
 def _trusted_subspace(basis) -> Subspace:
-    """A Subspace of a basis whose orthonormality has already been checked."""
+    """A Subspace of a checked orthonormal basis, which becomes read-only."""
+    basis.flags.writeable = False
     sub = object.__new__(Subspace)
     object.__setattr__(sub, "basis", basis)
     return sub

@@ -1,5 +1,7 @@
 """Fusion frame operators, bounds, and classification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,34 @@ class TestOperators:
             [np.eye(3)[:, [i]] for i in range(3)], [1.0, 1.0, 1.0])
         synth = ff.synthesis_matrix()
         np.testing.assert_allclose(synth @ synth.conj().T, np.eye(3), atol=1e-14)
+
+    def test_synthesis_matrix_is_formed_once_and_read_only(self):
+        weights = np.array([1.0, 2.0])
+        ff = FusionFrame(two_plane_frame().subspaces, weights)
+        synth = ff.synthesis_matrix()
+        assert ff.synthesis_matrix() is synth
+        assert not synth.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            synth[0, 0] = 1.0
+        weights[1] = 5.0                    # the frame keeps its own weights
+        assert ff.weights[1] == 2.0 and not ff.weights.flags.writeable
+        assert not any(s.basis.flags.writeable for s in ff.subspaces)
+        assert ff.analysis_matrix().tobytes() == synth.conj().T.tobytes()
+
+    def test_a_changed_frame_forms_its_own_matrix(self, rng):
+        ff = random_fusion_frame(rng, 4, 3, complex_field=True)
+        before = ff.synthesis_matrix().copy()
+        n0 = ff.subspaces[0].dim
+        q = np.linalg.qr(rng.normal(size=(n0, n0)))[0]
+        rotated = ff.rotate_block_basis(0, q)
+        assert rotated.synthesis_matrix() is not ff.synthesis_matrix()
+        np.testing.assert_array_equal(rotated.synthesis_matrix()[:, :n0],
+                                      ff.weights[0] * (ff.subspaces[0].basis @ q))
+        np.testing.assert_array_equal(rotated.synthesis_matrix()[:, n0:], before[:, n0:])
+        doubled = dataclasses.replace(ff, weights=2 * ff.weights)
+        assert doubled.synthesis_matrix() is not ff.synthesis_matrix()
+        np.testing.assert_array_equal(doubled.synthesis_matrix(), 2 * before)
+        np.testing.assert_array_equal(ff.synthesis_matrix(), before)
 
     def test_two_plane_synthesis_columns(self):
         ff = two_plane_frame(1.0, 2.0)

@@ -123,6 +123,32 @@ class TestOrthonormalizeMany:
             assert sub.basis.tobytes() == one.tobytes()     # signed zeros included
             assert sub.basis.flags.c_contiguous
 
+    @pytest.mark.parametrize("seed", range(16))
+    def test_bit_identical_to_one_at_a_time_when_padded(self, seed):
+        # Stacks of one ambient dimension and dtype share one zero-padded
+        # pass: widths 1..24 at d up to 48, 1-48 matrices, both fields,
+        # rank-deficient and zero members among full-rank ones.
+        rng = np.random.default_rng(3100 + seed)
+        ambient = rng.choice([1, 2, 5, 8, 16, 24, 48], size=int(rng.integers(1, 3)))
+        mats = []
+        for _ in range(int(rng.integers(1, 49))):
+            d, k = int(rng.choice(ambient)), int(rng.integers(1, 25))
+            mat = random_matrix(rng, d, k, bool(rng.integers(2)))
+            kind = rng.integers(5)
+            if kind == 0 and min(d, k) > 1:     # rank below min(d, k)
+                rank = int(rng.integers(1, min(d, k)))
+                mat = mat[:, :rank] @ random_matrix(rng, rank, k, np.iscomplexobj(mat))
+            elif kind == 1:
+                mat = np.zeros_like(mat)
+            mats.append(mat)
+        many = orthonormalize_many(mats, allow_zero=True)
+        for mat, sub in zip(mats, many):
+            one = orthonormalize_many([mat], allow_zero=True)[0].basis
+            assert (sub.basis.dtype, sub.basis.shape) == (one.dtype, one.shape)
+            assert sub.basis.tobytes() == one.tobytes()
+            assert sub.basis.flags.c_contiguous and not sub.basis.flags.writeable
+        assert [sub.dim for sub in many] == matrix_ranks(mats)
+
     def test_reports_the_index_of_the_first_zero_set(self):
         mats = [np.eye(3)[:, :2], np.zeros((3, 2)), np.eye(3)[:, :2], np.zeros((3, 1))]
         with pytest.raises(ZeroSubspace, match="^spanning set is numerically zero$") as caught:
@@ -145,6 +171,28 @@ class TestOrthonormalizeMany:
             orthonormalize_many([np.eye(2), nan, np.zeros((2, 1))])
         with pytest.raises(ValueError, match="d x k matrix"):
             orthonormalize_many([np.zeros((2, 0))])
+
+    @pytest.mark.parametrize("allow_zero", [False, True])
+    def test_errors_come_in_list_order_across_shapes(self, allow_zero):
+        # The non-finite matrix and the zero set sit in stacks of their own.
+        nan, zero = np.full((3, 2), np.nan), np.zeros((4, 1), dtype=complex)
+        for mats, at in (([np.eye(3), zero, nan], 1), ([zero, np.eye(4)[:, :2], nan], 0)):
+            if allow_zero:
+                with pytest.raises(ValueError, match="not finite"):
+                    orthonormalize_many(mats, allow_zero=True)
+            else:
+                with pytest.raises(ZeroSubspace) as caught:
+                    orthonormalize_many(mats)
+                assert caught.value.index == at
+        for mats in ([np.eye(3), nan, zero], [nan, np.eye(4)[:, :2], zero, np.zeros((2, 0))]):
+            with pytest.raises(ValueError, match="not finite"):
+                orthonormalize_many(mats, allow_zero=allow_zero)
+        with pytest.raises(ValueError, match="d x k matrix"):
+            orthonormalize_many([np.eye(3), np.zeros((2, 0)), nan], allow_zero=allow_zero)
+        if not allow_zero:
+            with pytest.raises(ZeroSubspace) as caught:
+                orthonormalize_many([np.eye(3), zero, np.zeros((2, 0))])
+            assert caught.value.index == 1
 
     def test_empty_list(self):
         assert orthonormalize_many([]) == []
@@ -240,6 +288,16 @@ class TestSubspace:
     def test_rejects_nan_basis(self):
         with pytest.raises(ValueError, match="not orthonormal"):
             Subspace(np.array([[np.nan], [0.0]]))
+
+    def test_keeps_a_private_read_only_basis(self, rng):
+        mat = np.eye(3)[:, :2].copy()
+        sub = Subspace(mat)
+        mat[0, 0] = 5.0
+        assert sub.basis[0, 0] == 1.0 and not sub.basis.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            sub.basis[0, 0] = 2.0
+        ortho = orthonormalize_many([random_matrix(rng, 4, 2), random_matrix(rng, 4, 3)])
+        assert not any(s.basis.flags.writeable for s in ortho)
 
 
 class TestIntersect:
